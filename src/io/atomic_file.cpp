@@ -31,6 +31,15 @@ std::string DirectoryOf(const std::string& path) {
 }
 
 #if PMCORR_HAVE_POSIX_IO
+bool WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t put = ::write(fd, bytes.data(), bytes.size());
+    if (put < 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(put));
+  }
+  return true;
+}
+
 // POSIX writer: explicit fds so fsync is possible. Returns false with
 // `error` set instead of throwing so the caller can clean up the temp
 // file on every failure path uniformly.
@@ -41,23 +50,25 @@ bool WriteAllPosix(const std::string& temp, std::string_view content,
     error = "cannot create temp file " + temp;
     return false;
   }
-  std::size_t offset = 0;
-  while (offset < content.size()) {
-    const std::size_t chunk =
-        std::min(kWriteChunkBytes, content.size() - offset);
-    try {
+  // Visit every chunk's write point first, then write the content with
+  // as few write() calls as the kernel takes: a simulated crash at chunk
+  // k writes exactly the k chunks before it — the truncated temp file a
+  // crash between two chunk writes leaves — and a clean save pays no
+  // system call per chunk.
+  std::size_t reached = 0;
+  try {
+    for (; reached < content.size(); reached += kWriteChunkBytes) {
       AtStage(temp, WriteStage::kWrite);
-    } catch (...) {
-      ::close(fd);
-      throw;  // simulated crash: temp file stays truncated at `offset`
     }
-    const ssize_t put = ::write(fd, content.data() + offset, chunk);
-    if (put < 0) {
-      ::close(fd);
-      error = "write failed on " + temp;
-      return false;
-    }
-    offset += static_cast<std::size_t>(put);
+  } catch (...) {
+    WriteAll(fd, content.substr(0, reached));
+    ::close(fd);
+    throw;  // simulated crash: temp file stays truncated at `reached`
+  }
+  if (!WriteAll(fd, content)) {
+    ::close(fd);
+    error = "write failed on " + temp;
+    return false;
   }
   try {
     AtStage(temp, WriteStage::kSync);
@@ -185,17 +196,55 @@ void AtomicWriteFile(const std::string& path, std::string_view content) {
   SyncDirectory(DirectoryOf(path));
 }
 
-std::uint32_t Crc32(std::string_view bytes) {
-  // Table-less bitwise CRC-32: the checkpoint trailer covers megabytes
-  // at most and is written once per rotation, so simplicity beats a
-  // 1 KiB table.
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc ^= static_cast<unsigned char>(c);
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+namespace {
+
+// Slice-by-8 tables for the reflected polynomial 0xEDB88320. Table 0 is
+// the classic byte-at-a-time table; table k advances a byte through k
+// further zero bytes, so eight input bytes fold into the CRC with eight
+// independent lookups per step.
+struct Crc32Tables {
+  std::uint32_t t[8][256] = {};
+
+  constexpr Crc32Tables() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+      }
+      t[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+      }
     }
   }
+};
+
+constexpr Crc32Tables kCrc32;
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+}  // namespace
+
+std::uint32_t Crc32(std::string_view bytes) {
+  const auto& t = kCrc32.t;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = LoadLe32(p) ^ crc;
+    const std::uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xffu];
   return crc ^ 0xFFFFFFFFu;
 }
 

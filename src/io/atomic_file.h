@@ -104,7 +104,10 @@ void AtomicWriteFile(const std::string& path,
 void AtomicWriteFile(const std::string& path, std::string_view content);
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
-/// the integrity trailer of rotated monitor checkpoints.
+/// the per-frame check of io/framing.h, so it runs on every serve socket
+/// frame, every binary delta frame and every checkpoint and model-file
+/// frame. Table-driven slice-by-8 (eight 1 KiB tables built at compile
+/// time), giving the values of the bitwise definition.
 std::uint32_t Crc32(std::string_view bytes);
 
 }  // namespace pmcorr

@@ -1,7 +1,11 @@
 #include "io/framing.h"
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "io/atomic_file.h"
 
@@ -9,10 +13,11 @@ namespace pmcorr {
 namespace {
 
 void PutU32(std::uint32_t v, std::string& out) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
+  const char bytes[4] = {static_cast<char>(v & 0xff),
+                         static_cast<char>((v >> 8) & 0xff),
+                         static_cast<char>((v >> 16) & 0xff),
+                         static_cast<char>((v >> 24) & 0xff)};
+  out.append(bytes, sizeof(bytes));
 }
 
 std::uint32_t GetU32(const char* p) {
@@ -22,22 +27,50 @@ std::uint32_t GetU32(const char* p) {
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
 }
 
+// On a little-endian IEEE-754 host a double's bytes already are its
+// wire form, so arrays of doubles move with one memcpy.
+constexpr bool kDoublesAreLittleEndian =
+    std::endian::native == std::endian::little &&
+    std::numeric_limits<double>::is_iec559;
+
+// 'M' for the printable type codes of the file formats, the number
+// otherwise.
+std::string FrameTypeName(std::uint8_t type) {
+  if (type >= 0x21 && type <= 0x7e) {
+    return std::string(1, static_cast<char>(type));
+  }
+  return std::to_string(type);
+}
+
 }  // namespace
+
+std::size_t BeginFrame(std::uint8_t type, std::string& out) {
+  const std::size_t start = out.size();
+  PutU32(0, out);  // body length, patched by EndFrame
+  out.push_back(static_cast<char>(type));
+  return start;
+}
+
+void EndFrame(std::size_t start, std::string& out) {
+  const std::size_t body_length = out.size() - start - 4;
+  if (body_length - 1 > kMaxFramePayload) {
+    out.resize(start);
+    throw FramingError("EndFrame: payload exceeds kMaxFramePayload");
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + i] = static_cast<char>((body_length >> (8 * i)) & 0xff);
+  }
+  PutU32(Crc32(std::string_view(out.data() + start + 4, body_length)), out);
+}
 
 void AppendFrame(std::uint8_t type, std::string_view payload,
                  std::string& out) {
   if (payload.size() > kMaxFramePayload) {
     throw FramingError("AppendFrame: payload exceeds kMaxFramePayload");
   }
-  const std::uint32_t body_length =
-      static_cast<std::uint32_t>(payload.size() + 1);
-  PutU32(body_length, out);
-  const std::size_t body_start = out.size();
-  out.push_back(static_cast<char>(type));
+  const std::size_t start = BeginFrame(type, out);
   out.append(payload);
-  const std::uint32_t crc = Crc32(
-      std::string_view(out.data() + body_start, body_length));
-  PutU32(crc, out);
+  EndFrame(start, out);
 }
 
 void WriteFrame(std::ostream& out, std::uint8_t type,
@@ -89,6 +122,23 @@ std::optional<Frame> FrameReader::Next() {
   return frame;
 }
 
+Frame ExpectFrame(FrameReader& reader, std::uint8_t type,
+                  std::string_view context) {
+  std::optional<Frame> frame = reader.Next();
+  if (!frame) {
+    throw FramingError(std::string(context) +
+                       (reader.HasPartial() ? ": truncated inside a frame"
+                                            : ": truncated before frame " +
+                                                  FrameTypeName(type)));
+  }
+  if (frame->type != type) {
+    throw FramingError(std::string(context) + ": expected frame " +
+                       FrameTypeName(type) + ", found " +
+                       FrameTypeName(frame->type));
+  }
+  return std::move(*frame);
+}
+
 void WireWriter::U16(std::uint16_t v) {
   out_.push_back(static_cast<char>(v & 0xff));
   out_.push_back(static_cast<char>((v >> 8) & 0xff));
@@ -97,15 +147,25 @@ void WireWriter::U16(std::uint16_t v) {
 void WireWriter::U32(std::uint32_t v) { PutU32(v, out_); }
 
 void WireWriter::U64(std::uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  out_.append(bytes, sizeof(bytes));
 }
 
 void WireWriter::F64(double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   U64(bits);
+}
+
+void WireWriter::F64s(const double* values, std::size_t n) {
+  if constexpr (kDoublesAreLittleEndian) {
+    out_.append(reinterpret_cast<const char*>(values), n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) F64(values[i]);
+  }
 }
 
 void WireWriter::Str(std::string_view s) {
@@ -152,6 +212,15 @@ double WireReader::F64() {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+void WireReader::F64s(double* values, std::size_t n) {
+  if (n > Remaining() / sizeof(double)) Fail("payload truncated");
+  if constexpr (kDoublesAreLittleEndian) {
+    std::memcpy(values, Take(n * sizeof(double)), n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) values[i] = F64();
+  }
 }
 
 std::string_view WireReader::Str() { return Bytes(U16()); }

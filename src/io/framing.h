@@ -1,6 +1,7 @@
 // Length-prefixed binary framing — the one wire format shared by the
-// binary delta stream (io/delta_binary.h) and the serve daemon's socket
-// protocol (serve/protocol.h).
+// binary delta stream (io/delta_binary.h), the serve daemon's socket
+// protocol (serve/protocol.h), and the model files and monitor
+// checkpoints (io/model_io.h, io/monitor_io.h).
 //
 // A frame is
 //
@@ -57,6 +58,15 @@ struct Frame {
 void AppendFrame(std::uint8_t type, std::string_view payload,
                  std::string& out);
 
+/// The in-place form of AppendFrame, for payloads too large to stage:
+/// BeginFrame opens a frame at the end of `out` and returns its start,
+/// the caller appends the payload to `out` (a WireWriter on it), and
+/// EndFrame seals it with its length and CRC. EndFrame throws
+/// FramingError, with the frame removed from `out`, when the payload
+/// exceeds kMaxFramePayload.
+std::size_t BeginFrame(std::uint8_t type, std::string& out);
+void EndFrame(std::size_t start, std::string& out);
+
 /// Writes one encoded frame to a stream (the file-backed users).
 /// Throws std::runtime_error on write failure.
 void WriteFrame(std::ostream& out, std::uint8_t type,
@@ -87,6 +97,13 @@ class FrameReader {
   std::size_t pos_ = 0;
 };
 
+/// Takes the next frame of a fully buffered file and checks its type.
+/// Throws FramingError prefixed with `context` when the bytes end before
+/// a frame (truncation, at a frame boundary or inside one) or the frame
+/// has another type.
+Frame ExpectFrame(FrameReader& reader, std::uint8_t type,
+                  std::string_view context);
+
 /// Appends primitive values to a payload string, little-endian.
 class WireWriter {
  public:
@@ -100,6 +117,8 @@ class WireWriter {
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern — the bitwise-exact double round-trip.
   void F64(double v);
+  /// `n` doubles, as n F64 calls would write them.
+  void F64s(const double* values, std::size_t n);
   /// u16 length prefix + raw bytes (names, error messages).
   void Str(std::string_view s);
   void Bytes(std::string_view s) { out_.append(s); }
@@ -123,6 +142,8 @@ class WireReader {
   std::uint64_t U64();
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   double F64();
+  /// `n` doubles written by F64s (or n F64 calls).
+  void F64s(double* values, std::size_t n);
   std::string_view Str();
   std::string_view Bytes(std::size_t n);
 

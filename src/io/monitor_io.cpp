@@ -6,18 +6,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "io/atomic_file.h"
+#include "io/framing.h"
 #include "io/model_io.h"
 
 namespace pmcorr {
 namespace {
 
-constexpr const char* kMagic = "pmcorr-monitor v1";
+constexpr std::string_view kContext = "LoadSystemMonitor";
 
 // Declared-size ceilings: a checkpoint names its measurement and pair
 // counts up front and the loader reserves accordingly, so corrupt values
@@ -37,211 +39,124 @@ void WriteDouble(std::ostream& out, double v) {
   out << buf;
 }
 
-}  // namespace
-
-void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out) {
-  out << kMagic << "\n";
-  out << "measurements " << monitor.MeasurementCount() << "\n";
+void EncodeSystemMonitor(const SystemMonitor& monitor, std::string& out) {
+  const MeasurementGraph& graph = monitor.Graph();
+  WireWriter w(out);
+  std::size_t frame = BeginFrame(kCheckpointHeaderFrame, out);
+  w.U32(kCheckpointFormatVersion);
+  w.U32(static_cast<std::uint32_t>(monitor.MeasurementCount()));
   for (const MeasurementInfo& info : monitor.Infos()) {
-    // Display names may contain spaces in user data; ours use '@' form.
-    out << "m " << info.machine.value << " " << static_cast<int>(info.kind)
-        << " " << info.name << "\n";
+    w.U32(static_cast<std::uint32_t>(info.machine.value));
+    w.U8(static_cast<std::uint8_t>(info.kind));
+    w.Str(info.name);
   }
-  out << "pairs " << monitor.Graph().PairCount() << "\n";
-  for (const PairId& pair : monitor.Graph().Pairs()) {
-    out << "p " << pair.a.value << " " << pair.b.value << "\n";
+  w.U32(static_cast<std::uint32_t>(graph.PairCount()));
+  for (const PairId& pair : graph.Pairs()) {
+    w.U32(static_cast<std::uint32_t>(pair.a.value));
+    w.U32(static_cast<std::uint32_t>(pair.b.value));
   }
-  out << "aggregates " << monitor.StepCount() << " ";
-  WriteDouble(out, monitor.SystemAverage().Sum());
-  out << " " << monitor.SystemAverage().Count() << "\n";
+  w.U64(monitor.StepCount());
+  w.F64(monitor.SystemAverage().Sum());
+  w.U64(monitor.SystemAverage().Count());
   for (const ScoreAverager& avg : monitor.MeasurementAverages()) {
-    out << "a ";
-    WriteDouble(out, avg.Sum());
-    out << " " << avg.Count() << "\n";
+    w.F64(avg.Sum());
+    w.U64(avg.Count());
   }
-  for (std::size_t i = 0; i < monitor.Graph().PairCount(); ++i) {
-    SavePairModel(monitor.Model(i), out);
+  EndFrame(frame, out);
+
+  for (std::size_t i = 0; i < graph.PairCount(); ++i) {
+    AppendPairModelFrames(monitor.Model(i), out);
   }
-  if (!out) throw std::runtime_error("SaveSystemMonitor: write failed");
+  frame = BeginFrame(kCheckpointEndFrame, out);
+  w.U32(static_cast<std::uint32_t>(graph.PairCount()));
+  EndFrame(frame, out);
 }
 
-namespace {
-
-// Trailer line appended to file checkpoints:
-//   trailer crc32 <8 hex digits> bytes <content-byte-count>\n
-// The CRC covers exactly the <content-byte-count> bytes before the
-// trailer line, so truncation, torn writes and bit rot are all
-// detectable before the (expensive) full parse runs.
-constexpr const char* kTrailerTag = "trailer crc32 ";
-
-std::string RenderTrailer(std::string_view content) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size());
-  return buf;
-}
-
-std::string GenerationPath(const std::string& path, std::size_t generation) {
-  if (generation == 0) return path;
-  return path + ".g" + std::to_string(generation);
-}
-
-bool ReadFileBytes(const std::string& path, std::string& bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bytes = std::move(buffer).str();
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-std::string_view VerifyCheckpointTrailer(std::string_view bytes) {
-  // The trailer is the final newline-terminated line; find it without
-  // assuming anything about the (possibly corrupt) content above it.
-  if (bytes.empty() || bytes.back() != '\n') return bytes;
-  const std::size_t prev_newline = bytes.find_last_of('\n', bytes.size() - 2);
-  const std::size_t line_start =
-      prev_newline == std::string_view::npos ? 0 : prev_newline + 1;
-  const std::string_view line =
-      bytes.substr(line_start, bytes.size() - 1 - line_start);
-  if (!line.starts_with(kTrailerTag)) return bytes;  // legacy: no trailer
-
-  std::uint32_t crc = 0;
-  std::size_t declared = 0;
-  char extra = 0;
-  if (std::sscanf(std::string(line).c_str(), "trailer crc32 %x bytes %zu%c",
-                  &crc, &declared, &extra) != 2) {
-    throw std::runtime_error("checkpoint trailer is malformed");
-  }
-  if (declared != line_start) {
+std::unique_ptr<SystemMonitor> DecodeSystemMonitor(std::string_view bytes,
+                                                   std::size_t threads) {
+  if (bytes.starts_with("pmcorr-monitor v1")) {
     throw std::runtime_error(
-        "checkpoint trailer length mismatch: trailer covers " +
-        std::to_string(declared) + " bytes, file holds " +
-        std::to_string(line_start));
+        "LoadSystemMonitor: a pmcorr-monitor v1 text checkpoint; this "
+        "version reads framed binary checkpoints only");
   }
-  const std::string_view content = bytes.substr(0, line_start);
-  const std::uint32_t actual = Crc32(content);
-  if (actual != crc) {
-    char expect[16], got[16];
-    std::snprintf(expect, sizeof(expect), "%08x", crc);
-    std::snprintf(got, sizeof(got), "%08x", actual);
-    throw std::runtime_error(std::string("checkpoint CRC mismatch: trailer ") +
-                             expect + ", content " + got);
-  }
-  return content;
-}
-
-void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
-                       const CheckpointConfig& config) {
-  std::ostringstream content;
-  SaveSystemMonitor(monitor, content);
-  std::string bytes = std::move(content).str();
-  bytes += RenderTrailer(bytes);
-
-  // Rotate generations oldest-first: g -> g+1, dropping the oldest.
-  // Each shift is a single rename (atomic), so a crash anywhere in the
-  // loop leaves every checkpoint either at its old or its new slot —
-  // never torn — and the loader probes all slots anyway.
-  const std::size_t keep = std::max<std::size_t>(1, config.generations);
-  for (std::size_t g = keep; g-- > 1;) {
-    // Ignore failures: the source generation may simply not exist yet.
-    std::rename(GenerationPath(path, g - 1).c_str(),
-                GenerationPath(path, g).c_str());
-  }
-  AtomicWriteFile(path, bytes);
-}
-
-void SaveSystemMonitor(const SystemMonitor& monitor,
-                       const std::string& path) {
-  SaveSystemMonitor(monitor, path, CheckpointConfig{});
-}
-
-std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
-                                                 std::size_t threads) {
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    throw std::runtime_error("LoadSystemMonitor: bad magic");
+  FrameReader frames;
+  frames.Feed(bytes);
+  const Frame head = ExpectFrame(frames, kCheckpointHeaderFrame, kContext);
+  WireReader r(head.payload, kContext);
+  const std::uint32_t version = r.U32();
+  if (version != kCheckpointFormatVersion) {
+    r.Fail("unsupported format version " + std::to_string(version));
   }
 
-  std::string tag;
-  std::size_t measurement_count = 0;
-  if (!(in >> tag >> measurement_count) || tag != "measurements") {
-    throw std::runtime_error("LoadSystemMonitor: bad measurements header");
-  }
+  const std::uint32_t measurement_count = r.U32();
   if (measurement_count > kMaxMeasurements) {
-    throw std::runtime_error("LoadSystemMonitor: declared measurement count " +
-                             std::to_string(measurement_count) +
-                             " exceeds limit");
+    r.Fail("declared measurement count " + std::to_string(measurement_count) +
+           " exceeds limit");
   }
   std::vector<MeasurementInfo> infos;
   infos.reserve(measurement_count);
-  for (std::size_t i = 0; i < measurement_count; ++i) {
-    int machine = 0, kind = 0;
-    std::string name;
-    if (!(in >> tag >> machine >> kind >> name) || tag != "m") {
-      throw std::runtime_error("LoadSystemMonitor: bad measurement line");
+  for (std::uint32_t i = 0; i < measurement_count; ++i) {
+    const std::uint32_t machine = r.U32();
+    if (machine > static_cast<std::uint32_t>(
+                      std::numeric_limits<std::int32_t>::max())) {
+      r.Fail("bad machine id");
     }
-    if (machine < 0) {
-      throw std::runtime_error("LoadSystemMonitor: bad machine id");
-    }
-    if (kind < 0 ||
-        MetricKindName(static_cast<MetricKind>(kind)) == "UnknownMetric") {
-      throw std::runtime_error("LoadSystemMonitor: unknown metric kind");
+    const std::uint8_t kind = r.U8();
+    if (MetricKindName(static_cast<MetricKind>(kind)) == "UnknownMetric") {
+      r.Fail("unknown metric kind");
     }
     MeasurementInfo info;
     info.id = MeasurementId(static_cast<std::int32_t>(i));
-    info.machine = MachineId(machine);
+    info.machine = MachineId(static_cast<std::int32_t>(machine));
     info.kind = static_cast<MetricKind>(kind);
-    info.name = std::move(name);
+    info.name = std::string(r.Str());
     infos.push_back(std::move(info));
   }
 
-  std::size_t pair_count = 0;
-  if (!(in >> tag >> pair_count) || tag != "pairs") {
-    throw std::runtime_error("LoadSystemMonitor: bad pairs header");
-  }
+  const std::uint32_t pair_count = r.U32();
   if (pair_count > kMaxPairs) {
-    throw std::runtime_error("LoadSystemMonitor: declared pair count " +
-                             std::to_string(pair_count) + " exceeds limit");
+    r.Fail("declared pair count " + std::to_string(pair_count) +
+           " exceeds limit");
   }
   std::vector<PairId> pairs;
   pairs.reserve(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) {
-    int a = 0, b = 0;
-    if (!(in >> tag >> a >> b) || tag != "p") {
-      throw std::runtime_error("LoadSystemMonitor: bad pair line");
-    }
-    pairs.emplace_back(MeasurementId(a), MeasurementId(b));
+  for (std::uint32_t i = 0; i < pair_count; ++i) {
+    const std::uint32_t a = r.U32();
+    const std::uint32_t b = r.U32();
+    // The encoder writes each pair as (a < b), the order PairId keeps.
+    // Out-of-range ids are rejected by MeasurementGraph::FromPairs below.
+    if (a >= b) r.Fail("pair members not ascending");
+    pairs.emplace_back(MeasurementId(static_cast<std::int32_t>(a)),
+                       MeasurementId(static_cast<std::int32_t>(b)));
   }
 
-  std::size_t steps = 0;
-  double system_sum = 0.0;
-  std::size_t system_count = 0;
-  if (!(in >> tag >> steps >> system_sum >> system_count) ||
-      tag != "aggregates" || !std::isfinite(system_sum) ||
-      system_count > steps) {
-    throw std::runtime_error("LoadSystemMonitor: bad aggregates line");
+  const std::uint64_t steps = r.U64();
+  const double system_sum = r.F64();
+  const std::uint64_t system_count = r.U64();
+  if (!std::isfinite(system_sum) || system_count > steps) {
+    r.Fail("bad aggregates");
   }
   std::vector<ScoreAverager> measurement_avgs;
   measurement_avgs.reserve(measurement_count);
-  for (std::size_t i = 0; i < measurement_count; ++i) {
-    double sum = 0.0;
-    std::size_t count = 0;
-    if (!(in >> tag >> sum >> count) || tag != "a" || !std::isfinite(sum) ||
-        count > steps) {
-      throw std::runtime_error("LoadSystemMonitor: bad averager line");
-    }
+  for (std::uint32_t i = 0; i < measurement_count; ++i) {
+    const double sum = r.F64();
+    const std::uint64_t count = r.U64();
+    if (!std::isfinite(sum) || count > steps) r.Fail("bad averager");
     measurement_avgs.push_back(ScoreAverager::FromState(sum, count));
   }
-  in >> std::ws;  // move to the first model's magic line
+  r.ExpectEnd();
 
   std::vector<PairModel> models;
   models.reserve(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) {
-    models.push_back(LoadPairModel(in));
-    in >> std::ws;
+  for (std::uint32_t i = 0; i < pair_count; ++i) {
+    models.push_back(ReadPairModelFrames(frames));
+  }
+  const Frame end = ExpectFrame(frames, kCheckpointEndFrame, kContext);
+  WireReader e(end.payload, "LoadSystemMonitor: end frame");
+  if (e.U32() != pair_count) e.Fail("pair count mismatch");
+  e.ExpectEnd();
+  if (frames.BufferedBytes() != 0) {
+    throw std::runtime_error("LoadSystemMonitor: bytes after the end frame");
   }
 
   MonitorConfig config;
@@ -264,13 +179,66 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
   }
 }
 
+std::string GenerationPath(const std::string& path, std::size_t generation) {
+  if (generation == 0) return path;
+  return path + ".g" + std::to_string(generation);
+}
+
+bool ReadFileBytes(const std::string& path, std::string& bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  bytes = std::move(buffer).str();
+  return static_cast<bool>(in);
+}
+
+}  // namespace
+
+void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out) {
+  std::string bytes;
+  EncodeSystemMonitor(monitor, bytes);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("SaveSystemMonitor: write failed");
+}
+
+void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
+                       const CheckpointConfig& config) {
+  std::string bytes;
+  EncodeSystemMonitor(monitor, bytes);
+
+  // Rotate generations oldest-first: g -> g+1, dropping the oldest.
+  // Each shift is a single rename (atomic), so a crash anywhere in the
+  // loop leaves every checkpoint either at its old or its new slot —
+  // never torn — and the loader probes all slots anyway.
+  const std::size_t keep = std::max<std::size_t>(1, config.generations);
+  for (std::size_t g = keep; g-- > 1;) {
+    // Ignore failures: the source generation may simply not exist yet.
+    std::rename(GenerationPath(path, g - 1).c_str(),
+                GenerationPath(path, g).c_str());
+  }
+  AtomicWriteFile(path, bytes);
+}
+
+void SaveSystemMonitor(const SystemMonitor& monitor,
+                       const std::string& path) {
+  SaveSystemMonitor(monitor, path, CheckpointConfig{});
+}
+
+std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
+                                                 std::size_t threads) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return DecodeSystemMonitor(buffer.view(), threads);
+}
+
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     const std::string& path, std::size_t threads,
     CheckpointRecoveryInfo* recovery) {
-  // Probe generations newest-first; the first one that passes both the
-  // CRC trailer check and full load-time validation wins. The probe
-  // stops at the first missing slot past generation 1 (rotation never
-  // leaves holes beyond a single in-flight shift).
+  // Probe generations newest-first; the first one whose frames all pass
+  // their CRCs and full load-time validation wins. The probe stops at
+  // the first missing slot past generation 1 (rotation never leaves
+  // holes beyond a single in-flight shift).
   std::vector<std::string> rejected;
   std::size_t missing_run = 0;
   for (std::size_t g = 0; g < kMaxCheckpointGenerations; ++g) {
@@ -283,9 +251,7 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     }
     missing_run = 0;
     try {
-      const std::string_view content = VerifyCheckpointTrailer(bytes);
-      std::istringstream in{std::string(content)};
-      auto monitor = LoadSystemMonitor(in, threads);
+      auto monitor = DecodeSystemMonitor(bytes, threads);
       if (recovery) {
         recovery->loaded_path = candidate;
         recovery->generation = g;

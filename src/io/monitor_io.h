@@ -2,21 +2,48 @@
 // models plus the lifetime score aggregates, so a monitoring agent can
 // restart without relearning from history (the paper's models take
 // seconds to learn per pair; a production fleet carries hundreds).
+//
+// A checkpoint is a sequence of io/framing.h frames, each with its own
+// CRC-32 — the checkpoint's only integrity check:
+//
+//   kCheckpointHeaderFrame  u32 format version (2) |
+//                           u32 m | m x (u32 machine | u8 metric kind |
+//                                        u16-prefixed name) |
+//                           u32 p | p x (u32 a | u32 b) |
+//                           u64 steps | f64 system score sum |
+//                           u64 system score count |
+//                           m x (f64 score sum | u64 score count)
+//   per pair, in pair order: the model's frames (io/model_io.h)
+//   kCheckpointEndFrame     u32 p
+//
+// Version 1 was a text format; its files are rejected with a message
+// that names it. The loader is strict: a missing frame (truncation at a
+// frame boundary), a torn frame, a CRC mismatch, a payload with bytes
+// left over, an end frame that disagrees with the header, or any byte
+// after the end frame rejects the file. The header frame holds one
+// record per measurement and pair, so it bounds a checkpoint at roughly
+// 300k of each (kMaxFramePayload); every model frame stays far below
+// that cap at any grid the loader accepts.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/monitor.h"
 
 namespace pmcorr {
 
+/// Frame types and format version of a monitor checkpoint.
+inline constexpr std::uint8_t kCheckpointHeaderFrame = 'H';
+inline constexpr std::uint8_t kCheckpointEndFrame = 'Z';
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+
 /// Serializes the monitor: measurement infos, graph edges, per-pair
-/// models (via the PairModel format of model_io), and the lifetime
-/// aggregates. Throws std::runtime_error on I/O failure.
+/// models (the frames of io/model_io.h), and the lifetime aggregates.
+/// Throws std::runtime_error on I/O failure.
 void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out);
 
 /// On-disk checkpoint policy: how many last-good generations to keep.
@@ -27,12 +54,12 @@ struct CheckpointConfig {
   std::size_t generations = 2;
 };
 
-/// Crash-safe file checkpoint: renders the monitor with a CRC-32
-/// trailer line, rotates the existing generations, and replaces `path`
-/// via write-to-temp + fsync + atomic rename (io/atomic_file.h). A
-/// crash at any point leaves at least one complete, validated prior
-/// generation recoverable by the path-based loader below. Throws
-/// std::runtime_error on I/O failure.
+/// Crash-safe file checkpoint: encodes the monitor, rotates the existing
+/// generations, and replaces `path` via write-to-temp + fsync + atomic
+/// rename (io/atomic_file.h). A crash at any point leaves at least one
+/// complete, validated prior generation recoverable by the path-based
+/// loader below. Runs on the caller's thread. Throws std::runtime_error
+/// on I/O failure.
 void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
                        const CheckpointConfig& config);
 void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path);
@@ -58,21 +85,13 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(std::istream& in,
                                                  std::size_t threads = 0);
 
 /// Path-based load with generation fallback: tries `path`, then
-/// `path.g1`, `path.g2`, ... and returns the newest generation that
-/// passes both the CRC trailer check and full load-time validation.
-/// Files without a trailer (pre-rotation checkpoints) are accepted when
-/// they validate. Throws std::runtime_error only when every generation
-/// is missing or corrupt (the message lists each rejection).
+/// `path.g1`, `path.g2`, ... and returns the newest generation whose
+/// frames all pass their CRCs and full load-time validation. Throws
+/// std::runtime_error only when every generation is missing or corrupt
+/// (the message lists each rejection).
 std::unique_ptr<SystemMonitor> LoadSystemMonitor(
     const std::string& path, std::size_t threads = 0,
     CheckpointRecoveryInfo* recovery = nullptr);
-
-/// Verifies and strips the checkpoint's CRC trailer line, returning the
-/// content it covers. Bytes without a trailer are returned unchanged
-/// (legacy checkpoints); a present-but-wrong trailer (bad CRC, bad
-/// length, truncation) throws std::runtime_error. Exposed for the fuzz
-/// harness, which drives it on arbitrary bytes.
-std::string_view VerifyCheckpointTrailer(std::string_view bytes);
 
 /// Writes the full-detail snapshot stream as JSONL, one line per sample:
 ///   {"sample":N,"t":<unix>,"q":<Q|null>,"qa":[...],"pair_scores":[...],

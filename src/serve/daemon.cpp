@@ -71,8 +71,11 @@ std::unique_ptr<SystemMonitor> BuildTenantMonitor(
                     spec.name.c_str(), rejection.c_str());
       }
       return monitor;
-    } catch (const std::exception&) {
-      // No generation loadable: cold start from the trace.
+    } catch (const std::exception& e) {
+      // No generation loadable: say why (the message lists every
+      // rejected generation), then cold start from the trace.
+      std::printf("tenant %s: no checkpoint restored: %s\n",
+                  spec.name.c_str(), e.what());
     }
   }
   const MeasurementFrame frame = ReadFrameCsv(spec.trace_path);

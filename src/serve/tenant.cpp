@@ -103,13 +103,33 @@ void TenantRuntime::ProcessRow(const SampleRow& row) {
 
 void TenantRuntime::MaybeCheckpoint(bool final_checkpoint) {
   if (config_.checkpoint_path.empty()) return;
-  if (!final_checkpoint) {
+  if (final_checkpoint) {
+    rows_since_checkpoint_ = 0;
+  } else {
     if (config_.checkpoint_every == 0) return;
     if (rows_since_checkpoint_ < config_.checkpoint_every) return;
+    {
+      // Every row queued behind a save waits for it. While backpressure
+      // is engaged the producer is paused and the queue only drains, so
+      // a due save is held until the queue is down to one row above the
+      // low watermark — still engaged, so no refill arrives during the
+      // save. A producer that ignores backpressure gets the save at most
+      // one queue budget of rows late.
+      const MutexLock lock(mu_);
+      if (backpressure_ && queue_.size() > low_watermark_ + 1 &&
+          rows_since_checkpoint_ <
+              config_.checkpoint_every + config_.queue_budget) {
+        return;
+      }
+    }
+    // Counted from the due row, before the attempt: a held save keeps
+    // the next one on the cadence's row grid (several held past due
+    // collapse into this one), and a failed save waits for the next
+    // cadence like a successful one instead of retrying on every row.
+    rows_since_checkpoint_ %= config_.checkpoint_every;
   }
   try {
     SaveSystemMonitor(*monitor_, config_.checkpoint_path, config_.checkpoint);
-    rows_since_checkpoint_ = 0;
     const MutexLock lock(mu_);
     ++counters_.checkpoints;
     last_checkpoint_failed_ = false;

@@ -22,12 +22,15 @@
 //    last-good checkpoint left untouched — while every other tenant's
 //    stream continues bit-for-bit as if the poisoned one never existed.
 //
-//  * Crash-safe progress. Checkpoints go through the PR-5 atomic/CRC
-//    rotation machinery on a row cadence; a checkpoint failure is a
-//    counted event, not a crash (the tenant keeps serving and retries
-//    at the next cadence). Drain() finishes the queue and writes a
-//    final checkpoint; destruction without Drain is the crash path —
-//    recovery falls back to the last good generation.
+//  * Crash-safe progress. Checkpoints go through the atomic, CRC-framed
+//    rotation of io/monitor_io.h on a row cadence; a checkpoint failure
+//    is a counted event, not a crash (the tenant keeps serving and
+//    retries at the next cadence). A save runs on the worker between two
+//    rows, so queued rows wait for it; under backpressure a due save is
+//    held until the queue has drained to just above the low watermark.
+//    Drain() finishes the queue and writes a final checkpoint;
+//    destruction without Drain is the crash path — recovery falls back
+//    to the last good generation.
 //
 // Thread shape: Submit (the daemon's socket loop) and the worker meet
 // only at the queue mutex; the engine is touched by the worker alone.
@@ -60,7 +63,10 @@ struct TenantConfig {
   std::size_t backpressure_high = 0;
   std::size_t backpressure_low = 0;
   /// Checkpoint after every N processed rows (0 = cadence off; a drain
-  /// still checkpoints when checkpoint_path is set).
+  /// still checkpoints when checkpoint_path is set). While backpressure
+  /// is engaged a due checkpoint waits until the queue holds at most
+  /// backpressure_low + 1 rows, or queue_budget rows past due; the next
+  /// one is still due N rows after this one was.
   std::size_t checkpoint_every = 0;
   /// Checkpoint file ("" = checkpointing off).
   std::string checkpoint_path;

@@ -40,8 +40,8 @@ inline std::vector<SystemSnapshot> RunSerial(SystemMonitor& monitor,
 }
 
 /// Full monitor checkpoint as a string — a byte-stable fingerprint of
-/// every pair model (grid boundaries, matrix entries at 17 significant
-/// digits) plus the lifetime aggregates.
+/// every pair model (grid boundaries, matrix entries as IEEE-754 bit
+/// patterns) plus the lifetime aggregates.
 inline std::string CheckpointString(const SystemMonitor& monitor) {
   std::ostringstream out;
   SaveSystemMonitor(monitor, out);

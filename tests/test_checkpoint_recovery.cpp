@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +18,8 @@
 #include "common/rng.h"
 #include "differential_util.h"
 #include "io/atomic_file.h"
+#include "io/framing.h"
+#include "io/model_io.h"
 #include "io/monitor_io.h"
 
 namespace pmcorr {
@@ -53,8 +55,8 @@ MonitorConfig SmallConfig() {
   return config;
 }
 
-// Stream-format render (no trailer): the state fingerprint two monitors
-// are compared by.
+// The checkpoint bytes: the state fingerprint two monitors are
+// compared by.
 std::string Render(const SystemMonitor& monitor) {
   return difftest::CheckpointString(monitor);
 }
@@ -141,8 +143,8 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
   monitor.Run(SystemFrame(10, 7));
   SaveSystemMonitor(monitor, path);
 
-  // Bit rot in the primary: the CRC trailer catches it and the loader
-  // falls back.
+  // Bit rot in the primary: a frame CRC catches it and the loader falls
+  // back.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(40);
@@ -154,9 +156,9 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
   ASSERT_EQ(info.rejected.size(), 1u);
   EXPECT_NE(info.rejected[0].find("CRC mismatch"), std::string::npos);
 
-  // Truncation (a torn copy without its trailer): rejected by the parse,
-  // same fallback. Fresh directory so the corrupted file above is not
-  // sitting in the fallback slot.
+  // Truncation (a torn copy without its end frame): same fallback.
+  // Fresh directory so the corrupted file above is not sitting in the
+  // fallback slot.
   dir.Clear();
   const std::string mid_render = Render(monitor);
   SaveSystemMonitor(monitor, path);
@@ -168,31 +170,151 @@ TEST(CheckpointRecovery, CorruptPrimaryFallsBackToOlderGeneration) {
   EXPECT_EQ(info.generation, 1u);
 }
 
-TEST(CheckpointRecovery, TrailerVerifierAcceptsStripsAndRejects) {
-  const std::string content = "pmcorr-monitor v1\nnot really\n";
-  char trailer[64];
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size());
-  const std::string with_trailer = content + trailer;
-  EXPECT_EQ(VerifyCheckpointTrailer(with_trailer), content);
+// Byte offsets where each frame of `bytes` ends, in order.
+std::vector<std::size_t> FrameEnds(const std::string& bytes) {
+  FrameReader reader;
+  reader.Feed(bytes);
+  std::vector<std::size_t> ends;
+  while (reader.Next().has_value()) {
+    ends.push_back(bytes.size() - reader.BufferedBytes());
+  }
+  return ends;
+}
 
-  // Legacy bytes without a trailer pass through unchanged.
-  EXPECT_EQ(VerifyCheckpointTrailer(content), content);
-  EXPECT_EQ(VerifyCheckpointTrailer(""), "");
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
-  // Wrong CRC.
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content) ^ 1u, content.size());
-  EXPECT_THROW(VerifyCheckpointTrailer(content + trailer),
-               std::runtime_error);
-  // Wrong length (trailer from a longer file: truncation).
-  std::snprintf(trailer, sizeof(trailer), "trailer crc32 %08x bytes %zu\n",
-                Crc32(content), content.size() + 17);
-  EXPECT_THROW(VerifyCheckpointTrailer(content + trailer),
-               std::runtime_error);
-  // Malformed trailer line.
-  EXPECT_THROW(VerifyCheckpointTrailer(content + "trailer crc32 zzz\n"),
-               std::runtime_error);
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(CheckpointRecovery, FlippedByteInAPairFrameFallsBackWithCrcReason) {
+  const MeasurementFrame history = SystemFrame(700, 23);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  CheckpointDir dir("pmcorr_ckpt_flip");
+  const std::string path = dir.Path("monitor.ckpt");
+  SaveSystemMonitor(monitor, path);
+  const std::string old_render = Render(monitor);
+  monitor.Run(SystemFrame(10, 25));
+  SaveSystemMonitor(monitor, path);
+
+  // Flip one byte in the middle of the third pair's model frame.
+  std::string bytes = ReadFile(path);
+  FrameReader reader;
+  reader.Feed(bytes);
+  std::size_t models = 0;
+  std::size_t flip = 0;
+  while (const std::optional<Frame> frame = reader.Next()) {
+    if (frame->type == kModelFrame && ++models == 3) {
+      const std::size_t payload_end = bytes.size() - reader.BufferedBytes() - 4;
+      flip = payload_end - frame->payload.size() / 2;
+      break;
+    }
+  }
+  ASSERT_GT(flip, 0u);
+  bytes[flip] ^= 0x40;
+  WriteFile(path, bytes);
+
+  CheckpointRecoveryInfo info;
+  EXPECT_EQ(Render(*LoadSystemMonitor(path, 1, &info)), old_render);
+  EXPECT_EQ(info.generation, 1u);
+  ASSERT_EQ(info.rejected.size(), 1u);
+  EXPECT_NE(info.rejected[0].find("CRC mismatch"), std::string::npos)
+      << info.rejected[0];
+}
+
+TEST(CheckpointRecovery, TruncationAtEveryFrameBoundaryAndMidFrameRejected) {
+  const MeasurementFrame history = SystemFrame(700, 27);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  monitor.Run(SystemFrame(10, 29));
+  const std::string bytes = Render(monitor);
+  const std::vector<std::size_t> ends = FrameEnds(bytes);
+  ASSERT_EQ(ends.back(), bytes.size());
+  std::size_t start = 0;
+  for (const std::size_t end : ends) {
+    // Cut before the frame (a clean boundary), one byte into it, and
+    // halfway through it: every prefix short of the whole file fails.
+    for (const std::size_t cut : {start, start + 1, (start + end) / 2}) {
+      if (cut >= bytes.size()) continue;
+      std::istringstream in(bytes.substr(0, cut));
+      EXPECT_THROW((void)LoadSystemMonitor(in, 1), std::runtime_error)
+          << "cut at " << cut << " of " << bytes.size();
+    }
+    start = end;
+  }
+  EXPECT_EQ(Render(*FromString(bytes)), bytes);
+}
+
+TEST(CheckpointRecovery, BytesAfterTheEndFrameRejected) {
+  const MeasurementFrame history = SystemFrame(700, 31);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  CheckpointDir dir("pmcorr_ckpt_trailing");
+  const std::string path = dir.Path("monitor.ckpt");
+  SaveSystemMonitor(monitor, path);
+  const std::string old_render = Render(monitor);
+  monitor.Run(SystemFrame(10, 33));
+  SaveSystemMonitor(monitor, path);
+
+  const std::string bytes = ReadFile(path);
+  std::string extra_frame;
+  AppendFrame(kCheckpointEndFrame, "", extra_frame);
+  for (const std::string& tail : {std::string("\n"), extra_frame, bytes}) {
+    std::istringstream in(bytes + tail);
+    EXPECT_THROW((void)LoadSystemMonitor(in, 1), std::runtime_error)
+        << tail.size() << " trailing bytes";
+  }
+  // On disk the loader falls back past such a file and says why.
+  WriteFile(path, bytes + extra_frame);
+  CheckpointRecoveryInfo info;
+  EXPECT_EQ(Render(*LoadSystemMonitor(path, 1, &info)), old_render);
+  EXPECT_EQ(info.generation, 1u);
+  ASSERT_EQ(info.rejected.size(), 1u);
+  EXPECT_NE(info.rejected[0].find("after the end frame"), std::string::npos)
+      << info.rejected[0];
+}
+
+TEST(CheckpointRecovery, TextCheckpointRejectedWithItsFormatNamed) {
+  const MeasurementFrame history = SystemFrame(700, 35);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  CheckpointDir dir("pmcorr_ckpt_text");
+  const std::string path = dir.Path("monitor.ckpt");
+  const std::string text =
+      "pmcorr-monitor v1\nmeasurements 0\npairs 0\naggregates 0 0 0\n";
+
+  // A lone v1 checkpoint: nothing loads, and the message names the
+  // format rather than a framing detail.
+  WriteFile(path, text);
+  try {
+    (void)LoadSystemMonitor(path, 1);
+    ADD_FAILURE() << "v1 text checkpoint loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("pmcorr-monitor v1 text"),
+              std::string::npos)
+        << error.what();
+  }
+
+  // With a binary generation behind it, the loader falls back and the
+  // rejection names the format too.
+  std::filesystem::remove(path);
+  SaveSystemMonitor(monitor, path);
+  std::filesystem::rename(path, path + ".g1");
+  WriteFile(path, text);
+  CheckpointRecoveryInfo info;
+  EXPECT_EQ(Render(*LoadSystemMonitor(path, 1, &info)), Render(monitor));
+  EXPECT_EQ(info.generation, 1u);
+  ASSERT_EQ(info.rejected.size(), 1u);
+  EXPECT_NE(info.rejected[0].find("pmcorr-monitor v1 text"),
+            std::string::npos)
+      << info.rejected[0];
 }
 
 // The tentpole proof: sweep a simulated crash across every write point

@@ -11,11 +11,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "differential_util.h"
 #include "engine/snapshot.h"
+#include "io/atomic_file.h"
 #include "io/delta_binary.h"
 #include "io/framing.h"
 #include "io/monitor_io.h"
@@ -27,6 +29,35 @@ namespace {
 // ---------------------------------------------------------------------
 // Frame layer.
 // ---------------------------------------------------------------------
+
+// The definition Crc32 must reproduce: one bit at a time.
+std::uint32_t BitwiseCrc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Framing, Crc32MatchesTheBitwiseDefinition) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);  // the IEEE check value
+  EXPECT_EQ(Crc32(""), 0u);
+  // Every length 0..64 at every start offset mod 8, so each split
+  // between the 8-byte steps and the byte-wise tail is covered.
+  Rng rng(5);
+  std::string buffer(8 + 64, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(bytes), BitwiseCrc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
 
 TEST(Framing, RoundTripSingleFrame) {
   std::string wire;

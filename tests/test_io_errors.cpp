@@ -1,18 +1,22 @@
 // Regression tests for the hardened I/O boundaries: every malformed
 // input class the fuzz harnesses cover — truncation, NaN/Inf fields,
-// huge declared shapes, inconsistent redundancy — must produce a clean
-// std::runtime_error, never a crash, an abort, or a giant allocation.
+// huge declared shapes, inconsistent redundancy, broken framing — must
+// produce a clean std::runtime_error, never a crash, an abort, or a
+// giant allocation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "io/csv.h"
+#include "io/framing.h"
 #include "io/model_io.h"
 #include "io/monitor_io.h"
 
@@ -36,175 +40,416 @@ PairModel TrainedModel() {
   return PairModel::Learn(xs, ys, config);
 }
 
-std::string SavedModelText() {
+std::string SavedModelBytes() {
   std::ostringstream out;
   SavePairModel(TrainedModel(), out);
   return out.str();
 }
 
-// Replaces the first occurrence of `from` in `text`.
-std::string Replace(std::string text, const std::string& from,
-                    const std::string& to) {
-  const std::size_t pos = text.find(from);
-  EXPECT_NE(pos, std::string::npos) << "pattern not found: " << from;
-  if (pos != std::string::npos) text.replace(pos, from.size(), to);
-  return text;
+// Every field of a model's frames (io/model_io.h), written by hand so a
+// test can make exactly one of them wrong. The defaults are a valid
+// 2x2-cell model: one written evidence row, one counts row.
+struct ModelSpec {
+  std::uint8_t kernel = 0;
+  double w = 2.0;
+  std::uint8_t metric = 2;
+  double lambda1 = 3.0, lambda2 = 3.0, delta = 0.0, threshold = 0.0;
+  double forgetting = 1.0, weight = 1.0;
+  std::uint8_t adaptive = 1;
+  double r1 = 1.0, r2 = 1.0;
+  std::vector<double> dim1{0.0, 1.0, 2.0};
+  std::vector<double> dim2{0.0, 1.0, 2.0};
+  // Declared interval counts; unset = the edge count minus one.
+  std::optional<std::uint32_t> n1, n2;
+  std::uint64_t observed = 3;
+  std::vector<std::pair<std::uint32_t, std::vector<double>>> evidence{
+      {1, {-1.0, -2.0, -0.5, -4.0}}};
+  // Per row: (column, count) entries in file order.
+  std::vector<std::pair<std::uint32_t,
+                        std::vector<std::pair<std::uint32_t, std::uint32_t>>>>
+      counts{{1, {{0, 1}, {3, 2}}}};
+  std::string model_trailer;  // extra bytes at the end of the model payload
+};
+
+void WriteEdges(WireWriter& w, const std::vector<double>& edges,
+                std::optional<std::uint32_t> declared) {
+  w.U32(declared.value_or(static_cast<std::uint32_t>(edges.size() - 1)));
+  for (const double e : edges) w.F64(e);
 }
 
-void ExpectLoadModelThrows(const std::string& text) {
-  std::istringstream in(text);
-  EXPECT_THROW((void)LoadPairModel(in), std::runtime_error) << text.substr(
-      0, 120);
+std::string Encode(const ModelSpec& m) {
+  std::string out, payload;
+  WireWriter w(payload);
+  w.U8(m.kernel);
+  w.F64(m.w);
+  w.U8(m.metric);
+  for (const double v : {m.lambda1, m.lambda2, m.delta, m.threshold,
+                         m.forgetting, m.weight}) {
+    w.F64(v);
+  }
+  w.U8(m.adaptive);
+  w.F64(m.r1);
+  w.F64(m.r2);
+  WriteEdges(w, m.dim1, m.n1);
+  WriteEdges(w, m.dim2, m.n2);
+  w.U64(m.observed);
+  w.U32(static_cast<std::uint32_t>(m.evidence.size()));
+  w.U32(static_cast<std::uint32_t>(m.counts.size()));
+  w.Bytes(m.model_trailer);
+  AppendFrame(kModelFrame, payload, out);
+  for (const auto& [row, values] : m.evidence) {
+    payload.clear();
+    w.U32(row);
+    for (const double v : values) w.F64(v);
+    AppendFrame(kEvidenceFrame, payload, out);
+  }
+  for (const auto& [row, entries] : m.counts) {
+    payload.clear();
+    w.U32(row);
+    for (const auto& [column, count] : entries) {
+      w.U32(column);
+      w.U32(count);
+    }
+    AppendFrame(kCountsFrame, payload, out);
+  }
+  return out;
+}
+
+void ExpectLoadModelThrows(const std::string& bytes,
+                           const std::string& what = "") {
+  std::istringstream in(bytes);
+  EXPECT_THROW((void)LoadPairModel(in), std::runtime_error) << what;
 }
 
 // ---------------------------------------------------------------------
 // LoadPairModel.
 
-TEST(ModelIoErrors, ValidFileStillLoads) {
-  std::istringstream in(SavedModelText());
-  EXPECT_NO_THROW((void)LoadPairModel(in));
+TEST(ModelIoErrors, ValidFilesStillLoad) {
+  {
+    std::istringstream in(SavedModelBytes());
+    EXPECT_NO_THROW((void)LoadPairModel(in));
+  }
+  // The hand-written baseline every rejection below departs from.
+  std::istringstream in(Encode(ModelSpec{}));
+  const PairModel model = LoadPairModel(in);
+  EXPECT_EQ(model.Grid().CellCount(), 4u);
+  EXPECT_EQ(model.Matrix().ObservedCount(), 3u);
+  EXPECT_EQ(model.Matrix().CountOf(1, 3), 2u);
+  EXPECT_EQ(model.Matrix().Evidence()[4 + 2], -0.5);
+  EXPECT_EQ(model.Matrix().Evidence()[0], 0.0);  // unwritten row
 }
 
 TEST(ModelIoErrors, EveryTruncationFailsCleanly) {
-  const std::string text = SavedModelText();
-  // Every proper prefix is missing data (redundant totals catch even a
-  // truncated final count token), so each must throw, not crash. Step
-  // through the file with a stride plus the boundary cases.
-  for (std::size_t len = 0; len + 2 <= text.size(); len += 13) {
-    ExpectLoadModelThrows(text.substr(0, len));
+  const std::string bytes = SavedModelBytes();
+  // Every proper prefix is missing a frame or part of one, so each must
+  // throw, not crash. Step through the file with a stride plus the
+  // boundary cases.
+  for (std::size_t len = 0; len + 2 <= bytes.size(); len += 13) {
+    ExpectLoadModelThrows(bytes.substr(0, len), std::to_string(len));
   }
-  ExpectLoadModelThrows(text.substr(0, text.size() / 2));
-  ExpectLoadModelThrows(text.substr(0, text.size() - 2));
+  ExpectLoadModelThrows(bytes.substr(0, bytes.size() / 2));
+  ExpectLoadModelThrows(bytes.substr(0, bytes.size() - 1));
 }
 
 TEST(ModelIoErrors, HugeDeclaredIntervalCountRejectedBeforeAllocation) {
-  // 10^15 declared intervals would be petabytes; the loader must refuse
-  // the count itself rather than attempt the allocation.
-  const std::string text =
-      "pmcorr-model v1\n"
-      "kernel 0 2 2\n"
-      "params 3 3 0 0 1 1 1\n"
-      "ravg 1 1\n"
-      "dim1 1000000000000000 0 1\n";
-  ExpectLoadModelThrows(text);
+  // 2^32 - 1 declared intervals would be 32 GiB of edges; the loader
+  // must refuse the count itself rather than attempt the allocation.
+  ModelSpec m;
+  m.n1 = 0xffffffffu;
+  ExpectLoadModelThrows(Encode(m));
 }
 
 TEST(ModelIoErrors, HugeDeclaredGridShapeRejected) {
   // Both dimensions individually under the per-dimension cap, but the
   // product (cells^2 evidence doubles) would be enormous.
-  std::ostringstream out;
-  out << "pmcorr-model v1\nkernel 0 2 2\nparams 3 3 0 0 1 1 1\nravg 1 1\n";
-  for (const char* tag : {"dim1", "dim2"}) {
-    out << tag << " 1000";
-    for (int i = 0; i <= 1000; ++i) out << " " << i;
-    out << "\n";
-  }
-  out << "matrix 1000000 0\nevidence 0\ncounts 0\n";
-  ExpectLoadModelThrows(out.str());
+  ModelSpec m;
+  m.dim1.resize(1001);
+  m.dim2.resize(1001);
+  for (int i = 0; i <= 1000; ++i) m.dim1[i] = m.dim2[i] = i;
+  m.evidence.clear();
+  m.counts.clear();
+  m.observed = 0;
+  ExpectLoadModelThrows(Encode(m));
 }
 
 TEST(ModelIoErrors, NonFiniteFieldsRejected) {
-  const std::string text = SavedModelText();
-  // Whatever numeric token the parser sees for these fields, NaN/Inf
-  // must surface as a parse error.
-  ExpectLoadModelThrows(Replace(text, "ravg ", "ravg nan "));
-  ExpectLoadModelThrows(Replace(text, "dim1 ", "dim1 inf "));
-  ExpectLoadModelThrows(Replace(text, "evidence ", "evidence nan "));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ModelSpec m;
+  m.r1 = nan;
+  ExpectLoadModelThrows(Encode(m), "r_avg nan");
+  m = ModelSpec{};
+  m.dim1[0] = -inf;
+  ExpectLoadModelThrows(Encode(m), "edge -inf");
+  m = ModelSpec{};
+  m.evidence[0].second[2] = nan;
+  ExpectLoadModelThrows(Encode(m), "evidence nan");
+  m = ModelSpec{};
+  m.evidence[0].second[0] = -inf;
+  ExpectLoadModelThrows(Encode(m), "evidence -inf");
 }
 
 TEST(ModelIoErrors, NonIncreasingEdgesRejected) {
-  const std::string good =
-      "pmcorr-model v1\nkernel 0 2 2\nparams 3 3 0 0 1 1 1\nravg 1 1\n";
-  ExpectLoadModelThrows(good + "dim1 2 0 0 2\n");   // zero-width
-  ExpectLoadModelThrows(good + "dim1 2 0 -1 2\n");  // decreasing
+  ModelSpec m;
+  m.dim1 = {0.0, 0.0, 2.0};  // zero-width
+  ExpectLoadModelThrows(Encode(m));
+  m.dim1 = {0.0, -1.0, 2.0};  // decreasing
+  ExpectLoadModelThrows(Encode(m));
 }
 
 TEST(ModelIoErrors, OutOfRangeParamsRejected) {
-  const std::string text = SavedModelText();
-  ExpectLoadModelThrows(Replace(text, "params ", "params -1 "));
-  // forgetting is the 5th value; easiest to rewrite the whole line.
-  std::istringstream in(text);
-  std::string line, rebuilt;
-  while (std::getline(in, line)) {
-    if (line.rfind("params ", 0) == 0) line = "params 3 3 0 0 2 1 1";
-    rebuilt += line + "\n";
-  }
-  ExpectLoadModelThrows(rebuilt);
+  ModelSpec m;
+  m.lambda1 = -1.0;
+  ExpectLoadModelThrows(Encode(m), "lambda1");
+  m = ModelSpec{};
+  m.forgetting = 2.0;
+  ExpectLoadModelThrows(Encode(m), "forgetting");
+  m = ModelSpec{};
+  m.r2 = 0.0;
+  ExpectLoadModelThrows(Encode(m), "r_avg");
+  m = ModelSpec{};
+  m.adaptive = 2;
+  ExpectLoadModelThrows(Encode(m), "adaptive flag");
 }
 
 TEST(ModelIoErrors, UnknownKernelAndMetricRejected) {
-  const std::string text = SavedModelText();
-  ExpectLoadModelThrows(Replace(text, "kernel 0 ", "kernel 9 "));
-  ExpectLoadModelThrows(Replace(text, "kernel 0 2 2", "kernel 0 2 7"));
+  ModelSpec m;
+  m.kernel = 9;
+  ExpectLoadModelThrows(Encode(m), "kernel");
+  m = ModelSpec{};
+  m.metric = 7;
+  ExpectLoadModelThrows(Encode(m), "metric");
   // Exponential kernels additionally need w > 1.
-  ExpectLoadModelThrows(Replace(text, "kernel 0 2 ", "kernel 1 0.5 "));
+  m = ModelSpec{};
+  m.kernel = 1;
+  m.w = 0.5;
+  ExpectLoadModelThrows(Encode(m), "exponential w");
 }
 
 TEST(ModelIoErrors, PositiveEvidenceRejected) {
-  ExpectLoadModelThrows(Replace(SavedModelText(), "evidence ",
-                                "evidence 0.25 "));
+  ModelSpec m;
+  m.evidence[0].second[1] = 0.25;
+  ExpectLoadModelThrows(Encode(m));
 }
 
 TEST(ModelIoErrors, CountSumMismatchRejected) {
-  // Bump the declared observed total: the counts section no longer sums
-  // to it, and the loader must notice rather than restore corrupt state.
-  const std::string text = SavedModelText();
-  const std::size_t pos = text.find("matrix ");
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t sp = text.find(' ', pos + 7);  // after cell count
-  ASSERT_NE(sp, std::string::npos);
-  std::string mutated = text;
-  mutated.insert(sp + 1, "9");  // observed := 9 * 10^k + observed
-  ExpectLoadModelThrows(mutated);
+  // Bump the declared observed total: the counts no longer sum to it,
+  // and the loader must notice rather than restore corrupt state.
+  ModelSpec m;
+  m.observed = 4;
+  ExpectLoadModelThrows(Encode(m));
+}
+
+TEST(ModelIoErrors, StrictRowsAndColumnsRejected) {
+  ModelSpec m;
+  m.evidence[0].first = 4;  // outside the 4-cell grid
+  ExpectLoadModelThrows(Encode(m), "evidence row out of range");
+  m = ModelSpec{};
+  m.evidence = {{1, {-1, -1, -1, -1}}, {1, {-1, -1, -1, -1}}};
+  ExpectLoadModelThrows(Encode(m), "evidence rows repeat");
+  m = ModelSpec{};
+  m.evidence[0].second = {0.0, 0.0, 0.0, 0.0};  // never-written row
+  ExpectLoadModelThrows(Encode(m), "all-zero evidence row");
+  m = ModelSpec{};
+  m.evidence[0].second.pop_back();  // short row
+  ExpectLoadModelThrows(Encode(m), "short evidence row");
+  m = ModelSpec{};
+  m.counts[0].second = {{3, 2}, {0, 1}};
+  ExpectLoadModelThrows(Encode(m), "descending count columns");
+  m = ModelSpec{};
+  m.counts[0].second = {{0, 1}, {0, 2}};
+  ExpectLoadModelThrows(Encode(m), "repeated count column");
+  m = ModelSpec{};
+  m.counts[0].second = {{0, 3}, {3, 0}};
+  ExpectLoadModelThrows(Encode(m), "zero count listed");
+  m = ModelSpec{};
+  m.counts[0].second = {{0, 1}, {4, 2}};
+  ExpectLoadModelThrows(Encode(m), "count column out of range");
+  m = ModelSpec{};
+  m.counts = {{1, {{0, 1}}}, {0, {{3, 2}}}};
+  ExpectLoadModelThrows(Encode(m), "descending count rows");
+  m = ModelSpec{};
+  m.counts[0].second.clear();
+  m.observed = 0;
+  ExpectLoadModelThrows(Encode(m), "empty counts row");
+}
+
+TEST(ModelIoErrors, StrictFramingRejected) {
+  ModelSpec m;
+  m.model_trailer = "x";  // the model payload must end at its fields
+  ExpectLoadModelThrows(Encode(m), "trailing payload byte");
+  ExpectLoadModelThrows(Encode(ModelSpec{}) + Encode(ModelSpec{}),
+                        "bytes after the model");
+  // A frame of the wrong type where the evidence row belongs.
+  std::string bytes = Encode(ModelSpec{});
+  FrameReader reader;
+  reader.Feed(bytes);
+  std::string swapped;
+  while (const std::optional<Frame> frame = reader.Next()) {
+    const std::uint8_t type =
+        frame->type == kEvidenceFrame ? kCountsFrame : frame->type;
+    AppendFrame(type, frame->payload, swapped);
+  }
+  ExpectLoadModelThrows(swapped, "wrong frame type");
+  // A flipped bit anywhere fails that frame's CRC.
+  bytes[bytes.size() / 2] ^= 0x10;
+  ExpectLoadModelThrows(bytes, "flipped bit");
+}
+
+TEST(ModelIoErrors, TextModelRejectedByName) {
+  std::istringstream in("pmcorr-model v1\nkernel 0 2 2\n");
+  try {
+    (void)LoadPairModel(in);
+    ADD_FAILURE() << "v1 text model loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("pmcorr-model v1"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // ---------------------------------------------------------------------
 // LoadSystemMonitor.
 
+struct MeasurementSpec {
+  std::uint32_t machine = 0;
+  std::uint8_t kind = 0;
+  std::string name = "cpu@a";
+  double sum = 0.0;
+  std::uint64_t count = 0;
+};
+
+// A checkpoint's frames (io/monitor_io.h) from hand-written fields.
+std::string EncodeCheckpoint(
+    const std::vector<MeasurementSpec>& measurements,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
+    const std::vector<std::string>& models, std::uint64_t steps = 0,
+    double system_sum = 0.0, std::uint64_t system_count = 0) {
+  std::string out, payload;
+  WireWriter w(payload);
+  w.U32(kCheckpointFormatVersion);
+  w.U32(static_cast<std::uint32_t>(measurements.size()));
+  for (const MeasurementSpec& m : measurements) {
+    w.U32(m.machine);
+    w.U8(m.kind);
+    w.Str(m.name);
+  }
+  w.U32(static_cast<std::uint32_t>(pairs.size()));
+  for (const auto& [a, b] : pairs) {
+    w.U32(a);
+    w.U32(b);
+  }
+  w.U64(steps);
+  w.F64(system_sum);
+  w.U64(system_count);
+  for (const MeasurementSpec& m : measurements) {
+    w.F64(m.sum);
+    w.U64(m.count);
+  }
+  AppendFrame(kCheckpointHeaderFrame, payload, out);
+  for (const std::string& model : models) out += model;
+  payload.clear();
+  w.U32(static_cast<std::uint32_t>(models.size()));
+  AppendFrame(kCheckpointEndFrame, payload, out);
+  return out;
+}
+
+void ExpectLoadMonitorThrows(const std::string& bytes,
+                             const std::string& what = "") {
+  std::istringstream in(bytes);
+  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error) << what;
+}
+
+TEST(MonitorIoErrors, HandWrittenCheckpointLoads) {
+  const std::string model = Encode(ModelSpec{});
+  std::istringstream in(EncodeCheckpoint({{}, {.name = "cpu@b"}}, {{0, 1}},
+                                         {model}, 10, 1.5, 3));
+  const auto monitor = LoadSystemMonitor(in);
+  EXPECT_EQ(monitor->Graph().PairCount(), 1u);
+  EXPECT_EQ(monitor->StepCount(), 10u);
+}
+
 TEST(MonitorIoErrors, HugeDeclaredCountsRejected) {
-  std::istringstream a("pmcorr-monitor v1\nmeasurements 99999999999\n");
-  EXPECT_THROW((void)LoadSystemMonitor(a), std::runtime_error);
-  std::istringstream b(
-      "pmcorr-monitor v1\nmeasurements 0\npairs 99999999999\n");
-  EXPECT_THROW((void)LoadSystemMonitor(b), std::runtime_error);
+  // Header fields by hand: a version and a count far past the caps.
+  std::string payload, bytes;
+  WireWriter w(payload);
+  w.U32(kCheckpointFormatVersion);
+  w.U32(0xffffffffu);
+  AppendFrame(kCheckpointHeaderFrame, payload, bytes);
+  ExpectLoadMonitorThrows(bytes, "measurements");
+  payload.clear();
+  bytes.clear();
+  w.U32(kCheckpointFormatVersion);
+  w.U32(0);
+  w.U32(0xffffffffu);
+  AppendFrame(kCheckpointHeaderFrame, payload, bytes);
+  ExpectLoadMonitorThrows(bytes, "pairs");
 }
 
 TEST(MonitorIoErrors, CorruptPairListRejectedAsRuntimeError) {
   // Fuzzer find: self-pairs / out-of-range pairs used to escape as
   // std::invalid_argument from MeasurementGraph::FromPairs, breaking
   // the loader's "malformed input => std::runtime_error" contract.
-  const std::string model = SavedModelText();
-  for (const char* pair_line : {"p 0 0", "p 0 7", "p -3 1", "p 1 0"}) {
+  const std::string model = SavedModelBytes();
+  for (const auto& [a, b] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {0, 0}, {0, 7}, {0xfffffffdu, 1}, {1, 0}}) {
     // Fully well-formed checkpoint except for the second pair: the
     // loader reaches graph construction and must translate its
     // rejection, not leak it.
-    std::istringstream in(
-        std::string("pmcorr-monitor v1\nmeasurements 2\n"
-                    "m 0 0 cpu@a\nm 0 0 cpu@b\npairs 2\np 0 1\n") +
-        pair_line + "\naggregates 0 0 0\na 0 0\na 0 0\n" + model + model);
-    EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error)
-        << pair_line;
+    ExpectLoadMonitorThrows(
+        EncodeCheckpoint({{}, {.name = "cpu@b"}}, {{0, 1}, {a, b}},
+                         {model, model}),
+        std::to_string(a) + "," + std::to_string(b));
   }
 }
 
-TEST(MonitorIoErrors, UnknownMetricKindRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 1\nm 0 250 cpu@a\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+TEST(MonitorIoErrors, UnknownMetricKindAndMachineRejected) {
+  ExpectLoadMonitorThrows(EncodeCheckpoint({{.kind = 250}}, {}, {}), "kind");
+  ExpectLoadMonitorThrows(EncodeCheckpoint({{.machine = 0x80000000u}}, {}, {}),
+                          "machine");
 }
 
 TEST(MonitorIoErrors, NonFiniteAggregatesRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 0\npairs 0\n"
-      "aggregates 10 inf 5\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+  ExpectLoadMonitorThrows(
+      EncodeCheckpoint({}, {}, {}, 10,
+                       std::numeric_limits<double>::infinity(), 5));
+  ExpectLoadMonitorThrows(EncodeCheckpoint(
+      {{.sum = std::numeric_limits<double>::quiet_NaN()}}, {}, {}, 10));
 }
 
 TEST(MonitorIoErrors, AveragerCountBeyondStepsRejected) {
-  std::istringstream in(
-      "pmcorr-monitor v1\nmeasurements 1\nm 0 0 cpu@a\npairs 0\n"
-      "aggregates 10 1.5 3\na 1.5 11\n");
-  EXPECT_THROW((void)LoadSystemMonitor(in), std::runtime_error);
+  ExpectLoadMonitorThrows(
+      EncodeCheckpoint({{.sum = 1.5, .count = 11}}, {}, {}, 10, 1.5, 3));
+  ExpectLoadMonitorThrows(EncodeCheckpoint({}, {}, {}, 10, 1.5, 11));
+}
+
+TEST(MonitorIoErrors, StrictFramingRejected) {
+  const std::string model = Encode(ModelSpec{});
+  const std::string good =
+      EncodeCheckpoint({{}, {.name = "cpu@b"}}, {{0, 1}}, {model});
+  {
+    std::istringstream in(good);
+    EXPECT_NO_THROW((void)LoadSystemMonitor(in));
+  }
+  ExpectLoadMonitorThrows(good + good, "bytes after the end frame");
+  // End frame disagreeing with the header: two models declared, one
+  // pair in the header.
+  ExpectLoadMonitorThrows(
+      EncodeCheckpoint({{}, {.name = "cpu@b"}}, {{0, 1}}, {model, model}),
+      "end frame count");
+  // Unknown format version.
+  std::string bumped = good;
+  FrameReader reader;
+  reader.Feed(good);
+  Frame head = *reader.Next();
+  head.payload[0] = 3;
+  bumped.clear();
+  AppendFrame(head.type, head.payload, bumped);
+  while (const std::optional<Frame> frame = reader.Next()) {
+    AppendFrame(frame->type, frame->payload, bumped);
+  }
+  ExpectLoadMonitorThrows(bumped, "version 3");
 }
 
 // ---------------------------------------------------------------------
@@ -255,6 +500,15 @@ TEST(CsvErrors, NegativeStartAndBadPeriodRejected) {
 
 // ---------------------------------------------------------------------
 // ReadSnapshotStreamJsonl.
+
+// Replaces the first occurrence of `from` in `text`.
+std::string Replace(std::string text, const std::string& from,
+                    const std::string& to) {
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << "pattern not found: " << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
 
 std::vector<SystemSnapshot> SampleSnapshots() {
   std::vector<SystemSnapshot> snaps(3);

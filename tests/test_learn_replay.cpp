@@ -27,9 +27,9 @@
 namespace pmcorr {
 namespace {
 
-// Bit-exact comparison via the text checkpoint: SavePairModel serializes
-// config, both interval lists, evidence and counts with round-trippable
-// doubles, so equal strings mean equal models down to the last ulp.
+// Bit-exact comparison via the model file: SavePairModel serializes
+// config, both interval lists, evidence and counts with doubles as bit
+// patterns, so equal strings mean equal models down to the last ulp.
 std::string Serialize(const PairModel& model) {
   std::ostringstream out;
   SavePairModel(model, out);

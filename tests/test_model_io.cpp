@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "io/framing.h"
 #include "io/model_io.h"
 
 namespace pmcorr {
@@ -133,25 +136,96 @@ TEST_P(ModelIoTruncation, TruncatedFilesThrowCleanly) {
 INSTANTIATE_TEST_SUITE_P(CutPoints, ModelIoTruncation,
                          ::testing::Values(0, 1, 3, 10, 25, 50, 75, 90, 99));
 
-TEST(ModelIo, CorruptedNumbersThrowCleanly) {
+TEST(ModelIo, CorruptedByteThrowsCleanly) {
   const PairModel original = TrainedModel(23);
   std::stringstream stream;
   SavePairModel(original, stream);
-  std::string text = stream.str();
+  std::string bytes = stream.str();
 
-  // Replace the first digit after "matrix " with garbage.
-  const auto pos = text.find("matrix ");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos + 7] = 'x';
-  std::stringstream corrupted(text);
-  EXPECT_THROW(LoadPairModel(corrupted), std::runtime_error);
+  // Bit rot in the middle of the file: that frame's CRC catches it.
+  bytes[bytes.size() / 2] ^= 0x01;
+  std::stringstream corrupted(bytes);
+  try {
+    (void)LoadPairModel(corrupted);
+    ADD_FAILURE() << "corrupted model loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("CRC mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ModelIo, SaveLoadSaveIsByteIdentical) {
+  for (const bool exponential : {false, true}) {
+    PairModel model = TrainedModel(29, exponential);
+    model.Step(50.0, 55.0);
+    std::stringstream first;
+    SavePairModel(model, first);
+    const PairModel loaded = LoadPairModel(first);
+    std::stringstream second;
+    SavePairModel(loaded, second);
+    EXPECT_EQ(second.str(), first.str());
+  }
+}
+
+// A model whose encoding is larger than one frame may carry: 39x39 =
+// 1,521 cells with every evidence row written is 18.5 MB of evidence.
+// It must split across frames (none over the cap) and round-trip
+// bitwise.
+TEST(ModelIo, ModelLargerThanOneFrameRoundTripsBitwise) {
+  constexpr std::size_t kIntervals = 39;
+  std::vector<Interval> intervals;
+  for (std::size_t i = 0; i < kIntervals; ++i) {
+    intervals.push_back({static_cast<double>(i), static_cast<double>(i + 1)});
+  }
+  Grid2D grid{IntervalList{intervals}, IntervalList{intervals}, 1.0, 1.0};
+  const std::size_t cells = grid.CellCount();
+  ModelConfig config;
+  const auto kernel = MakeKernel(config.kernel);
+  TransitionMatrix matrix = TransitionMatrix::Prior(grid, *kernel);
+  std::vector<double> evidence(cells * cells);
+  std::vector<std::uint32_t> counts(cells * cells);
+  std::uint64_t observed = 0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    for (std::size_t j = 0; j < cells; ++j) {
+      evidence[i * cells + j] = -1e-3 * static_cast<double>((i * 31 + j) % 97);
+    }
+    const auto count = static_cast<std::uint32_t>(1 + i % 5);
+    counts[i * cells + (i * 7) % cells] = count;
+    observed += count;
+  }
+  matrix.RestoreState(std::move(evidence), std::move(counts), observed);
+  const PairModel model =
+      PairModel::FromParts(config, std::move(grid), std::move(matrix));
+
+  std::stringstream first;
+  SavePairModel(model, first);
+  const std::string bytes = first.str();
+  ASSERT_GT(bytes.size(), kMaxFramePayload);
+  {
+    FrameReader reader;
+    reader.Feed(bytes);
+    std::size_t frames = 0;
+    while (const std::optional<Frame> frame = reader.Next()) {
+      EXPECT_LE(frame->payload.size(), kMaxFramePayload);
+      ++frames;
+    }
+    EXPECT_EQ(frames, 1 + 2 * cells);  // model + every evidence/counts row
+  }
+
+  const PairModel loaded = LoadPairModel(first);
+  EXPECT_EQ(loaded.Matrix().Evidence(), model.Matrix().Evidence());
+  EXPECT_EQ(loaded.Matrix().Counts(), model.Matrix().Counts());
+  std::stringstream second;
+  SavePairModel(loaded, second);
+  EXPECT_TRUE(second.str() == bytes);
 }
 
 TEST(ModelIo, RejectsGarbage) {
   std::stringstream stream("not a model at all");
   EXPECT_THROW(LoadPairModel(stream), std::runtime_error);
-  std::stringstream truncated("pmcorr-model v1\nkernel 0 2.0 2\n");
-  EXPECT_THROW(LoadPairModel(truncated), std::runtime_error);
+  std::stringstream text("pmcorr-model v1\nkernel 0 2.0 2\n");
+  EXPECT_THROW(LoadPairModel(text), std::runtime_error);
   EXPECT_THROW(LoadPairModel("/nonexistent/model.txt"), std::runtime_error);
 }
 

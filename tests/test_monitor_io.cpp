@@ -1,13 +1,17 @@
 // Tests for SystemMonitor checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "common/rng.h"
+#include "io/framing.h"
+#include "io/model_io.h"
 #include "io/monitor_io.h"
 
 namespace pmcorr {
@@ -95,7 +99,7 @@ TEST(MonitorIo, RestoredMonitorContinuesIdentically) {
   }
 }
 
-TEST(MonitorIo, PathCheckpointCarriesTrailerAndRotates) {
+TEST(MonitorIo, PathCheckpointIsFramedAndRotates) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(testing::TempDir()) / "pmcorr_monitor_io_path";
   fs::remove_all(dir);
@@ -108,14 +112,23 @@ TEST(MonitorIo, PathCheckpointCarriesTrailerAndRotates) {
   monitor.Run(SystemFrame(40, 15));
 
   SaveSystemMonitor(monitor, path);
-  // The file ends with the CRC trailer line the loader verifies.
+  // The file is whole frames: the header, each pair's model frames, and
+  // the end frame last.
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.is_open());
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  const std::size_t last_line = bytes.rfind("trailer crc32 ");
-  ASSERT_NE(last_line, std::string::npos);
-  EXPECT_EQ(bytes.back(), '\n');
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  FrameReader reader;
+  reader.Feed(bytes);
+  std::vector<std::uint8_t> types;
+  while (const std::optional<Frame> frame = reader.Next()) {
+    types.push_back(frame->type);
+  }
+  EXPECT_FALSE(reader.HasPartial());
+  ASSERT_GE(types.size(), 2u + 6u);
+  EXPECT_EQ(types.front(), kCheckpointHeaderFrame);
+  EXPECT_EQ(types.back(), kCheckpointEndFrame);
+  EXPECT_EQ(std::count(types.begin(), types.end(), kModelFrame), 6);
 
   std::stringstream direct;
   SaveSystemMonitor(monitor, direct);
@@ -137,10 +150,44 @@ TEST(MonitorIo, PathCheckpointCarriesTrailerAndRotates) {
 TEST(MonitorIo, RejectsGarbage) {
   std::stringstream bad("definitely not a checkpoint");
   EXPECT_THROW(LoadSystemMonitor(bad), std::runtime_error);
-  std::stringstream truncated("pmcorr-monitor v1\nmeasurements 4\n");
-  EXPECT_THROW(LoadSystemMonitor(truncated), std::runtime_error);
+  std::stringstream text("pmcorr-monitor v1\nmeasurements 4\n");
+  EXPECT_THROW(LoadSystemMonitor(text), std::runtime_error);
+  std::stringstream empty("");
+  EXPECT_THROW(LoadSystemMonitor(empty), std::runtime_error);
   EXPECT_THROW(LoadSystemMonitor("/nonexistent/checkpoint.txt"),
                std::runtime_error);
+}
+
+// The fuzz_model_io seeds are written by the encoder: the valid ones
+// must load and re-encode to their own bytes, the broken ones must not
+// load. A format change that leaves them stale fails here.
+TEST(MonitorIo, FuzzSeedsMatchTheFormat) {
+  const std::string dir = PMCORR_MODEL_IO_CORPUS;
+  const auto read = [&](const std::string& name) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << name;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  {
+    const std::string bytes = read("checkpoint.bin");
+    std::istringstream in(bytes);
+    std::ostringstream out;
+    SaveSystemMonitor(*LoadSystemMonitor(in, 1), out);
+    EXPECT_TRUE(out.str() == bytes);
+  }
+  {
+    const std::string bytes = read("model.bin");
+    std::istringstream in(bytes);
+    std::ostringstream out;
+    SavePairModel(LoadPairModel(in), out);
+    EXPECT_TRUE(out.str() == bytes);
+  }
+  for (const char* name : {"checkpoint_torn_tail.bin", "checkpoint_bad_crc.bin",
+                           "checkpoint_v1_text.txt"}) {
+    std::istringstream in(read(name));
+    EXPECT_THROW((void)LoadSystemMonitor(in, 1), std::runtime_error) << name;
+  }
 }
 
 TEST(MonitorIo, ChecksPartConsistency) {

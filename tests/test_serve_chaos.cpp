@@ -216,6 +216,84 @@ TEST(ServeChaos, EveryCheckpointKillPointRecoversToLastGood) {
 }
 
 // ---------------------------------------------------------------------
+// A failed cadence checkpoint is retried at the next cadence, not on
+// every following row.
+// ---------------------------------------------------------------------
+
+TEST(ServeChaos, FailedCheckpointWaitsForTheNextCadence) {
+  constexpr std::size_t kCadence = 10;
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(2 * kCadence, 131));
+  ChaosDir dir("pmcorr_serve_chaos_retry");
+  const std::string path = dir.Path("a.ckpt");
+  TenantRuntime tenant(ManualTenant("A", path, kCadence), MakeMonitor());
+  for (std::size_t i = 0; i + 1 < kCadence; ++i) {
+    tenant.Submit(rows[i]);
+    tenant.Pump(1);
+  }
+  {
+    ScopedWriteFault fail(0);  // the save at row N fails at its first point
+    tenant.Submit(rows[kCadence - 1]);
+    tenant.Pump(1);
+    EXPECT_TRUE(fail.Fired());
+  }
+  EXPECT_EQ(tenant.Status().counters.checkpoint_failures, 1u);
+  EXPECT_TRUE(tenant.Status().last_checkpoint_failed);
+  {
+    ScopedWriteFault quiet(-1);  // rows N+1 .. 2N-1 write nothing
+    for (std::size_t i = kCadence; i + 1 < 2 * kCadence; ++i) {
+      tenant.Submit(rows[i]);
+      tenant.Pump(1);
+    }
+    EXPECT_EQ(quiet.Seen(), 0);
+  }
+  tenant.Submit(rows[2 * kCadence - 1]);
+  tenant.Pump(1);  // row 2N: the next cadence, which succeeds
+  const TenantStatus status = tenant.Status();
+  EXPECT_EQ(status.counters.checkpoint_failures, 1u);
+  EXPECT_EQ(status.counters.checkpoints, 1u);
+  EXPECT_FALSE(status.last_checkpoint_failed);
+  EXPECT_EQ(CheckpointString(*LoadSystemMonitor(path, 1)),
+            CheckpointString(tenant.Monitor()));
+}
+
+// ---------------------------------------------------------------------
+// Under backpressure a due save waits until the queue has drained to
+// one row above the low watermark, and the next save stays on the
+// cadence's grid.
+// ---------------------------------------------------------------------
+
+TEST(ServeChaos, DueSaveUnderBackpressureWaitsForTheLowWatermark) {
+  constexpr std::size_t kCadence = 10;
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(40, 141));
+  ChaosDir dir("pmcorr_serve_chaos_hold");
+  const std::string path = dir.Path("a.ckpt");
+  TenantConfig config = ManualTenant("A", path, kCadence);
+  config.queue_budget = 64;
+  config.backpressure_high = 40;
+  config.backpressure_low = 2;
+  TenantRuntime tenant(config, MakeMonitor());
+  for (const SampleRow& row : rows) tenant.Submit(row);
+  ASSERT_TRUE(tenant.BackpressureEngaged());
+  {
+    // Due at row 10 with 30 rows queued: held while the queue drains.
+    ScopedWriteFault quiet(-1);
+    tenant.Pump(36);
+    EXPECT_EQ(quiet.Seen(), 0);
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 0u);
+  }
+  tenant.Pump(1);  // row 37 leaves 3 rows queued: the held save runs
+  EXPECT_TRUE(tenant.BackpressureEngaged());
+  EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+  EXPECT_EQ(CheckpointString(*LoadSystemMonitor(path, 1)),
+            CheckpointString(tenant.Monitor()));
+  tenant.Pump(2);  // rows 38-39: the next save is due at row 40
+  EXPECT_EQ(tenant.Status().counters.checkpoints, 1u);
+  tenant.Pump(1);
+  EXPECT_EQ(tenant.Status().counters.checkpoints, 2u);
+  EXPECT_EQ(tenant.Status().counters.checkpoint_failures, 0u);
+}
+
+// ---------------------------------------------------------------------
 // Torn final write: the drain seal fails, the previous generation must
 // still be loadable and the failure visible in the drain report.
 // ---------------------------------------------------------------------

@@ -5,7 +5,8 @@
 #      submitted == accepted + shed + rejected invariant;
 #   3. client-requested drain -> every tenant checkpoints, exit 0;
 #   4. warm restart from the checkpoints;
-#   5. kill -9 mid-serve -> restart still restores a good generation.
+#   5. kill -9 mid-serve -> restart still restores a good generation;
+#   6. a v1 text checkpoint is rejected by name, then cold-trained.
 #
 # usage: serve_smoke.sh <pmcorr-binary> <pmcorr_replay-binary>
 set -euo pipefail
@@ -130,6 +131,30 @@ wait "$serve_pid" 2>/dev/null || true
 serve_pid=$!
 await_line "$dir/serve4.log" "serve: listening"
 grep -q 'tenant A: restored from' "$dir/serve4.log"
+kill -TERM "$serve_pid"
+await_exit "$serve_pid"
+wait "$serve_pid" && rc=0 || rc=$?
+[[ "$rc" == 0 ]]
+serve_pid=""
+
+# --- 6: a checkpoint in the retired text format ---------------------
+printf 'pmcorr-monitor v1\nmeasurements 0\npairs 0\n' > "$dir/ckpt/C.ckpt"
+"$PMCORR" serve --socket "$dir/s.sock" \
+    --tenant C="$dir/trace.csv":1 \
+    --checkpoint-dir "$dir/ckpt" --partners 1 > "$dir/serve5.log" 2>&1 &
+serve_pid=$!
+await_line "$dir/serve5.log" "serve: listening"
+grep -q 'C.ckpt: LoadSystemMonitor: a pmcorr-monitor v1 text checkpoint' \
+    "$dir/serve5.log"
+rejected_at=$(grep -n 'tenant C: no checkpoint restored' "$dir/serve5.log" |
+    cut -d: -f1)
+trained_at=$(grep -n 'tenant C: trained' "$dir/serve5.log" | cut -d: -f1)
+[[ -n "$rejected_at" && -n "$trained_at" ]] &&
+    (( rejected_at < trained_at )) || {
+  echo "expected the v1 rejection, then a cold train" >&2
+  cat "$dir/serve5.log" >&2
+  exit 1
+}
 kill -TERM "$serve_pid"
 await_exit "$serve_pid"
 wait "$serve_pid" && rc=0 || rc=$?
