@@ -131,15 +131,20 @@ int main() {
             << FormatDouble(serial_s / run_s, 2) << "x (identical output —"
             << " see test_differential)\n";
 
-  // Model memory: each pair carries two s^2 double arrays (prior +
-  // evidence) and one s^2 uint32 count array.
+  // Model memory: each pair carries an s^2 double evidence array, an s^2
+  // uint32 count array and its (2r-1) x (2c-1) double kernel stencil,
+  // the only storage of the prior.
   std::size_t total_cells = 0;
   double total_bytes = 0.0;
   for (std::size_t i = 0; i < graph.PairCount(); ++i) {
-    const std::size_t s = monitor.Model(i).Grid().CellCount();
+    const Grid2D& grid = monitor.Model(i).Grid();
+    const std::size_t s = grid.CellCount();
     total_cells += s;
     total_bytes += static_cast<double>(s) * static_cast<double>(s) *
-                   (2.0 * sizeof(double) + sizeof(std::uint32_t));
+                       (sizeof(double) + sizeof(std::uint32_t)) +
+                   static_cast<double>((2 * grid.Rows() - 1) *
+                                       (2 * grid.Cols() - 1)) *
+                       sizeof(double);
   }
   std::cout << "\naverage system fitness over the test period: "
             << FormatDouble(monitor.SystemAverage().Mean(), 4)

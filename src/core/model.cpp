@@ -204,7 +204,7 @@ void PairModel::CheckInvariants() const {
   }
 }
 
-StepOutcome PairModel::Step(double x, double y) {
+StepOutcome PairModel::Step(double x, double y, ScoreMode mode) {
   // Audit builds re-verify the full model after every step, on every
   // exit path (missing, outlier, extension, scored). noexcept(false):
   // the test-mode failure handler throws.
@@ -275,7 +275,11 @@ StepOutcome PairModel::Step(double x, double y) {
     ++stats_.scored;
     // One fused row scan (probability + rank together) instead of the
     // separate Probability and RankOf passes; bitwise-identical results.
-    const TransitionScore score = matrix_.ScoreTransition(*prev_cell_, *cell);
+    // The fitness needs only the rank, so a rank-only caller skips the
+    // normalizer unless the delta alarm reads the probability.
+    const TransitionScore score = matrix_.ScoreTransition(
+        *prev_cell_, *cell,
+        config_.delta > 0.0 ? ScoreMode::kFull : mode);
     out.probability = score.probability;
     out.rank = score.rank;
     out.fitness = RankFitness(out.rank, matrix_.CellCount());

@@ -25,7 +25,9 @@ struct StepOutcome {
   /// Q^{a,b}_{t+1} in [0, 1]; 0 for outliers.
   double fitness = 0.0;
 
-  /// P(x_t -> x_{t+1}) from the current posterior; 0 for outliers.
+  /// P(x_t -> x_{t+1}) from the current posterior. Filled only when
+  /// asked (Step's ScoreMode::kFull, the default) or when delta > 0
+  /// needs it for the alarm; 0 otherwise, and 0 for outliers.
   double probability = 0.0;
 
   /// 1-based rank of the observed destination cell (0 when not scored).
@@ -97,7 +99,10 @@ class PairModel {
   /// Figure 6): locates the cell (growing the boundary when the point is
   /// just outside and the model is adaptive), scores the transition,
   /// raises alarms, and — when adaptive and not alarmed — updates V.
-  StepOutcome Step(double x, double y);
+  /// ScoreMode::kRankOnly skips the row normalizer unless delta > 0
+  /// needs the probability; every other field of the outcome, and the
+  /// model state, are the same bits as under kFull.
+  StepOutcome Step(double x, double y, ScoreMode mode = ScoreMode::kFull);
 
   /// Forgets the previous observation so the next Step starts a fresh
   /// transition sequence (use when jumping across a time gap).

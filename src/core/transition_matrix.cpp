@@ -23,38 +23,43 @@ TransitionMatrix TransitionMatrix::Prior(const Grid2D& grid,
   m.rows_ = grid.Rows();
   m.cols_ = grid.Cols();
   m.stencil_ = KernelStencil(m.rows_, m.cols_, kernel);
-  m.prior_logw_.resize(m.cells_ * m.cells_);
   m.evidence_.assign(m.cells_ * m.cells_, 0.0);
   m.counts_.assign(m.cells_ * m.cells_, 0);
   m.cache_.assign(m.cells_, RowCache{});
-  // Row i of the prior is the stencil centered at cell i: each grid row
-  // of destinations is one contiguous stencil slice.
-  double* dst = m.prior_logw_.data();
-  for (std::size_t i = 0; i < m.cells_; ++i) {
-    const int ci = static_cast<int>(i / m.cols_);
-    const std::size_t cj = i % m.cols_;
-    for (std::size_t r = 0; r < m.rows_; ++r) {
-      const double* src = m.stencil_.RowSlice(static_cast<int>(r) - ci, cj);
-      dst = std::copy(src, src + m.cols_, dst);
-    }
-  }
   return m;
 }
+
+template <typename Fn>
+void TransitionMatrix::ForEachPriorSlice(std::size_t center, Fn&& fn) const {
+  const int ci = static_cast<int>(center / cols_);
+  const std::size_t cj = center % cols_;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    fn(stencil_.RowSlice(static_cast<int>(r) - ci, cj), r * cols_);
+  }
+}
+
+// The row scans below start the max at entry 0 and then visit every
+// entry, entry 0 included: std::max(m, m) returns m, so the result is
+// the bits of the scan that starts at entry 1.
 
 const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
     std::size_t from) const {
   RowCache& rc = cache_[from];
   if (!rc.stats_valid) {
-    const double* pw = prior_logw_.data() + from * cells_;
     const double* ev = evidence_.data() + from * cells_;
-    double max_logw = pw[0] + ev[0];
-    for (std::size_t j = 1; j < cells_; ++j) {
-      max_logw = std::max(max_logw, pw[j] + ev[j]);
-    }
+    const std::size_t cols = cols_;
+    double max_logw = PosteriorLogW(from, 0);
+    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        max_logw = std::max(max_logw, lw[c] + ev[j0 + c]);
+      }
+    });
     double total = 0.0;
-    for (std::size_t j = 0; j < cells_; ++j) {
-      total += std::exp(pw[j] + ev[j] - max_logw);
-    }
+    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        total += std::exp(lw[c] + ev[j0 + c] - max_logw);
+      }
+    });
     rc.max_logw = max_logw;
     rc.sum_exp = total;
     rc.stats_valid = true;
@@ -64,13 +69,15 @@ const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
 
 void TransitionMatrix::BuildSorted(std::size_t from) const {
   RowCache& rc = cache_[from];
-  PMCORR_DASSERT(rc.stats_valid);
-  const double* pw = prior_logw_.data() + from * cells_;
   const double* ev = evidence_.data() + from * cells_;
+  const std::size_t cols = cols_;
   rc.sorted.resize(cells_);
-  for (std::size_t j = 0; j < cells_; ++j) {
-    rc.sorted[j] = {pw[j] + ev[j], static_cast<std::uint32_t>(j)};
-  }
+  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      rc.sorted[j0 + c] = {lw[c] + ev[j0 + c],
+                           static_cast<std::uint32_t>(j0 + c)};
+    }
+  });
   std::sort(rc.sorted.begin(), rc.sorted.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first > b.first;
@@ -97,13 +104,16 @@ std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
     }
     return rank;
   }
-  const double* pw = prior_logw_.data() + from * cells_;
   const double* ev = evidence_.data() + from * cells_;
+  const std::size_t cols = cols_;
   std::size_t rank = 1;
-  for (std::size_t j = 0; j < cells_; ++j) {
-    const double w = pw[j] + ev[j];
-    if (w > target || (w == target && j < to)) ++rank;
-  }
+  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double w = lw[c] + ev[j0 + c];
+      rank += static_cast<std::size_t>((w > target) |
+                                       ((w == target) & (j0 + c < to)));
+    }
+  });
   return rank;
 }
 
@@ -115,46 +125,54 @@ double TransitionMatrix::Probability(std::size_t from, std::size_t to) const {
 }
 
 TransitionScore TransitionMatrix::ScoreTransition(std::size_t from,
-                                                  std::size_t to) const {
+                                                  std::size_t to,
+                                                  ScoreMode mode) const {
   TransitionScore out;
   if (cells_ == 0) return out;
   PMCORR_DASSERT(from < cells_ && to < cells_);
   RowCache& rc = cache_[from];
-  const double* pw = prior_logw_.data() + from * cells_;
-  const double* ev = evidence_.data() + from * cells_;
-  const double target = pw[to] + ev[to];
-  if (!rc.stats_valid) {
-    // Cold row (just written): one fused pass for max + rank, one for
-    // the exponential sum — versus the three passes of the unfused
+  const double target = PosteriorLogW(from, to);
+  if (rc.scored || rc.stats_valid) {
+    // Warm row (read again without a write in between — e.g. alarmed
+    // transitions, frozen calibration replays, non-adaptive monitors):
+    // rank goes through the sorted cache, built on this second touch
+    // and O(log s) afterwards.
+    if (!rc.sorted_valid) BuildSorted(from);
+    out.rank = RankInRow(from, to, target);
+  } else if (mode == ScoreMode::kRankOnly) {
+    // Cold row (just written), rank only: one comparison pass.
+    out.rank = RankInRow(from, to, target);
+  } else {
+    // Cold row, full read: one fused pass for max + rank, one for the
+    // exponential sum — versus the three passes of the unfused
     // Probability + RankOf sequence.
-    double max_logw = pw[0] + ev[0];
+    const double* ev = evidence_.data() + from * cells_;
+    const std::size_t cols = cols_;
+    double max_logw = PosteriorLogW(from, 0);
     std::size_t rank = 1;
-    {
-      const double w0 = pw[0] + ev[0];
-      if (w0 > target || (w0 == target && 0 < to)) ++rank;
-    }
-    for (std::size_t j = 1; j < cells_; ++j) {
-      const double w = pw[j] + ev[j];
-      max_logw = std::max(max_logw, w);
-      if (w > target || (w == target && j < to)) ++rank;
-    }
+    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double w = lw[c] + ev[j0 + c];
+        max_logw = std::max(max_logw, w);
+        if (w > target || (w == target && j0 + c < to)) ++rank;
+      }
+    });
     double total = 0.0;
-    for (std::size_t j = 0; j < cells_; ++j) {
-      total += std::exp(pw[j] + ev[j] - max_logw);
-    }
+    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        total += std::exp(lw[c] + ev[j0 + c] - max_logw);
+      }
+    });
     rc.max_logw = max_logw;
     rc.sum_exp = total;
     rc.stats_valid = true;
     out.rank = rank;
-  } else {
-    // Warm row (rescored without a write in between — e.g. alarmed
-    // transitions, frozen calibration replays, non-adaptive monitors):
-    // probability is O(1) from the cached stats; rank goes through the
-    // sorted cache, built on this second touch and O(log s) afterwards.
-    if (!rc.sorted_valid) BuildSorted(from);
-    out.rank = RankInRow(from, to, target);
   }
-  out.probability = std::exp(target - rc.max_logw) / rc.sum_exp;
+  rc.scored = true;
+  if (mode == ScoreMode::kFull) {
+    const RowCache& stats = RowStats(from);
+    out.probability = std::exp(target - stats.max_logw) / stats.sum_exp;
+  }
   return out;
 }
 
@@ -163,13 +181,46 @@ std::vector<double> TransitionMatrix::RowDistribution(std::size_t from) const {
   PMCORR_DASSERT(from < cells_);
   const RowCache& rc = RowStats(from);
   std::vector<double> row(cells_);
-  const double* pw = prior_logw_.data() + from * cells_;
   const double* ev = evidence_.data() + from * cells_;
-  for (std::size_t j = 0; j < cells_; ++j) {
-    row[j] = std::exp(pw[j] + ev[j] - rc.max_logw);
-  }
+  const std::size_t cols = cols_;
+  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[j0 + c] = std::exp(lw[c] + ev[j0 + c] - rc.max_logw);
+    }
+  });
   for (double& p : row) p /= rc.sum_exp;
   return row;
+}
+
+// The Eq. (2) update of one evidence row by the kernel centered at
+// `observed`, read slice by slice. The weight/forgetting == 1.0
+// specializations drop the respective multiply; x * 1.0 == x and
+// 1.0 * y == y exactly in IEEE arithmetic, so every branch produces
+// identical bits (the golden traces pin that).
+void TransitionMatrix::UpdateRowEvidence(std::size_t from,
+                                         std::size_t observed, double weight,
+                                         double forgetting) {
+  double* e = evidence_.data() + from * cells_;
+  const std::size_t cols = cols_;
+  if (forgetting == 1.0 && weight == 1.0) {
+    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
+      double* ej = e + j0;
+      for (std::size_t c = 0; c < cols; ++c) ej[c] += lw[c];
+    });
+  } else if (forgetting == 1.0) {
+    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
+      double* ej = e + j0;
+      for (std::size_t c = 0; c < cols; ++c) ej[c] += weight * lw[c];
+    });
+  } else {
+    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
+      double* ej = e + j0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        ej[c] = ej[c] * forgetting + weight * lw[c];
+      }
+    });
+  }
+  ++counts_[from * cells_ + observed];
 }
 
 void TransitionMatrix::ObserveTransition(std::size_t from,
@@ -215,97 +266,81 @@ void TransitionMatrix::ObserveTransitionStencil(std::size_t from,
 
 namespace {
 
-// One bucket of the replay: applies every destination in `dests` to
+// One bucket of the replay: applies every transition in `slots` to
 // evidence row `e` in arrival order, with the same weight/forgetting
 // specializations as UpdateRowEvidence (hoisted out of the transition
-// loop — they are constant across a replay).
+// loop — they are constant across a replay). slots[k] indexes the
+// destination's prior row in `prior`, the replay's gathered table.
 // The bucket loop consumes four transitions per sweep: applying four
 // updates to element c as one parenthesized left-to-right chain performs
 // exactly the roundings of four single-transition sweeps (the compiler
 // may not reassociate FP without fast-math), while storing the evidence
 // row once instead of four times and keeping four prior-row streams in
-// flight — the sweep is memory-bound on the prior table, not on FP adds.
+// flight — the sweep is memory-bound on the prior rows, not on FP adds.
 __attribute__((always_inline)) inline void ReplayRowBody(
     double* e, const double* prior, std::size_t cells,
-    const std::uint32_t* dests, std::size_t n, std::uint32_t* row_counts,
-    double weight, double forgetting) {
+    const std::uint32_t* slots, std::size_t n, double weight,
+    double forgetting) {
   std::size_t k = 0;
   if (forgetting == 1.0 && weight == 1.0) {
     for (; k + 4 <= n; k += 4) {
-      const double* p0 = prior + dests[k] * cells;
-      const double* p1 = prior + dests[k + 1] * cells;
-      const double* p2 = prior + dests[k + 2] * cells;
-      const double* p3 = prior + dests[k + 3] * cells;
+      const double* p0 = prior + slots[k] * cells;
+      const double* p1 = prior + slots[k + 1] * cells;
+      const double* p2 = prior + slots[k + 2] * cells;
+      const double* p3 = prior + slots[k + 3] * cells;
       for (std::size_t c = 0; c < cells; ++c) {
         e[c] = (((e[c] + p0[c]) + p1[c]) + p2[c]) + p3[c];
       }
-      ++row_counts[dests[k]];
-      ++row_counts[dests[k + 1]];
-      ++row_counts[dests[k + 2]];
-      ++row_counts[dests[k + 3]];
     }
     for (; k < n; ++k) {
-      const double* p = prior + dests[k] * cells;
+      const double* p = prior + slots[k] * cells;
       for (std::size_t c = 0; c < cells; ++c) e[c] += p[c];
-      ++row_counts[dests[k]];
     }
   } else if (forgetting == 1.0) {
     for (; k + 4 <= n; k += 4) {
-      const double* p0 = prior + dests[k] * cells;
-      const double* p1 = prior + dests[k + 1] * cells;
-      const double* p2 = prior + dests[k + 2] * cells;
-      const double* p3 = prior + dests[k + 3] * cells;
+      const double* p0 = prior + slots[k] * cells;
+      const double* p1 = prior + slots[k + 1] * cells;
+      const double* p2 = prior + slots[k + 2] * cells;
+      const double* p3 = prior + slots[k + 3] * cells;
       for (std::size_t c = 0; c < cells; ++c) {
         e[c] = (((e[c] + weight * p0[c]) + weight * p1[c]) + weight * p2[c]) +
                weight * p3[c];
       }
-      ++row_counts[dests[k]];
-      ++row_counts[dests[k + 1]];
-      ++row_counts[dests[k + 2]];
-      ++row_counts[dests[k + 3]];
     }
     for (; k < n; ++k) {
-      const double* p = prior + dests[k] * cells;
+      const double* p = prior + slots[k] * cells;
       for (std::size_t c = 0; c < cells; ++c) e[c] += weight * p[c];
-      ++row_counts[dests[k]];
     }
   } else {
     for (; k + 4 <= n; k += 4) {
-      const double* p0 = prior + dests[k] * cells;
-      const double* p1 = prior + dests[k + 1] * cells;
-      const double* p2 = prior + dests[k + 2] * cells;
-      const double* p3 = prior + dests[k + 3] * cells;
+      const double* p0 = prior + slots[k] * cells;
+      const double* p1 = prior + slots[k + 1] * cells;
+      const double* p2 = prior + slots[k + 2] * cells;
+      const double* p3 = prior + slots[k + 3] * cells;
       for (std::size_t c = 0; c < cells; ++c) {
         double v = e[c] * forgetting + weight * p0[c];
         v = v * forgetting + weight * p1[c];
         v = v * forgetting + weight * p2[c];
         e[c] = v * forgetting + weight * p3[c];
       }
-      ++row_counts[dests[k]];
-      ++row_counts[dests[k + 1]];
-      ++row_counts[dests[k + 2]];
-      ++row_counts[dests[k + 3]];
     }
     for (; k < n; ++k) {
-      const double* p = prior + dests[k] * cells;
+      const double* p = prior + slots[k] * cells;
       for (std::size_t c = 0; c < cells; ++c) {
         e[c] = e[c] * forgetting + weight * p[c];
       }
-      ++row_counts[dests[k]];
     }
   }
 }
 
-
 using ReplayRowFn = void (*)(double*, const double*, std::size_t,
-                             const std::uint32_t*, std::size_t,
-                             std::uint32_t*, double, double);
+                             const std::uint32_t*, std::size_t, double,
+                             double);
 
 void ReplayRowDefault(double* e, const double* prior, std::size_t cells,
-                      const std::uint32_t* dests, std::size_t n,
-                      std::uint32_t* row_counts, double weight,
-                      double forgetting) {
-  ReplayRowBody(e, prior, cells, dests, n, row_counts, weight, forgetting);
+                      const std::uint32_t* slots, std::size_t n,
+                      double weight, double forgetting) {
+  ReplayRowBody(e, prior, cells, slots, n, weight, forgetting);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -318,16 +353,16 @@ void ReplayRowDefault(double* e, const double* prior, std::size_t cells,
 // contract. Selected once per process by CPU probe.
 __attribute__((target("avx"))) void ReplayRowAvx(
     double* e, const double* prior, std::size_t cells,
-    const std::uint32_t* dests, std::size_t n, std::uint32_t* row_counts,
-    double weight, double forgetting) {
-  ReplayRowBody(e, prior, cells, dests, n, row_counts, weight, forgetting);
+    const std::uint32_t* slots, std::size_t n, double weight,
+    double forgetting) {
+  ReplayRowBody(e, prior, cells, slots, n, weight, forgetting);
 }
 
 __attribute__((target("avx512f"))) void ReplayRowAvx512(
     double* e, const double* prior, std::size_t cells,
-    const std::uint32_t* dests, std::size_t n, std::uint32_t* row_counts,
-    double weight, double forgetting) {
-  ReplayRowBody(e, prior, cells, dests, n, row_counts, weight, forgetting);
+    const std::uint32_t* slots, std::size_t n, double weight,
+    double forgetting) {
+  ReplayRowBody(e, prior, cells, slots, n, weight, forgetting);
 }
 
 ReplayRowFn SelectReplayRowFn() {
@@ -354,16 +389,41 @@ void TransitionMatrix::ReplayTransitions(
   }
 #endif
 
-  // Counting-sort the destinations into per-source-row buckets, keeping
-  // each bucket in original arrival order. offsets_[row] .. offsets_[row
-  // + 1) indexes the row's destinations in `dests`.
+  // Gather the prior rows of the destinations this replay visits into a
+  // scratch table, in ascending destination order: slot[d] is row d's
+  // position in `prior`. Each row is the stencil slices centered at d,
+  // so the bucket sweeps below read bitwise the doubles ObserveTransition
+  // reads, as flat s-element rows.
+  constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot(cells_, kUnvisited);
+  for (const Transition& t : transitions) slot[t.to] = 0;
+  std::size_t visited = 0;
+  for (std::uint32_t& sl : slot) {
+    if (sl != kUnvisited) sl = static_cast<std::uint32_t>(visited++);
+  }
+  std::vector<double> prior(visited * cells_);
+  for (std::size_t d = 0; d < cells_; ++d) {
+    if (slot[d] == kUnvisited) continue;
+    double* row = prior.data() + slot[d] * cells_;
+    ForEachPriorSlice(d, [&](const double* lw, std::size_t j0) {
+      std::copy(lw, lw + cols_, row + j0);
+    });
+  }
+
+  // Counting-sort the destination slots into per-source-row buckets,
+  // keeping each bucket in original arrival order. offsets[row] ..
+  // offsets[row + 1) indexes the row's slots in `slots`. Counts are
+  // integers, so they are bumped here rather than in the sweeps.
   std::vector<std::size_t> offsets(cells_ + 1, 0);
   for (const Transition& t : transitions) ++offsets[t.from + 1];
   for (std::size_t i = 1; i <= cells_; ++i) offsets[i] += offsets[i - 1];
-  std::vector<std::uint32_t> dests(n);
+  std::vector<std::uint32_t> slots(n);
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Transition& t : transitions) dests[cursor[t.from]++] = t.to;
+    for (const Transition& t : transitions) {
+      slots[cursor[t.from]++] = slot[t.to];
+      ++counts_[t.from * cells_ + t.to];
+    }
   }
   std::vector<std::uint32_t> active;
   active.reserve(cells_);
@@ -373,14 +433,14 @@ void TransitionMatrix::ReplayTransitions(
     }
   }
 
-  // Replay each bucket in order. Buckets touch disjoint evidence/count
-  // rows, so any schedule over `active` — including a parallel one —
-  // produces the exact bits of the sequential ObserveTransition loop.
+  // Replay each bucket in order. Buckets touch disjoint evidence rows,
+  // so any schedule over `active` — including a parallel one — produces
+  // the exact bits of the sequential ObserveTransition loop.
   const auto replay_row = [&](std::size_t a) {
     const std::size_t row = active[a];
-    kReplayRowFn(evidence_.data() + row * cells_, prior_logw_.data(), cells_,
-                 dests.data() + offsets[row], offsets[row + 1] - offsets[row],
-                 counts_.data() + row * cells_, weight, forgetting);
+    kReplayRowFn(evidence_.data() + row * cells_, prior.data(), cells_,
+                 slots.data() + offsets[row], offsets[row + 1] - offsets[row],
+                 weight, forgetting);
     InvalidateRow(row);
   };
   if (runner) {
@@ -402,12 +462,19 @@ std::size_t TransitionMatrix::ArgMax(std::size_t from) const {
   PMCORR_DASSERT(from < cells_);
   const RowCache& rc = cache_[from];
   if (rc.sorted_valid) return rc.sorted.front().second;
-  const double* pw = prior_logw_.data() + from * cells_;
   const double* ev = evidence_.data() + from * cells_;
+  const std::size_t cols = cols_;
   std::size_t best = 0;
-  for (std::size_t j = 1; j < cells_; ++j) {
-    if (pw[j] + ev[j] > pw[best] + ev[best]) best = j;
-  }
+  double best_logw = PosteriorLogW(from, 0);
+  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double w = lw[c] + ev[j0 + c];
+      if (w > best_logw) {
+        best = j0 + c;
+        best_logw = w;
+      }
+    }
+  });
   return best;
 }
 
@@ -481,8 +548,8 @@ void TransitionMatrix::CheckInvariants() const {
   if (cells_ == 0) {
     PMCORR_ASSERT(rows_ == 0 && cols_ == 0, "empty matrix with grid shape "
                                                 << rows_ << "x" << cols_);
-    PMCORR_ASSERT(prior_logw_.empty() && evidence_.empty() &&
-                      counts_.empty() && cache_.empty(),
+    PMCORR_ASSERT(stencil_.Empty() && evidence_.empty() && counts_.empty() &&
+                      cache_.empty(),
                   "empty matrix with live arrays");
     PMCORR_ASSERT(observed_ == 0, "empty matrix observed " << observed_);
     return;
@@ -491,12 +558,12 @@ void TransitionMatrix::CheckInvariants() const {
                                                        << cols_ << " != "
                                                        << cells_ << " cells");
   const std::size_t entries = cells_ * cells_;
-  PMCORR_ASSERT(prior_logw_.size() == entries, "prior size "
-                                                   << prior_logw_.size());
   PMCORR_ASSERT(evidence_.size() == entries,
                 "evidence size " << evidence_.size());
   PMCORR_ASSERT(counts_.size() == entries, "counts size " << counts_.size());
   PMCORR_ASSERT(cache_.size() == cells_, "cache size " << cache_.size());
+  // The stencil is the prior: a drifted entry fails its symmetry,
+  // center or decay clauses here.
   stencil_.CheckInvariants();
   PMCORR_ASSERT(stencil_.Matches(rows_, cols_),
                 "stencil built for " << stencil_.GridRows() << "x"
@@ -505,40 +572,34 @@ void TransitionMatrix::CheckInvariants() const {
 
   std::uint64_t count_total = 0;
   std::vector<std::uint8_t> seen(cells_, 0);
+  // Row i of the posterior, read entry by entry through PriorLogW — a
+  // path independent of the slice walks the kernels use.
+  std::vector<double> post(cells_);
   for (std::size_t i = 0; i < cells_; ++i) {
-    const double* pw = prior_logw_.data() + i * cells_;
     const double* ev = evidence_.data() + i * cells_;
-    const int ci = static_cast<int>(i / cols_);
-    const int cj = static_cast<int>(i % cols_);
-
-    // Prior row i is the stencil centered at cell i, bitwise.
     for (std::size_t j = 0; j < cells_; ++j) {
-      const int dj_row = static_cast<int>(j / cols_) - ci;
-      const int dj_col = static_cast<int>(j % cols_) - cj;
-      PMCORR_ASSERT(pw[j] == stencil_.LogWeight(dj_row, dj_col),
-                    "prior (" << i << "," << j
-                              << ") disagrees with the stencil");
       PMCORR_ASSERT(std::isfinite(ev[j]) && ev[j] <= 0.0,
                     "evidence (" << i << "," << j << ") = " << ev[j]);
       count_total += counts_[i * cells_ + j];
+      post[j] = PosteriorLogW(i, j);
     }
 
     // Row i of the posterior stays a probability distribution: the
     // normalized row sums to 1. Recomputed here without touching the
     // row cache, in the cache's scan order.
-    double max_logw = pw[0] + ev[0];
+    double max_logw = post[0];
     for (std::size_t j = 1; j < cells_; ++j) {
-      max_logw = std::max(max_logw, pw[j] + ev[j]);
+      max_logw = std::max(max_logw, post[j]);
     }
     double sum_exp = 0.0;
     for (std::size_t j = 0; j < cells_; ++j) {
-      sum_exp += std::exp(pw[j] + ev[j] - max_logw);
+      sum_exp += std::exp(post[j] - max_logw);
     }
     PMCORR_ASSERT(std::isfinite(sum_exp) && sum_exp >= 1.0,
                   "row " << i << " normalizer " << sum_exp);
     double prob_sum = 0.0;
     for (std::size_t j = 0; j < cells_; ++j) {
-      const double p = std::exp(pw[j] + ev[j] - max_logw) / sum_exp;
+      const double p = std::exp(post[j] - max_logw) / sum_exp;
       PMCORR_ASSERT(p >= 0.0 && p <= 1.0,
                     "P(" << i << "->" << j << ") = " << p);
       prob_sum += p;
@@ -558,8 +619,6 @@ void TransitionMatrix::CheckInvariants() const {
                                                   << " != " << sum_exp);
     }
     if (rc.sorted_valid) {
-      PMCORR_ASSERT(rc.stats_valid, "row " << i
-                                           << " sorted without stats");
       PMCORR_ASSERT(rc.sorted.size() == cells_,
                     "row " << i << " rank index size " << rc.sorted.size());
       std::fill(seen.begin(), seen.end(), 0);
@@ -569,9 +628,9 @@ void TransitionMatrix::CheckInvariants() const {
                       "row " << i << " rank index entry " << k
                              << " is not a permutation");
         seen[j] = 1;
-        PMCORR_ASSERT(w == pw[j] + ev[j],
-                      "row " << i << " rank index weight for cell " << j
-                             << " is stale");
+        PMCORR_ASSERT(w == post[j], "row " << i
+                                           << " rank index weight for cell "
+                                           << j << " is stale");
         if (k > 0) {
           const auto& [pw_prev, pj] = rc.sorted[k - 1];
           PMCORR_ASSERT(pw_prev > w || (pw_prev == w && pj < j),

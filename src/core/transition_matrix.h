@@ -4,37 +4,42 @@
 // The posterior of Eq. (1) factors as prior x likelihood; we store the
 // two factors separately in log space:
 //
-//   log V_ij  ∝  prior_logw[i][j] + evidence[i][j]
+//   log V_ij  ∝  K(c_j - c_i) + evidence[i][j]
 //
-// where prior_logw is the kernel-shaped prior (Section 4.2 "Prior
-// Distribution") and evidence accumulates the Eq. (2) likelihood terms —
-// the additive log-space updates the paper describes. Keeping the factors
-// apart has two benefits: exponential forgetting shrinks *evidence*
-// toward zero (i.e. the posterior decays toward the prior, not toward a
-// uniform distribution), and grid extensions can rebuild the prior for
-// the grown grid while merely remapping the evidence.
+// where K is the kernel-shaped prior (Section 4.2 "Prior Distribution"),
+// a log weight of the coordinate delta between the two cells, and
+// evidence accumulates the Eq. (2) likelihood terms — the additive
+// log-space updates the paper describes. Keeping the factors apart has
+// two benefits: exponential forgetting shrinks *evidence* toward zero
+// (i.e. the posterior decays toward the prior, not toward a uniform
+// distribution), and grid extensions can rebuild the prior for the grown
+// grid while merely remapping the evidence.
 //
 // Alongside the posterior we keep raw empirical transition counts; they
 // power the locality statistics (Section 4.2's 701/412/280 analysis) and
 // the Figure 9/10 prior-vs-posterior demonstration.
 //
 // Hot-path layout (see docs/kernels.md for the full contract):
-//  * All kernel evaluations go through a KernelStencil — a
-//    (2r-1) x (2c-1) log-weight table built once per grid shape — so
-//    Prior and ApplyExtension's backfill are contiguous table reads /
-//    fused multiply-adds over row-major slices, with no virtual
-//    dispatch or index->coordinate division in the inner loops.
+//  * The prior is never materialized. K takes only (2r-1) x (2c-1)
+//    distinct values, tabulated once per grid shape in a KernelStencil,
+//    and prior row i — the kernel centered at cell i — is r contiguous
+//    c-element stencil slices, one per grid row of destinations. Every
+//    row scan walks those slices in ascending destination order, so it
+//    sees the same doubles in the same order a materialized s x s copy
+//    would give it. Per entry the matrix stores 12 bytes (evidence and
+//    counts); the stencil is about 4s doubles.
 //  * The Eq. (2) likelihood vector for an observed destination d is the
-//    kernel centered at d — which is, bitwise, prior row d (Prior
-//    copies the same stencil slices). ObserveTransition and the batch
-//    ReplayTransitions therefore update a row with one flat s-element
-//    sweep over two contiguous arrays (evidence row + prior row), with
-//    no per-grid-row slice arithmetic at all.
+//    kernel centered at d, i.e. prior row d: ObserveTransition sweeps it
+//    slice by slice. The batch ReplayTransitions gathers the prior rows
+//    of the destinations it replays into a per-call scratch table once,
+//    then updates each source row with flat s-element sweeps.
 //  * Scoring reads are served by per-row caches (row max, sum of
 //    exponentials, and lazily a sorted copy for rank queries),
 //    invalidated whenever the row's evidence changes. The cached values
 //    are the *same* doubles the uncached scans produce, in the same
 //    order, so results are bitwise identical with or without the cache.
+//    A rank-only read (ScoreMode::kRankOnly, the paper's Q score) counts
+//    the rank in one pass and never computes the normalizer.
 //  * The caches make const query methods non-reentrant: a
 //    TransitionMatrix must be confined to one thread at a time. The
 //    pair-sharded engine guarantees this (each pair model, and
@@ -80,12 +85,21 @@ struct TransitionScore {
   std::size_t rank = 0;
 };
 
+/// What a scoring read computes. kFull fills both fields of
+/// TransitionScore. kRankOnly fills only the rank — all the paper's
+/// fitness score Q = 1 - (rank - 1) / s needs — and leaves probability
+/// at 0: on a freshly written row it is one comparison pass instead of
+/// a max pass, a rank pass and s exp() calls for the normalizer. The
+/// rank is the same either way.
+enum class ScoreMode { kFull, kRankOnly };
+
 class TransitionMatrix {
  public:
   TransitionMatrix() = default;
 
   /// Builds the prior V for `grid`: row i is the normalized kernel
-  /// centered at cell i; evidence starts at zero.
+  /// centered at cell i; evidence starts at zero. Tabulates the kernel
+  /// into the (2r-1) x (2c-1) stencil; no s x s table is built.
   static TransitionMatrix Prior(const Grid2D& grid, const DecayKernel& kernel);
 
   std::size_t CellCount() const { return cells_; }
@@ -96,12 +110,15 @@ class TransitionMatrix {
 
   /// Probability and rank of (from, to) computed together — one fused
   /// row scan instead of the separate Probability + RankOf passes, and
-  /// O(log s) when row `from` has not been written since its caches
-  /// were filled (alarmed transitions never update the model, so hot
-  /// rows are rescored often). Bitwise identical to calling
-  /// Probability() and RankOf() back-to-back. Returns {0, 0} on an
-  /// empty matrix.
-  TransitionScore ScoreTransition(std::size_t from, std::size_t to) const;
+  /// O(log s) from the second read of a row that has not been written
+  /// since (alarmed transitions never update the model, so hot rows are
+  /// rescored often). Bitwise identical to calling Probability() and
+  /// RankOf() back-to-back. With ScoreMode::kRankOnly the probability is
+  /// not computed (left 0) and the row normalizer cache is not filled; a
+  /// later full read of the row still returns the same bits. Returns
+  /// {0, 0} on an empty matrix.
+  TransitionScore ScoreTransition(std::size_t from, std::size_t to,
+                                  ScoreMode mode = ScoreMode::kFull) const;
 
   /// The full normalized row distribution of `from`; empty on an empty
   /// matrix.
@@ -109,7 +126,8 @@ class TransitionMatrix {
 
   /// Applies one observed transition from `from` into `observed` (Eq. 2):
   /// first scales row `from`'s accumulated evidence by `forgetting`, then
-  /// adds weight * LogWeight(d(observed, c_j)) to every entry.
+  /// adds weight * LogWeight(d(observed, c_j)) to every entry, reading
+  /// the kernel centered at `observed` as r stencil slices.
   void ObserveTransition(std::size_t from, std::size_t observed,
                          const Grid2D& grid, const DecayKernel& kernel,
                          double weight = 1.0, double forgetting = 1.0);
@@ -117,12 +135,11 @@ class TransitionMatrix {
   /// The pre-replay-pipeline form of ObserveTransition, retained
   /// verbatim: walks the kernel stencil one grid-row slice at a time and
   /// applies the unspecialized Eq. (2) update e = e * forgetting +
-  /// weight * lw to every entry. Produces bitwise-identical matrices to
-  /// ObserveTransition (the flat sweep reads prior row `observed`, which
-  /// holds the same stencil bits), but through an independent code path —
-  /// which is exactly why it stays: it is the oracle the Learn
-  /// differential tests pin ReplayTransitions against, and the faithful
-  /// "A" side of the model-building benchmark.
+  /// weight * lw to every entry (ObserveTransition drops the multiplies
+  /// by 1.0, which changes no bits). It shares no code with the gathered
+  /// flat sweeps of ReplayTransitions — which is exactly why it stays:
+  /// it is the oracle the Learn differential tests pin ReplayTransitions
+  /// against, and the faithful "A" side of the model-building benchmark.
   void ObserveTransitionStencil(std::size_t from, std::size_t observed,
                                 const Grid2D& grid, const DecayKernel& kernel,
                                 double weight = 1.0, double forgetting = 1.0);
@@ -135,7 +152,9 @@ class TransitionMatrix {
   /// sequential result exactly (the docs/kernels.md arithmetic-order
   /// contract) while keeping each row cache-resident — and making the
   /// buckets independently schedulable: pass `runner` (e.g. a
-  /// ThreadPool::ParallelFor wrapper) to replay rows in parallel.
+  /// ThreadPool::ParallelFor wrapper) to replay rows in parallel. The
+  /// prior rows of the replayed destinations are gathered from the
+  /// stencil into a scratch table that lives for this call only.
   void ReplayTransitions(std::span<const Transition> transitions,
                          double weight = 1.0, double forgetting = 1.0,
                          const ParallelRunner& runner = {});
@@ -156,7 +175,7 @@ class TransitionMatrix {
   /// Raw empirical count for (from, to).
   std::uint64_t CountOf(std::size_t from, std::size_t to) const;
 
-  /// Grows the matrix after a grid extension: the prior is rebuilt for
+  /// Grows the matrix after a grid extension: the stencil is rebuilt for
   /// `new_grid`, and evidence/counts move to their remapped indices. For
   /// an existing row, a brand-new column cannot start at zero evidence —
   /// accumulated evidence is negative, so a zero entry would instantly
@@ -175,8 +194,8 @@ class TransitionMatrix {
   const std::vector<double>& Evidence() const { return evidence_; }
   /// Empirical counts (row-major, s*s) — exposed for serialization.
   const std::vector<std::uint32_t>& Counts() const { return counts_; }
-  /// Restores evidence/counts saved earlier; the prior must already have
-  /// been rebuilt via Prior() on the same grid.
+  /// Restores evidence/counts saved earlier; the stencil must already
+  /// have been built via Prior() on the same grid.
   void RestoreState(std::vector<double> evidence,
                     std::vector<std::uint32_t> counts,
                     std::uint64_t observed);
@@ -185,30 +204,33 @@ class TransitionMatrix {
   std::size_t GridRows() const { return rows_; }
   std::size_t GridCols() const { return cols_; }
 
-  /// The prior's kernel log weight for (from, to) — exposed for tests
-  /// and serialization round-trip checks.
+  /// The prior's kernel log weight for (from, to): the stencil entry at
+  /// their coordinate delta — exposed for tests and serialization
+  /// round-trip checks.
   double PriorLogW(std::size_t from, std::size_t to) const {
-    return prior_logw_[from * cells_ + to];
+    return stencil_.LogWeight(
+        static_cast<int>(to / cols_) - static_cast<int>(from / cols_),
+        static_cast<int>(to % cols_) - static_cast<int>(from % cols_));
   }
 
-  /// The precomputed log-weight table in use (empty on a
-  /// default-constructed matrix).
+  /// The precomputed log-weight table in use — the only storage of the
+  /// prior (empty on a default-constructed matrix).
   const KernelStencil& Stencil() const { return stencil_; }
 
-  /// Audits the matrix invariants the paper's math and the PR-2/PR-3
-  /// caches rely on:
-  ///  * shape agreement — rows * cols == cells, all arrays sized s*s,
-  ///    stencil built for exactly this shape (and internally valid);
-  ///  * the prior is the stencil — prior row i equals the kernel table
-  ///    centered at cell i, bitwise;
+  /// Audits the matrix invariants the paper's math and the row caches
+  /// rely on:
+  ///  * shape agreement — rows * cols == cells, evidence and counts
+  ///    sized s*s, stencil built for exactly this shape and internally
+  ///    valid (it is the prior, so a drifted entry fires here);
   ///  * evidence stays finite and non-positive (Eq. 2 accumulates
   ///    weight * log-weights <= 0 under forgetting in (0, 1]);
   ///  * every row is a probability distribution — the normalized row
   ///    sums to 1 within 1e-9;
   ///  * cache coherence — cached (max, sum-exp) row stats equal a
   ///    recomputation in the original scan order bitwise; a sorted rank
-  ///    index is a permutation of [0, s), ordered (desc weight, asc
-  ///    index), whose keys match the live posterior bitwise;
+  ///    index (which a rank-only read may build without the stats) is a
+  ///    permutation of [0, s), ordered (desc weight, asc index), whose
+  ///    keys match the live posterior bitwise;
   ///  * counts_ sums to ObservedCount().
   /// O(s^2) — called from audit-build boundaries and tests, not from
   /// production hot paths.
@@ -217,58 +239,42 @@ class TransitionMatrix {
  private:
   friend struct InvariantTestPeer;
   // Per-row scoring cache. `max_logw`/`sum_exp` mirror the two scans of
-  // the normalization (filled on first score after a row write);
+  // the normalization (filled by the first full read after a row write);
   // `sorted` is the row's posterior log weights ordered (desc weight,
   // asc index) for O(log s) rank queries, built lazily on the second
   // score of an unchanged row — rows that are written every step never
-  // pay for the sort.
+  // pay for the sort. `scored` marks that first score, full or
+  // rank-only.
   struct RowCache {
     bool stats_valid = false;
     bool sorted_valid = false;
+    bool scored = false;
     double max_logw = 0.0;
     double sum_exp = 0.0;
     std::vector<std::pair<double, std::uint32_t>> sorted;
   };
 
   double PosteriorLogW(std::size_t from, std::size_t to) const {
-    return prior_logw_[from * cells_ + to] + evidence_[from * cells_ + to];
+    return PriorLogW(from, to) + evidence_[from * cells_ + to];
   }
 
+  /// Calls fn(lw, j0) once per grid row of destinations, in ascending
+  /// order: lw[c] is prior row `center`'s log weight for destination
+  /// j0 + c, c in [0, cols_) — one contiguous stencil slice. Every row
+  /// kernel reads the prior through this walk.
+  template <typename Fn>
+  void ForEachPriorSlice(std::size_t center, Fn&& fn) const;
+
   /// The shared Eq. (2) row update (evidence sweep + count bump) of
-  /// ObserveTransition and ReplayTransitions; does not touch observed_
-  /// or the row cache. The kernel log weights centered at `observed`
-  /// are, bitwise, prior row `observed` (Prior copied the very same
-  /// stencil slices), so the update is one flat sweep over two
-  /// contiguous s-element arrays. The weight/forgetting == 1.0
-  /// specializations drop the respective multiply; x * 1.0 == x and
-  /// 1.0 * y == y exactly in IEEE arithmetic, so every branch produces
-  /// identical bits (the golden traces pin that). Defined inline so the
-  /// per-transition replay loop keeps the branch selection and the
-  /// member-pointer loads out of the hot path (they are loop-invariant
-  /// once inlined).
+  /// ObserveTransition; does not touch observed_ or the row cache.
   void UpdateRowEvidence(std::size_t from, std::size_t observed,
-                         double weight, double forgetting) {
-    double* e = evidence_.data() + from * cells_;
-    const double* p = prior_logw_.data() + observed * cells_;
-    if (forgetting == 1.0) {
-      if (weight == 1.0) {
-        for (std::size_t c = 0; c < cells_; ++c) e[c] += p[c];
-      } else {
-        for (std::size_t c = 0; c < cells_; ++c) e[c] += weight * p[c];
-      }
-    } else {
-      for (std::size_t c = 0; c < cells_; ++c) {
-        e[c] = e[c] * forgetting + weight * p[c];
-      }
-    }
-    ++counts_[from * cells_ + observed];
-  }
+                         double weight, double forgetting);
 
   /// Fills (if stale) and returns row `from`'s (max, sum-exp) cache,
   /// scanning in exactly the order the uncached code used.
   const RowCache& RowStats(std::size_t from) const;
 
-  /// Builds row `from`'s sorted cache (stats must already be valid).
+  /// Builds row `from`'s sorted cache (needs no other cache).
   void BuildSorted(std::size_t from) const;
 
   /// Rank of `to` in row `from` given the target log weight, via the
@@ -280,13 +286,13 @@ class TransitionMatrix {
     RowCache& rc = cache_[from];
     rc.stats_valid = false;
     rc.sorted_valid = false;
+    rc.scored = false;
   }
 
   std::size_t cells_ = 0;
   std::size_t rows_ = 0;               // grid rows (r)
   std::size_t cols_ = 0;               // grid cols (c)
-  KernelStencil stencil_;              // (2r-1) x (2c-1) log weights
-  std::vector<double> prior_logw_;     // s*s kernel log weights
+  KernelStencil stencil_;              // (2r-1) x (2c-1) prior log weights
   std::vector<double> evidence_;       // s*s accumulated log likelihood
   std::vector<std::uint32_t> counts_;  // s*s empirical transition counts
   std::uint64_t observed_ = 0;

@@ -268,8 +268,10 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
         }
         retrain_->Observe(i, x, y);
       }
+      // The snapshot reads the rank-based fitness and the alarm, never
+      // the probability: rank-only steps skip the row normalizer.
       if (!guarded) {
-        outcomes[i] = models_[i].Step(x, y);
+        outcomes[i] = models_[i].Step(x, y, ScoreMode::kRankOnly);
         continue;
       }
       switch (quarantine_.BeginStep(i, sample_index)) {
@@ -286,7 +288,7 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
         if (fault_plan_ != nullptr) {
           fault_plan_->CheckPairStep(i, sample_index);
         }
-        outcomes[i] = models_[i].Step(x, y);
+        outcomes[i] = models_[i].Step(x, y, ScoreMode::kRankOnly);
         quarantine_.RecordSuccess(i, sample_index, outcomes[i].outlier);
       } catch (const std::exception& e) {
         if (!quarantine_.Enabled()) throw;
@@ -458,7 +460,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
     // through the whole batch in one pass. Pair state is private to the
     // pair (including its quarantine slot), so shards never contend;
     // alarms go to a shard-local log, sorted by the worker itself so the
-    // sort cost parallelizes too.
+    // sort cost parallelizes too. Steps are rank-only: a SweepCell keeps
+    // no probability.
     const auto sweep_start = std::chrono::steady_clock::now();
     run_cells_.assign(pairs * width, SweepCell{});
     auto sweep_worker = [&](const ShardRange& shard) {
@@ -489,7 +492,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
               }
               try {
                 if (fault_plan_ != nullptr) fault_plan_->CheckPairStep(i, s);
-                const StepOutcome out = model.Step(x[t], y[t]);
+                const StepOutcome out =
+                    model.Step(x[t], y[t], ScoreMode::kRankOnly);
                 quarantine_.RecordSuccess(i, s, out.outlier);
                 cell.fitness = out.fitness;
                 cell.has_score = out.has_score;
@@ -531,7 +535,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
             if (guard.any_break && guard.seq_break[t] != 0) {
               model.ResetSequence();
             }
-            const StepOutcome out = model.Step(x[t], y[t]);
+            const StepOutcome out =
+                model.Step(x[t], y[t], ScoreMode::kRankOnly);
             SweepCell& cell = row[t - t0];
             cell.fitness = out.fitness;
             cell.has_score = out.has_score;

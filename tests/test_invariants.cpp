@@ -35,9 +35,7 @@ struct InvariantTestPeer {
   static std::vector<double>& StencilTable(KernelStencil& stencil) {
     return stencil.table_;
   }
-  static std::vector<double>& Prior(TransitionMatrix& m) {
-    return m.prior_logw_;
-  }
+  static KernelStencil& Stencil(TransitionMatrix& m) { return m.stencil_; }
   static std::vector<double>& Evidence(TransitionMatrix& m) {
     return m.evidence_;
   }
@@ -270,8 +268,10 @@ TEST(MatrixInvariants, FiresOnPositiveEvidence) {
 TEST(MatrixInvariants, FiresOnPriorDriftingFromStencil) {
   ScopedCheckThrow guard;
   MatrixFixture f;
-  std::vector<double>& prior = InvariantTestPeer::Prior(f.matrix);
-  prior[1] = std::nextafter(prior[1], -1.0);
+  // The matrix's own stencil is the only storage of its prior.
+  std::vector<double>& table =
+      InvariantTestPeer::StencilTable(InvariantTestPeer::Stencil(f.matrix));
+  table[1] = std::nextafter(table[1], -1.0);
   EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
 }
 
@@ -292,6 +292,27 @@ TEST(MatrixInvariants, FiresOnStaleStatsCache) {
   ASSERT_TRUE(cache[0].stats_valid);
   cache[0].max_logw = std::nextafter(cache[0].max_logw, 1.0);
   EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
+}
+
+TEST(MatrixInvariants, RankOnlyReadsBuildTheRankIndexWithoutStats) {
+  ScopedCheckThrow guard;
+  MatrixFixture f;
+  auto& cache = InvariantTestPeer::Cache(f.matrix);
+  // Two rank-only reads of an unwritten row build the sorted index, so
+  // rescored rows take the O(log s) path, without the normalizer.
+  EXPECT_EQ(f.matrix.ScoreTransition(0, 1, ScoreMode::kRankOnly).probability,
+            0.0);
+  EXPECT_FALSE(cache[0].sorted_valid);
+  (void)f.matrix.ScoreTransition(0, 2, ScoreMode::kRankOnly);
+  EXPECT_TRUE(cache[0].sorted_valid);
+  EXPECT_FALSE(cache[0].stats_valid);
+  EXPECT_NO_THROW(f.matrix.CheckInvariants());
+  // A full read then fills the normalizer, with the uncached bits.
+  const TransitionScore full = f.matrix.ScoreTransition(0, 2);
+  EXPECT_TRUE(cache[0].stats_valid);
+  EXPECT_EQ(full.probability, f.matrix.Probability(0, 2));
+  EXPECT_EQ(full.rank, f.matrix.RankOf(0, 2));
+  EXPECT_NO_THROW(f.matrix.CheckInvariants());
 }
 
 TEST(MatrixInvariants, FiresOnCorruptSortedRankIndex) {
@@ -451,58 +472,89 @@ TransitionScore NaiveScore(const TransitionMatrix& m, std::size_t from,
   return {std::exp(target - max_logw) / sum_exp, rank};
 }
 
+// Grid shapes of the sweep. Extensions grow the dimension named here,
+// so the degenerate 1 x c and r x 1 shapes stay degenerate.
+struct SweepShape {
+  std::size_t rows;
+  std::size_t cols;
+  bool extend_rows;
+};
+
 TEST(MatrixInvariants, CacheCoherentUnderRandomInterleavings) {
   ScopedCheckThrow guard;
-  for (const std::uint64_t seed : {101u, 202u, 303u, 404u}) {
-    Rng rng(seed);
-    Grid2D grid(IntervalList::Uniform(0.0, 6.0, 3),
-                IntervalList::Uniform(0.0, 6.0, 3));
-    const TriangularKernel kernel;
-    TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
+  for (const SweepShape shape :
+       {SweepShape{3, 3, true}, SweepShape{1, 5, false},
+        SweepShape{5, 1, true}}) {
+    for (const std::uint64_t seed : {101u, 202u, 303u, 404u}) {
+      SCOPED_TRACE(::testing::Message() << "grid " << shape.rows << "x"
+                                        << shape.cols << " seed " << seed);
+      Rng rng(seed);
+      const auto rows = static_cast<double>(shape.rows);
+      const auto cols = static_cast<double>(shape.cols);
+      Grid2D grid(IntervalList::Uniform(0.0, 2.0 * rows, shape.rows),
+                  IntervalList::Uniform(0.0, 2.0 * cols, shape.cols));
+      const TriangularKernel kernel;
+      TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
 
-    double next_x = 6.0;  // each extension grows dim1 one interval up
-    for (int op = 0; op < 400; ++op) {
-      const std::size_t s = matrix.CellCount();
-      const std::size_t from = PickIndex(rng, s);
-      const std::size_t to = PickIndex(rng, s);
-      switch (rng.UniformInt(0, 7)) {
-        case 0:
-        case 1:
-        case 2:  // row write
-          matrix.ObserveTransition(from, to, grid, kernel, 1.0, 0.97);
-          break;
-        case 3: {  // grid extension remaps evidence and rebuilds caches
-          if (s >= 144) break;  // keep the quadratic audits cheap
-          const std::size_t old_cols = grid.Cols();
-          const auto ext = grid.ExtendToInclude({next_x, 3.0}, 100.0, 100.0);
-          ASSERT_TRUE(ext.has_value());
-          matrix.ApplyExtension(*ext, old_cols, grid, kernel);
-          next_x += 2.0;
-          break;
+      // Each extension grows one interval past the top of its dimension.
+      double next = 2.0 * (shape.extend_rows ? rows : cols);
+      for (int op = 0; op < 400; ++op) {
+        const std::size_t s = matrix.CellCount();
+        const std::size_t from = PickIndex(rng, s);
+        const std::size_t to = PickIndex(rng, s);
+        switch (rng.UniformInt(0, 9)) {
+          case 0:
+          case 1:
+          case 2:  // row write
+            matrix.ObserveTransition(from, to, grid, kernel, 1.0, 0.97);
+            break;
+          case 3: {  // grid extension remaps evidence and rebuilds caches
+            if (s >= 144) break;  // keep the quadratic audits cheap
+            const std::size_t old_cols = grid.Cols();
+            const Point2 p = shape.extend_rows ? Point2{next, 1.0}
+                                               : Point2{1.0, next};
+            const auto ext = grid.ExtendToInclude(p, 100.0, 100.0);
+            ASSERT_TRUE(ext.has_value());
+            matrix.ApplyExtension(*ext, old_cols, grid, kernel);
+            next += 2.0;
+            break;
+          }
+          case 4: {  // rank query (builds the lazy sorted index)
+            (void)matrix.ScoreTransition(from, to);
+            const std::size_t rank = matrix.RankOf(from, to);
+            EXPECT_EQ(rank, NaiveScore(matrix, from, to).rank);
+            break;
+          }
+          case 5:
+          case 6: {  // rank-only read, then a full read of the same row
+            const TransitionScore want = NaiveScore(matrix, from, to);
+            const TransitionScore got =
+                matrix.ScoreTransition(from, to, ScoreMode::kRankOnly);
+            EXPECT_EQ(got.rank, want.rank) << "op " << op;
+            EXPECT_EQ(got.probability, 0.0) << "op " << op;
+            const std::size_t other = PickIndex(rng, s);
+            const TransitionScore full = matrix.ScoreTransition(from, other);
+            const TransitionScore full_want = NaiveScore(matrix, from, other);
+            EXPECT_EQ(full.probability, full_want.probability) << "op " << op;
+            EXPECT_EQ(full.rank, full_want.rank) << "op " << op;
+            break;
+          }
+          default: {  // fused scoring read
+            const TransitionScore got = matrix.ScoreTransition(from, to);
+            const TransitionScore want = NaiveScore(matrix, from, to);
+            // Bitwise: the cache contract promises the same doubles, not
+            // merely close ones.
+            EXPECT_EQ(got.probability, want.probability) << "op " << op;
+            EXPECT_EQ(got.rank, want.rank) << "op " << op;
+            break;
+          }
         }
-        case 4: {  // rank query (builds the lazy sorted index)
-          (void)matrix.ScoreTransition(from, to);
-          const std::size_t rank = matrix.RankOf(from, to);
-          EXPECT_EQ(rank, NaiveScore(matrix, from, to).rank);
-          break;
-        }
-        default: {  // fused scoring read
-          const TransitionScore got = matrix.ScoreTransition(from, to);
-          const TransitionScore want = NaiveScore(matrix, from, to);
-          // Bitwise: the cache contract promises the same doubles, not
-          // merely close ones.
-          EXPECT_EQ(got.probability, want.probability)
-              << "seed " << seed << " op " << op;
-          EXPECT_EQ(got.rank, want.rank);
-          break;
+        if (op % 40 == 0) {
+          ASSERT_NO_THROW(matrix.CheckInvariants()) << "op " << op;
         }
       }
-      if (op % 40 == 0) {
-        ASSERT_NO_THROW(matrix.CheckInvariants())
-            << "seed " << seed << " op " << op;
-      }
+      EXPECT_NO_THROW(matrix.CheckInvariants());
     }
-    EXPECT_NO_THROW(matrix.CheckInvariants());
   }
 }
 

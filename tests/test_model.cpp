@@ -241,6 +241,96 @@ TEST(PairModel, LearnToleratesGapsInHistory) {
                std::invalid_argument);
 }
 
+// A test stream that reaches every Step exit: normal transitions,
+// correlation-breaking jumps inside the grid, drift just past the
+// boundary (grid extension), far outliers and collector gaps.
+void MakeProbeStream(const PairModel& model, std::vector<double>* xs,
+                     std::vector<double>* ys) {
+  MakeHistory(600, 31, xs, ys);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 40; i < xs->size(); i += 50) (*ys)[i] = 99.0;
+  (*xs)[205] =
+      model.Grid().Dim1().Hi() + 0.4 * model.Grid().InitialAvgWidthDim1();
+  (*xs)[333] = 1e6;
+  (*ys)[444] = nan;
+}
+
+// Every field of two outcomes except `probability`.
+void ExpectSameOutcomeButProbability(const StepOutcome& a,
+                                     const StepOutcome& b, std::size_t t) {
+  EXPECT_EQ(a.has_score, b.has_score) << "sample " << t;
+  EXPECT_EQ(a.fitness, b.fitness) << "sample " << t;
+  EXPECT_EQ(a.rank, b.rank) << "sample " << t;
+  EXPECT_EQ(a.outlier, b.outlier) << "sample " << t;
+  EXPECT_EQ(a.missing, b.missing) << "sample " << t;
+  EXPECT_EQ(a.extended_grid, b.extended_grid) << "sample " << t;
+  EXPECT_EQ(a.alarm, b.alarm) << "sample " << t;
+  EXPECT_EQ(a.cell, b.cell) << "sample " << t;
+}
+
+void ExpectSameModelState(const PairModel& a, const PairModel& b) {
+  EXPECT_EQ(a.Matrix().CellCount(), b.Matrix().CellCount());
+  EXPECT_EQ(a.Matrix().Evidence(), b.Matrix().Evidence());
+  EXPECT_EQ(a.Matrix().Counts(), b.Matrix().Counts());
+  EXPECT_EQ(a.Stats().alarms, b.Stats().alarms);
+  EXPECT_EQ(a.Stats().matrix_updates, b.Stats().matrix_updates);
+}
+
+TEST(PairModel, RankOnlyStepMatchesFullStepButForProbability) {
+  std::vector<double> xs, ys;
+  MakeHistory(2000, 29, &xs, &ys);
+  ModelConfig config = DefaultConfig();
+  config.fitness_alarm_threshold = 0.3;  // delta stays 0
+  PairModel full = PairModel::Learn(xs, ys, config);
+  PairModel rank_only = full;
+  std::vector<double> tx, ty;
+  MakeProbeStream(full, &tx, &ty);
+
+  std::size_t scored = 0, alarms = 0;
+  for (std::size_t t = 0; t < tx.size(); ++t) {
+    const StepOutcome want = full.Step(tx[t], ty[t]);
+    const StepOutcome got = rank_only.Step(tx[t], ty[t], ScoreMode::kRankOnly);
+    ExpectSameOutcomeButProbability(want, got, t);
+    EXPECT_EQ(got.probability, 0.0) << "sample " << t;
+    if (want.has_score && !want.outlier) {
+      ++scored;
+      EXPECT_GT(want.probability, 0.0) << "sample " << t;
+    }
+    if (want.alarm) ++alarms;
+  }
+  EXPECT_GT(scored, 500u);
+  EXPECT_GT(alarms, 0u);
+  EXPECT_EQ(full.Stats().extensions, 1u);
+  ExpectSameModelState(full, rank_only);
+}
+
+TEST(PairModel, RankOnlyStepComputesProbabilityWhenDeltaNeedsIt) {
+  std::vector<double> xs, ys;
+  MakeHistory(2000, 33, &xs, &ys);
+  ModelConfig config = DefaultConfig();
+  config.delta = 0.05;  // the probability alarm alone is armed
+  PairModel full = PairModel::Learn(xs, ys, config);
+  PairModel rank_only = full;
+  std::vector<double> tx, ty;
+  MakeProbeStream(full, &tx, &ty);
+
+  std::size_t delta_alarms = 0, passed = 0;
+  for (std::size_t t = 0; t < tx.size(); ++t) {
+    const StepOutcome want = full.Step(tx[t], ty[t]);
+    const StepOutcome got = rank_only.Step(tx[t], ty[t], ScoreMode::kRankOnly);
+    ExpectSameOutcomeButProbability(want, got, t);
+    EXPECT_EQ(got.probability, want.probability) << "sample " << t;
+    if (want.has_score && !want.outlier) {
+      ++(want.alarm ? delta_alarms : passed);
+    }
+  }
+  // Both sides of the delta test occur: a rank-only step that skipped
+  // the probability would alarm on every scored sample.
+  EXPECT_GT(delta_alarms, 0u);
+  EXPECT_GT(passed, 0u);
+  ExpectSameModelState(full, rank_only);
+}
+
 TEST(PairModel, StatsCountersConsistent) {
   std::vector<double> xs, ys;
   MakeHistory(1000, 23, &xs, &ys);

@@ -43,6 +43,12 @@ HOT_FUNCTIONS = {
     "src/core/model.cpp": [
         "PairModel::Step",
     ],
+    "src/core/transition_matrix.cpp": [
+        "TransitionMatrix::ScoreTransition",
+        "TransitionMatrix::ObserveTransition",
+        "TransitionMatrix::UpdateRowEvidence",
+        "TransitionMatrix::RankInRow",
+    ],
 }
 
 ALLOC = re.compile(
