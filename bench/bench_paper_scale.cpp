@@ -64,9 +64,9 @@ int main() {
   SystemMonitor monitor(train, graph, engine);
   const double train_s = clock.ElapsedSeconds();
 
-  // Serial reference: the pre-batching engine (one fork/join barrier per
-  // sample via Step), on an identically-learned clone so both paths start
-  // from the same models.
+  // The Step loop: the engine core called once per row (one sweep,
+  // merge and assembly per sample), on an identically-learned clone so
+  // both entry points start from the same models.
   std::stringstream checkpoint;
   SaveSystemMonitor(monitor, checkpoint);
   const auto serial_monitor = LoadSystemMonitor(checkpoint, engine.threads);

@@ -109,7 +109,7 @@ void BM_ProcessTestSet(benchmark::State& state) {
 BENCHMARK(BM_ProcessTestSet)->Arg(1)->Arg(8)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-// --- Whole-system engine: serial Step loop vs pair-major batched Run. ---
+// --- Whole-system engine: one Step per row vs pair-major batched Run. ---
 //
 // The per-pair numbers above bound one model; a production monitor
 // drives hundreds of pair models per sample. The serial path pays a
@@ -167,7 +167,9 @@ std::unique_ptr<SystemMonitor> RestoreSystemMonitor(std::size_t threads) {
   return LoadSystemMonitor(in, threads);
 }
 
-// The pre-batching engine: one fork/join per sample via Step().
+// The one-row call of the engine core, once per sample via Step(): one
+// sweep, merge and assembly per row (a fork/join per row above one
+// thread).
 void BM_MonitorStepLoop(benchmark::State& state) {
   const SystemDataset& d = SharedSystemDataset();
   std::vector<double> values(d.test.MeasurementCount());

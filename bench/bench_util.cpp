@@ -1,5 +1,8 @@
 #include "bench_util.h"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -96,9 +99,20 @@ std::string EncodeString(const std::string& value) {
   return out;
 }
 
+// CPUs this process may run on: its affinity mask, falling back to the
+// online CPU count.
+std::int64_t Nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return static_cast<std::int64_t>(sysconf(_SC_NPROCESSORS_ONLN));
+}
+
 }  // namespace
 
-BenchJson::BenchJson(std::string name) : name_(std::move(name)) {}
+BenchJson::BenchJson(std::string name) : name_(std::move(name)) {
+  Set("nproc", Nproc());
+}
 
 void BenchJson::Set(const std::string& key, double value) {
   entries_.emplace_back(key, EncodeNumber(value));

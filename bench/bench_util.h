@@ -57,8 +57,12 @@ std::string PaperDay(TimePoint tp);
 /// accumulates flat name -> value metrics and writes them as
 /// `BENCH_<name>.json` so the perf trajectory is tracked across PRs
 /// (CI uploads the files as artifacts). Keys keep insertion order.
+/// Every file opens with `nproc`, the CPUs the process may run on (its
+/// affinity mask, as the `nproc` tool reports it), so timings recorded
+/// on machines of different width are not compared as like for like.
 class BenchJson {
  public:
+  /// Starts the record with its `nproc` field.
   explicit BenchJson(std::string name);
 
   void Set(const std::string& key, double value);

@@ -96,7 +96,6 @@ void AlarmLog::AppendMerged(std::span<AlarmLog> shards,
                                   shard.records_.end(), RecordBefore),
                    "AppendMerged shard log is not (time, pair)-sorted");
   }
-  records_.reserve(records_.size() + total);
   cursors.assign(shards.size(), 0);
   // K-way merge with a linear min scan: k is the sweep's shard count
   // (bounded by the pool's thread count), so a heap would cost more in

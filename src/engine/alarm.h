@@ -60,7 +60,7 @@ class AlarmLog {
   void Record(AlarmRecord record);
 
   /// Sorts this log's records by (time, pair index) — the order a
-  /// sample-major Step loop records them in. A pair-major sweep calls
+  /// sample-major loop records them in. A pair-major sweep calls
   /// this on its shard-local log (inside the worker, so the sort cost
   /// parallelizes) before handing it to AppendMerged.
   void SortForMerge();
@@ -69,7 +69,7 @@ class AlarmLog {
   /// see SortForMerge — into this log via a deterministic k-way merge.
   /// Ties on time are broken by pair index, and a pair lives in exactly
   /// one shard, so the merged order is exactly the order a sample-major
-  /// Step loop would have recorded. The shard logs are emptied but keep
+  /// loop would have recorded. The shard logs are emptied but keep
   /// their capacity (`cursors` likewise — reusable scratch), so a
   /// steady-state caller re-merging every batch never reallocates them.
   void AppendMerged(std::span<AlarmLog> shards,

@@ -188,19 +188,6 @@ void SystemMonitor::ComputeAggregates(SystemSnapshot& snap) const {
   snap.system_score = AggregateScores(snap.measurement_scores);
 }
 
-void SystemMonitor::FinishSnapshot(SystemSnapshot& snap) {
-  ComputeAggregates(snap);
-  // Lifetime aggregates, strictly in time order: floating-point
-  // accumulation order is part of the bitwise contract.
-  for (std::size_t a = 0; a < infos_.size(); ++a) {
-    if (snap.measurement_scores[a]) {
-      measurement_avg_[a].Add(*snap.measurement_scores[a]);
-    }
-  }
-  system_avg_.Add(snap.system_score);
-  ++steps_;
-}
-
 SystemSnapshot SystemMonitor::Step(std::span<const double> values,
                                    TimePoint tp) {
   SystemSnapshot snap;
@@ -213,109 +200,52 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
   if (values.size() != infos_.size()) {
     throw std::invalid_argument("SystemMonitor::Step: value count mismatch");
   }
-  delta_valid_ = false;
-
-  // Ingest guard: inspect the arriving row against the cadence, suppress
-  // frozen/duplicate/out-of-order values to NaN (the models' documented
-  // missing-sample path), and break transition sequences across gaps.
-  // On a clean on-cadence row the copied values are bit-identical to the
-  // caller's, so the engine's arithmetic is unchanged.
-  std::span<const double> use = values;
-  SampleReport report;
-  if (guard_.Enabled()) {
-    guard_values_.assign(values.begin(), values.end());
-    report = guard_.Filter(guard_values_, tp);
-    // Models only — not the public ResetSequences(), which would also
-    // reset the guard's stream clock and blind it to the next
-    // duplicate/out-of-order arrival of a storm.
-    if (report.sequence_break) {
-      for (PairModel& model : models_) model.ResetSequence();
-    }
-    use = guard_values_;
+  // One row: measurement a's column is the single value values[a]. No
+  // guard reset — the stream clock carries over between Step calls,
+  // which is where degraded streams actually arrive.
+  in_cols_.resize(values.size());
+  for (std::size_t a = 0; a < values.size(); ++a) {
+    in_cols_[a] = values.subspan(a, 1);
   }
+  Advance(in_cols_, std::span<const TimePoint>(&tp, 1), &out, nullptr);
+}
 
-  const std::size_t pairs = graph_.PairCount();
-  out.sample = steps_;
-  out.time = tp;
-  out.pair_scores.assign(pairs, std::nullopt);
-  out.system_score = std::nullopt;
-  out.alarmed_pairs.clear();
-  out.outlier_pairs = 0;
-  out.extended_pairs = 0;
-  out.stream_event = report.event;
-  out.measurement_health.clear();
-  out.suppressed_values = report.suppressed;
-  out.quarantined_pairs = 0;
+std::vector<SystemSnapshot> SystemMonitor::Run(const MeasurementFrame& test) {
+  std::vector<SystemSnapshot> snapshots(test.SampleCount());
+  AdvanceFrame(test, snapshots.data(), nullptr);
+  return snapshots;
+}
 
-  step_scratch_.assign(pairs, StepOutcome{});
-  step_skipped_.assign(pairs, 0);
-  std::vector<StepOutcome>& outcomes = step_scratch_;
-  const std::size_t sample_index = steps_;
-  const bool guarded = quarantine_.Enabled() || fault_plan_ != nullptr;
-  auto step_worker = [&](const ShardRange& shard) {
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      const PairId& pair = graph_.Pair(i);
-      const double x = use[static_cast<std::size_t>(pair.a.value)];
-      const double y = use[static_cast<std::size_t>(pair.b.value)];
-      if (retrain_ != nullptr) {
-        // Adopt a finished rebuild before this sample is scored, so the
-        // sample is judged by exactly one model and swaps land on
-        // sample boundaries (the pool's Step-mode contract); then
-        // buffer the guard-filtered sample — quarantined pairs keep
-        // buffering, so their eventual rebuild sees the full stream.
-        if (std::unique_ptr<PairModel> fresh = retrain_->TakeAdoptable(i)) {
-          models_[i] = std::move(*fresh);
-        }
-        retrain_->Observe(i, x, y);
-      }
-      // The snapshot reads the rank-based fitness and the alarm, never
-      // the probability: rank-only steps skip the row normalizer.
-      if (!guarded) {
-        outcomes[i] = models_[i].Step(x, y, ScoreMode::kRankOnly);
-        continue;
-      }
-      switch (quarantine_.BeginStep(i, sample_index)) {
-        case PairQuarantine::Decision::kSkip:
-          step_skipped_[i] = 1;
-          continue;
-        case PairQuarantine::Decision::kRunAfterReset:
-          models_[i].ResetSequence();
-          break;
-        case PairQuarantine::Decision::kRun:
-          break;
-      }
-      try {
-        if (fault_plan_ != nullptr) {
-          fault_plan_->CheckPairStep(i, sample_index);
-        }
-        outcomes[i] = models_[i].Step(x, y, ScoreMode::kRankOnly);
-        quarantine_.RecordSuccess(i, sample_index, outcomes[i].outlier);
-      } catch (const std::exception& e) {
-        if (!quarantine_.Enabled()) throw;
-        outcomes[i] = StepOutcome{};
-        quarantine_.RecordFailure(i, sample_index, e.what());
-        step_skipped_[i] = 1;
-      }
-    }
-  };
-  RunShards(pool_, pairs, step_worker);
+std::vector<SystemDelta> SystemMonitor::RunDelta(
+    const MeasurementFrame& test) {
+  std::vector<SystemDelta> deltas(test.SampleCount());
+  AdvanceFrame(test, nullptr, deltas.data());
+  return deltas;
+}
 
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const StepOutcome& o = outcomes[i];
-    if (o.has_score) out.pair_scores[i] = o.fitness;
-    if (o.alarm) {
-      out.alarmed_pairs.push_back(i);
-      alarm_log_.Record({tp, i, o.fitness, o.outlier});
-    }
-    if (o.outlier) ++out.outlier_pairs;
-    if (o.extended_grid) ++out.extended_pairs;
-    if (step_skipped_[i] != 0) ++out.quarantined_pairs;
+void SystemMonitor::AdvanceFrame(const MeasurementFrame& test,
+                                 SystemSnapshot* snapshots,
+                                 SystemDelta* deltas) {
+  if (test.MeasurementCount() != infos_.size()) {
+    throw std::invalid_argument(
+        "SystemMonitor::Run: test frame measurement count mismatch");
   }
-  if (guard_.Enabled()) guard_.CopyHealthStates(out.measurement_health);
-
-  FinishSnapshot(out);
-  // Shallow: each PairModel::Step above already audited its own model.
-  PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)
+  in_cols_.resize(infos_.size());
+  for (std::size_t a = 0; a < in_cols_.size(); ++a) {
+    in_cols_[a] =
+        test.Series(MeasurementId(static_cast<std::int32_t>(a))).Values();
+  }
+  in_times_.resize(test.SampleCount());
+  for (std::size_t t = 0; t < in_times_.size(); ++t) {
+    in_times_[t] = test.TimeAt(t);
+  }
+  // Each frame is its own segment: a frame's grid timestamps are
+  // self-consistent but carry no relation to a previous frame's (test
+  // harnesses and replay tools restart the clock per frame), so the
+  // stream clock resets here. Cross-call continuity checking is the
+  // Step path's job — that is where degraded streams actually arrive.
+  guard_.ResetTiming();
+  Advance(in_cols_, in_times_, snapshots, deltas);
 }
 
 std::size_t SystemMonitor::BatchSamples(std::size_t pair_count) const {
@@ -329,108 +259,56 @@ std::size_t SystemMonitor::BatchSamples(std::size_t pair_count) const {
   return std::max<std::size_t>(1, kBufferBytes / per_sample);
 }
 
-void SystemMonitor::BuildGuardPrepass(const MeasurementFrame& test,
-                                      GuardPrepass& prepass) {
-  const std::size_t samples = test.SampleCount();
+void SystemMonitor::FilterRows(std::span<const std::span<const double>> cols,
+                               std::span<const TimePoint> times) {
+  GuardPrepass& g = guard_pass_;
+  const std::size_t samples = times.size();
   const std::size_t m = infos_.size();
-  prepass.reports.clear();
-  prepass.health_timeline.clear();
-  prepass.filtered.clear();
-  prepass.seq_break.clear();
-  prepass.any_break = false;
+  g.any_break = false;
+  g.inputs.assign(cols.begin(), cols.end());
   if (!guard_.Enabled()) return;
 
-  // Each Run() call is its own segment: a frame's grid timestamps are
-  // self-consistent but carry no relation to a previous frame's (test
-  // harnesses and replay tools restart the clock per frame), so the
-  // stream clock resets here. Cross-call continuity checking is the
-  // Step path's job — that is where degraded streams actually arrive.
-  guard_.ResetTiming();
-  std::vector<std::span<const double>> cols(m);
-  for (std::size_t a = 0; a < m; ++a) {
-    cols[a] =
-        test.Series(MeasurementId(static_cast<std::int32_t>(a))).Values();
-  }
-  prepass.reports.resize(samples);
-  prepass.seq_break.assign(samples, 0);
-  prepass.health_timeline.reserve(samples * m);
-  std::vector<double> row(m);
+  // The guard suppresses in place, one row at a time; the filtered rows
+  // land column by column so the sweep reads them like the caller's
+  // columns. On a clean on-cadence row the copy is bit-identical.
+  g.row.resize(m);
+  g.filtered.resize(m * samples);
+  g.reports.resize(samples);
+  g.health_timeline.resize(samples * m);
   for (std::size_t t = 0; t < samples; ++t) {
-    for (std::size_t a = 0; a < m; ++a) row[a] = cols[a][t];
-    prepass.reports[t] = guard_.Filter(row, test.TimeAt(t));
-    if (prepass.reports[t].sequence_break) {
-      prepass.seq_break[t] = 1;
-      prepass.any_break = true;
-    }
-    if (prepass.reports[t].suppressed > 0) {
-      if (prepass.filtered.empty()) {
-        prepass.filtered.resize(m);
-        for (std::size_t a = 0; a < m; ++a) {
-          prepass.filtered[a].assign(cols[a].begin(), cols[a].end());
-        }
-      }
-      for (std::size_t a = 0; a < m; ++a) prepass.filtered[a][t] = row[a];
-    }
+    for (std::size_t a = 0; a < m; ++a) g.row[a] = cols[a][t];
+    g.reports[t] = guard_.Filter(g.row, times[t]);
+    g.any_break = g.any_break || g.reports[t].sequence_break;
     for (std::size_t a = 0; a < m; ++a) {
-      prepass.health_timeline.push_back(guard_.Health(a));
+      g.filtered[a * samples + t] = g.row[a];
+      g.health_timeline[t * m + a] = guard_.Health(a);
     }
   }
-}
-
-std::vector<SystemSnapshot> SystemMonitor::Run(const MeasurementFrame& test) {
-  std::vector<SystemSnapshot> snapshots;
-  RunImpl(test, &snapshots, nullptr);
-  return snapshots;
-}
-
-std::vector<SystemDelta> SystemMonitor::RunDelta(
-    const MeasurementFrame& test) {
-  std::vector<SystemDelta> deltas;
-  RunImpl(test, nullptr, &deltas);
-  return deltas;
-}
-
-void SystemMonitor::RunImpl(const MeasurementFrame& test,
-                            std::vector<SystemSnapshot>* snapshots,
-                            std::vector<SystemDelta>* deltas) {
-  if (test.MeasurementCount() != infos_.size()) {
-    throw std::invalid_argument(
-        "SystemMonitor::Run: test frame measurement count mismatch");
+  for (std::size_t a = 0; a < m; ++a) {
+    g.inputs[a] = std::span<const double>(g.filtered.data() + a * samples,
+                                          samples);
   }
-  const std::size_t samples = test.SampleCount();
+}
+
+void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
+                            std::span<const TimePoint> times,
+                            SystemSnapshot* snapshots, SystemDelta* deltas) {
+  const std::size_t samples = times.size();
   const std::size_t pairs = graph_.PairCount();
   const std::size_t m = infos_.size();
-  const bool want_delta = deltas != nullptr;
   run_stats_ = RunStats{};
+  // An empty call emits and advances nothing: dirty-pair tracking from
+  // the last emitted tick stays valid.
+  if (samples == 0) return;
 
   // Whether dirty-pair tracking survives from the last emitted tick
-  // decides if the first delta of this run is a baseline. A full Run
-  // leaves tracking invalid (it emits no deltas to diff against).
+  // decides if the first delta of this call is a baseline. Snapshot
+  // output leaves tracking invalid (it emits no deltas to diff against).
   const bool tracking_valid = delta_valid_;
   delta_valid_ = false;
-  if (samples == 0) {
-    delta_valid_ = want_delta && tracking_valid;
-    return;
-  }
-  if (snapshots != nullptr) snapshots->reserve(samples);
-  if (deltas != nullptr) deltas->reserve(samples);
 
-  BuildGuardPrepass(test, run_guard_);
-  const GuardPrepass& guard = run_guard_;
-
-  // Per-pair input columns, resolved once for the whole run.
-  run_xs_.resize(pairs);
-  run_ys_.resize(pairs);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const PairId& pair = graph_.Pair(i);
-    if (!guard.filtered.empty()) {
-      run_xs_[i] = guard.filtered[static_cast<std::size_t>(pair.a.value)];
-      run_ys_[i] = guard.filtered[static_cast<std::size_t>(pair.b.value)];
-    } else {
-      run_xs_[i] = test.Series(pair.a).Values();
-      run_ys_[i] = test.Series(pair.b).Values();
-    }
-  }
+  FilterRows(cols, times);
+  const GuardPrepass& guard = guard_pass_;
 
   const std::size_t batch = BatchSamples(pairs);
   const std::size_t shard_count = pool_.ShardCountFor(pairs);
@@ -440,122 +318,81 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
   for (std::size_t t0 = 0; t0 < samples; t0 += batch) {
     const std::size_t t1 = std::min(samples, t0 + batch);
     const std::size_t width = t1 - t0;
-    // Engine sample index of frame position t0 (steps_ advances in the
-    // assembly phase, so at the top of each batch it equals t0's index).
+    // Engine sample index of row t0 (steps_ advances in the assembly
+    // phase, so at the top of each batch it equals t0's index).
     const std::size_t base_sample = steps_;
     ++run_stats_.batches;
-
-    // The guarded per-sample sweep only engages when it can matter: a
-    // scripted fault plan, an armed outlier breaker, or a pair that has
-    // already tripped. Otherwise the original unguarded hot loop runs —
-    // its only addition is a per-pair try/catch (zero-cost until a
-    // throw) so a first-ever trip quarantines the pair instead of
-    // killing the run.
-    const bool guarded =
-        fault_plan_ != nullptr ||
-        (quarantine_.Enabled() && (config_.quarantine.outlier_burst > 0 ||
-                                   quarantine_.AnyDisengaged()));
 
     // Pair-major sweep: each worker advances every model of its shard
     // through the whole batch in one pass. Pair state is private to the
     // pair (including its quarantine slot), so shards never contend;
     // alarms go to a shard-local log, sorted by the worker itself so the
-    // sort cost parallelizes too. Steps are rank-only: a SweepCell keeps
-    // no probability.
+    // sort cost parallelizes too. Steps are rank-only: the snapshot reads
+    // the rank-based fitness and the alarm, never the probability, so a
+    // SweepCell keeps none.
     const auto sweep_start = std::chrono::steady_clock::now();
     run_cells_.assign(pairs * width, SweepCell{});
     auto sweep_worker = [&](const ShardRange& shard) {
       AlarmLog& log = run_shard_logs_[shard.index];
-
-      // Quarantine-aware per-sample loop for pair i from frame position
-      // t_start: skips quarantined samples, runs probation retries
-      // (after a sequence reset), and converts a throwing step into a
-      // recorded trip. Bitwise identical to the fast loop while the
-      // pair never trips.
-      const auto sweep_guarded =
-          [&](std::size_t i, PairModel& model, std::span<const double> x,
-              std::span<const double> y, SweepCell* row,
-              std::size_t t_start) {
-            for (std::size_t t = t_start; t < t1; ++t) {
-              const std::size_t s = base_sample + (t - t0);
-              SweepCell& cell = row[t - t0];
-              if (retrain_ != nullptr) retrain_->Observe(i, x[t], y[t]);
-              const PairQuarantine::Decision decision =
-                  quarantine_.BeginStep(i, s);
-              if (decision == PairQuarantine::Decision::kSkip) {
-                cell.skipped = true;
-                continue;
-              }
-              if (decision == PairQuarantine::Decision::kRunAfterReset ||
-                  (guard.any_break && guard.seq_break[t] != 0)) {
-                model.ResetSequence();
-              }
-              try {
-                if (fault_plan_ != nullptr) fault_plan_->CheckPairStep(i, s);
-                const StepOutcome out =
-                    model.Step(x[t], y[t], ScoreMode::kRankOnly);
-                quarantine_.RecordSuccess(i, s, out.outlier);
-                cell.fitness = out.fitness;
-                cell.has_score = out.has_score;
-                cell.alarm = out.alarm;
-                cell.outlier = out.outlier;
-                cell.extended = out.extended_grid;
-                if (out.alarm) {
-                  log.Record({test.TimeAt(t), i, out.fitness, out.outlier});
-                }
-              } catch (const std::exception& e) {
-                if (!quarantine_.Enabled()) throw;
-                quarantine_.RecordFailure(i, s, e.what());
-                cell.skipped = true;
-              }
-            }
-          };
-
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
         PairModel& model = models_[i];
-        // Batched execution adopts at batch boundaries — the coarsest
-        // sample boundary; a rebuild finishing mid-batch waits for the
-        // next batch (or the next Step).
+        // Adopt a finished rebuild at the batch boundary — a sample
+        // boundary, so every sample is judged by exactly one model (a
+        // one-row call adopts before every row); a rebuild finishing
+        // mid-batch waits for the next batch.
         if (retrain_ != nullptr) {
           if (std::unique_ptr<PairModel> fresh = retrain_->TakeAdoptable(i)) {
             model = std::move(*fresh);
           }
         }
-        std::span<const double> x = run_xs_[i];
-        std::span<const double> y = run_ys_[i];
+        const PairId& pair = graph_.Pair(i);
+        const std::span<const double> x =
+            guard.inputs[static_cast<std::size_t>(pair.a.value)];
+        const std::span<const double> y =
+            guard.inputs[static_cast<std::size_t>(pair.b.value)];
         SweepCell* row = run_cells_.data() + i * width;
-        if (guarded) {
-          sweep_guarded(i, model, x, y, row, t0);
-          continue;
-        }
-        std::size_t t = t0;
-        try {
-          for (; t < t1; ++t) {
-            if (retrain_ != nullptr) retrain_->Observe(i, x[t], y[t]);
-            if (guard.any_break && guard.seq_break[t] != 0) {
-              model.ResetSequence();
-            }
+        for (std::size_t t = t0; t < t1; ++t) {
+          const std::size_t s = base_sample + (t - t0);
+          SweepCell& cell = row[t - t0];
+          // Buffer the guard-filtered sample for the rebuild — skipped
+          // pairs keep buffering, so their eventual rebuild sees the
+          // full stream.
+          if (retrain_ != nullptr) retrain_->Observe(i, x[t], y[t]);
+          // A gap, duplicate or out-of-order arrival breaks every pair's
+          // transition chain, skipped pairs included.
+          if (guard.any_break && guard.reports[t].sequence_break) {
+            model.ResetSequence();
+          }
+          // The quarantine skips a tripped pair, runs its probation
+          // retry after a sequence reset, and turns a throwing step into
+          // a recorded trip instead of a failed call.
+          const PairQuarantine::Decision decision =
+              quarantine_.BeginStep(i, s);
+          if (decision == PairQuarantine::Decision::kSkip) {
+            cell.skipped = true;
+            continue;
+          }
+          if (decision == PairQuarantine::Decision::kRunAfterReset) {
+            model.ResetSequence();
+          }
+          try {
+            if (fault_plan_ != nullptr) fault_plan_->CheckPairStep(i, s);
             const StepOutcome out =
                 model.Step(x[t], y[t], ScoreMode::kRankOnly);
-            SweepCell& cell = row[t - t0];
+            quarantine_.RecordSuccess(i, s, out.outlier);
             cell.fitness = out.fitness;
             cell.has_score = out.has_score;
             cell.alarm = out.alarm;
             cell.outlier = out.outlier;
             cell.extended = out.extended_grid;
             if (out.alarm) {
-              log.Record({test.TimeAt(t), i, out.fitness, out.outlier});
+              log.Record({times[t], i, out.fitness, out.outlier});
             }
+          } catch (const std::exception& e) {
+            if (!quarantine_.Enabled()) throw;
+            quarantine_.RecordFailure(i, s, e.what());
+            cell.skipped = true;
           }
-        } catch (const std::exception& e) {
-          if (!quarantine_.Enabled()) throw;
-          // First-ever trip for this pair: quarantine it and finish its
-          // batch on the guarded loop so an in-batch probation retry
-          // still happens exactly where the sample-major path would
-          // retry it.
-          quarantine_.RecordFailure(i, base_sample + (t - t0), e.what());
-          row[t - t0].skipped = true;
-          sweep_guarded(i, model, x, y, row, t + 1);
         }
       }
       log.SortForMerge();
@@ -563,8 +400,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
     try {
       RunShards(pool_, pairs, sweep_worker);
     } catch (...) {
-      // A throw with the quarantine disabled abandons the run; drop any
-      // shard-local records so a later Run's merge starts clean.
+      // A throw with the quarantine disabled abandons the call; drop any
+      // shard-local records so a later call's merge starts clean.
       for (AlarmLog& log : run_shard_logs_) log.Clear();
       throw;
     }
@@ -577,20 +414,23 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
 
     // Assembly phase: per-sample outputs are pure functions of the cell
     // arena and the guard pre-pass, so they build in parallel; only the
-    // lifetime-averager updates run serially, in time order, with the
-    // exact arithmetic of Step (FinishSnapshot) — the stream stays
-    // bitwise identical to the sample-major loop.
+    // lifetime-averager updates run serially, in time order —
+    // floating-point accumulation order is part of the bitwise contract.
     const auto assemble_start = std::chrono::steady_clock::now();
-    if (snapshots != nullptr) {
-      const std::size_t out_base = snapshots->size();
-      snapshots->resize(out_base + width);
+    if (deltas == nullptr) {
+      // Every field of the caller-owned slot is overwritten: Step reuses
+      // one snapshot across calls.
       auto assemble_worker = [&](const ShardRange& shard) {
         for (std::size_t off = shard.begin; off < shard.end; ++off) {
           const std::size_t t = t0 + off;
-          SystemSnapshot& snap = (*snapshots)[out_base + off];
+          SystemSnapshot& snap = snapshots[t];
           snap.sample = base_sample + off;
-          snap.time = test.TimeAt(t);
+          snap.time = times[t];
           snap.pair_scores.assign(pairs, std::nullopt);
+          snap.alarmed_pairs.clear();
+          snap.outlier_pairs = 0;
+          snap.extended_pairs = 0;
+          snap.quarantined_pairs = 0;
           for (std::size_t i = 0; i < pairs; ++i) {
             const SweepCell& cell = run_cells_[i * width + off];
             if (cell.has_score) snap.pair_scores[i] = cell.fitness;
@@ -599,6 +439,9 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
             if (cell.extended) ++snap.extended_pairs;
             if (cell.skipped) ++snap.quarantined_pairs;
           }
+          snap.stream_event = StreamEvent::kNone;
+          snap.suppressed_values = 0;
+          snap.measurement_health.clear();
           if (guard_.Enabled()) {
             snap.stream_event = guard.reports[t].event;
             snap.suppressed_values = guard.reports[t].suppressed;
@@ -613,8 +456,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
       };
       RunShards(pool_, width, assemble_worker);
 
-      for (std::size_t off = 0; off < width; ++off) {
-        SystemSnapshot& snap = (*snapshots)[out_base + off];
+      for (std::size_t t = t0; t < t1; ++t) {
+        const SystemSnapshot& snap = snapshots[t];
         for (std::size_t a = 0; a < m; ++a) {
           if (snap.measurement_scores[a]) {
             measurement_avg_[a].Add(*snap.measurement_scores[a]);
@@ -624,8 +467,6 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
         ++steps_;
       }
     } else {
-      const std::size_t out_base = deltas->size();
-      deltas->resize(out_base + width);
       run_qa_.assign(width * m, std::nullopt);
 
       // Stage A: per-tick scalars, pair diffs, health diffs and this
@@ -636,9 +477,9 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
       auto delta_worker = [&](const ShardRange& shard) {
         for (std::size_t off = shard.begin; off < shard.end; ++off) {
           const std::size_t t = t0 + off;
-          SystemDelta& d = (*deltas)[out_base + off];
+          SystemDelta& d = deltas[t];
           d.sample = base_sample + off;
-          d.time = test.TimeAt(t);
+          d.time = times[t];
           d.baseline = !tracking_valid && t == 0;
           d.pair_count = static_cast<std::uint32_t>(pairs);
           d.measurement_count = static_cast<std::uint32_t>(m);
@@ -728,7 +569,7 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
       // off - 1 that stage A was still writing.
       auto qa_diff_worker = [&](const ShardRange& shard) {
         for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          SystemDelta& d = (*deltas)[out_base + off];
+          SystemDelta& d = deltas[t0 + off];
           const std::optional<double>* qa = run_qa_.data() + off * m;
           for (std::size_t a = 0; a < m; ++a) {
             bool prev_engaged = false;
@@ -757,13 +598,13 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
       };
       RunShards(pool_, width, qa_diff_worker);
 
-      // Serial lifetime-averager pass, identical to FinishSnapshot.
+      // Serial lifetime-averager pass, identical to the snapshot one.
       for (std::size_t off = 0; off < width; ++off) {
         const std::optional<double>* qa = run_qa_.data() + off * m;
         for (std::size_t a = 0; a < m; ++a) {
           if (qa[a]) measurement_avg_[a].Add(*qa[a]);
         }
-        system_avg_.Add((*deltas)[out_base + off].system_score);
+        system_avg_.Add(deltas[t0 + off].system_score);
         ++steps_;
       }
 
@@ -793,7 +634,8 @@ void SystemMonitor::RunImpl(const MeasurementFrame& test,
     run_stats_.assemble_seconds += SecondsSince(assemble_start);
   }
 
-  delta_valid_ = want_delta;
+  delta_valid_ = deltas != nullptr;
+  // Shallow: each PairModel::Step above already audited its own model.
   PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)
 }
 

@@ -69,10 +69,10 @@ struct MonitorConfig {
   RetrainConfig retrain;
 };
 
-/// Phase timings of the last Run/RunDelta call, for scale benchmarks:
-/// the pair-major model sweep (parallel), the alarm-log k-way merge, and
-/// snapshot/delta assembly (parallel per-sample work plus the serial
-/// lifetime-averager pass).
+/// Phase timings of the last Step/Run/RunDelta call, for scale
+/// benchmarks: the pair-major model sweep (parallel), the alarm-log k-way
+/// merge, and snapshot/delta assembly (parallel per-sample work plus the
+/// serial lifetime-averager pass).
 struct RunStats {
   double sweep_seconds = 0.0;
   double alarm_merge_seconds = 0.0;
@@ -97,12 +97,18 @@ class SystemMonitor {
                 ScoreAverager system_average, std::size_t steps);
 
   /// Feeds one aligned sample (values[i] = measurement i) and returns the
-  /// snapshot; `tp` is the sample's timestamp.
+  /// snapshot; `tp` is the sample's timestamp. The one-row call of the
+  /// engine core that Run sweeps over a frame: same guard, quarantine,
+  /// pair steps and aggregation. The ingest guard's stream clock carries
+  /// over between Step calls, so duplicate, out-of-order, late and
+  /// frozen arrivals are judged across calls — this is the entry point
+  /// for live rows.
   SystemSnapshot Step(std::span<const double> values, TimePoint tp);
 
   /// Allocation-reusing overload: assembles the snapshot into `out`,
-  /// reusing its vectors' capacity. After a warmup tick the steady-state
-  /// path is malloc-free (verified by tests/test_alloc_audit.cpp) — the
+  /// overwriting every field and reusing its vectors' capacity. After a
+  /// warmup tick the steady-state path is malloc-free, also on rows the
+  /// guard suppresses (verified by tests/test_alloc_audit.cpp) — the
   /// long-running ingest loop of a shard-scale deployment steps at a
   /// fixed memory footprint.
   void Step(std::span<const double> values, TimePoint tp,
@@ -111,18 +117,22 @@ class SystemMonitor {
   /// Feeds an entire test frame (its measurements must line up with the
   /// history frame) and returns one snapshot per sample.
   ///
-  /// Pair-major batched execution: instead of a fork/join barrier per
-  /// sample (the Step loop), each worker takes a contiguous shard of
-  /// pairs and sweeps a whole batch of samples for its shard in one pass
-  /// — per-pair state (previous cell, grid extensions, alarm bounds) is
+  /// Each frame is its own guard segment: Run resets the ingest guard's
+  /// stream clock and frozen-value history first (a frame's grid
+  /// timestamps carry no relation to a previous frame's), then runs the
+  /// same core as Step over the frame's rows. Pair-major batched
+  /// execution: each worker takes a contiguous shard of pairs and sweeps
+  /// a whole batch of samples for its shard in one pass — per-pair state
+  /// (previous cell, grid extensions, alarm bounds, quarantine slot) is
   /// private to the pair, so the sweep is embarrassingly parallel. The
   /// post-sweep phase is sharded too: workers sort shard-local alarm
   /// logs (merged by a deterministic k-way merge) and assemble the pure
   /// per-sample snapshot fields in parallel; only the lifetime-averager
   /// updates stay serial, in time order, because floating-point
-  /// accumulation order is part of the bitwise contract. The stream is
-  /// bitwise identical to calling Step once per sample (proven by
-  /// tests/test_differential.cpp).
+  /// accumulation order is part of the bitwise contract. Apart from the
+  /// guard reset, the stream is bitwise identical to calling Step once
+  /// per sample, at any thread count and batch width (proven against a
+  /// test-only reference stepper by tests/test_differential.cpp).
   std::vector<SystemSnapshot> Run(const MeasurementFrame& test);
 
   /// Like Run, but emits incremental SystemDeltas instead of full
@@ -133,10 +143,13 @@ class SystemMonitor {
   /// previous tick, so a quiet tick is O(changes), not O(pairs). The
   /// engine state advances exactly as Run would (same models, averages,
   /// alarms — ReconstructSnapshots(deltas) is bitwise identical to
-  /// Run's snapshots, proven by tests/test_delta.cpp).
+  /// Run's snapshots, proven by tests/test_delta.cpp). An empty frame
+  /// emits nothing and leaves tracking valid.
   std::vector<SystemDelta> RunDelta(const MeasurementFrame& test);
 
-  /// Phase timings of the last Run/RunDelta call.
+  /// Phase timings of the last call that advanced the monitor — Step,
+  /// Run or RunDelta, which all run the same core (a Step is a one-row,
+  /// one-batch call).
   const RunStats& LastRunStats() const { return run_stats_; }
 
   /// Forgets the per-pair previous cells (call between discontiguous
@@ -226,8 +239,8 @@ class SystemMonitor {
   /// graph pair referencing valid measurement ids, and finite lifetime
   /// aggregates with count <= steps. With `deep` (the default, used
   /// post-construction and post-deserialize) every pair model is
-  /// audited too; the post-Step hook passes deep = false because each
-  /// PairModel::Step already audited its own model.
+  /// audited too; the hook after each Step/Run passes deep = false
+  /// because each PairModel::Step already audited its own model.
   void CheckInvariants(bool deep = true) const;
 
  private:
@@ -246,33 +259,45 @@ class SystemMonitor {
     bool skipped = false;
   };
 
-  /// Ingest-guard pre-pass results for one Run/RunDelta call.
+  /// Ingest-guard pre-pass over the rows of one Advance call. Member
+  /// scratch, sized per call and never freed, so the one-row call
+  /// allocates nothing once warm — also when the guard suppresses.
   struct GuardPrepass {
-    std::vector<SampleReport> reports;
-    std::vector<MeasurementHealth> health_timeline;  // samples x m
-    std::vector<std::vector<double>> filtered;       // lazily built
-    std::vector<std::uint8_t> seq_break;
+    std::vector<double> row;                         // one row, filtered
+    std::vector<double> filtered;                    // m x rows, by column
+    std::vector<SampleReport> reports;               // per row
+    std::vector<MeasurementHealth> health_timeline;  // rows x m
     bool any_break = false;
+    /// Per measurement: the column the sweep reads — the caller's
+    /// column, or its filtered copy when the guard is enabled.
+    std::vector<std::span<const double>> inputs;
   };
 
   /// Level 2 + 3 of Section 5 over an already-filled pair_scores vector
-  /// (pure arithmetic — no monitor state touched), shared by Step and
-  /// the parallel assembly of Run/RunDelta.
+  /// (pure arithmetic — no monitor state touched), run by the parallel
+  /// snapshot assembly.
   void ComputeAggregates(SystemSnapshot& snap) const;
 
-  /// ComputeAggregates plus the lifetime averager updates and the step
-  /// counter — the exact per-sample aggregation of the Step path.
-  void FinishSnapshot(SystemSnapshot& snap);
+  /// The one engine path. Advances the monitor over rows
+  /// [0, times.size()) — cols[a][t] is measurement a's value at row t —
+  /// and writes row t's output into the caller-owned slot snapshots[t],
+  /// or deltas[t] when `deltas` is set: guard pre-pass, pair-major
+  /// batched sweep with the quarantine and retrain hooks, alarm merge,
+  /// sharded assembly, serial lifetime aggregates. Does not reset the
+  /// guard clock; Run/RunDelta do that before calling it.
+  void Advance(std::span<const std::span<const double>> cols,
+               std::span<const TimePoint> times, SystemSnapshot* snapshots,
+               SystemDelta* deltas);
 
-  /// Shared Run/RunDelta driver: guard pre-pass, pair-major batched
-  /// sweep, sharded assembly. Exactly one of snapshots/deltas is set.
-  void RunImpl(const MeasurementFrame& test,
-               std::vector<SystemSnapshot>* snapshots,
-               std::vector<SystemDelta>* deltas);
+  /// Run/RunDelta front: validates the frame, binds its columns and
+  /// timestamps, starts a new guard segment, and advances over it.
+  void AdvanceFrame(const MeasurementFrame& test, SystemSnapshot* snapshots,
+                    SystemDelta* deltas);
 
-  /// Serial ingest-guard pre-pass over the whole frame (the guard is a
-  /// serial state machine); fills prepass reusing its capacity.
-  void BuildGuardPrepass(const MeasurementFrame& test, GuardPrepass& prepass);
+  /// Serial ingest-guard pre-pass (the guard is a serial state machine):
+  /// filters every row into guard_pass_ and resolves its inputs.
+  void FilterRows(std::span<const std::span<const double>> cols,
+                  std::span<const TimePoint> times);
 
   /// Batch width used by Run for a given pair count (resolves
   /// config_.batch_samples == 0 to the auto size).
@@ -296,35 +321,27 @@ class SystemMonitor {
   AlarmLog alarm_log_;
   std::size_t steps_ = 0;
 
-  /// Step()'s per-call outcome buffer, reused across samples so the
-  /// sample-major loop doesn't allocate pair_count outcomes per sample.
-  std::vector<StepOutcome> step_scratch_;
-
-  /// Degraded-mode machinery. guard_values_ is Step()'s mutable copy of
-  /// the caller's row (the guard suppresses in place); step_skipped_
-  /// marks pairs the quarantine skipped this sample (per-pair slots, so
-  /// workers write without synchronization).
+  /// Degraded-mode machinery.
   IngestGuard guard_;
   PairQuarantine quarantine_;
   /// Detached-mode retrain pool (one window slot per pair, indices
   /// aligned with models_); null when config_.retrain is off.
   std::unique_ptr<RetrainPool> retrain_;
   const EngineFaultPlan* fault_plan_ = nullptr;
-  std::vector<double> guard_values_;
-  std::vector<std::uint8_t> step_skipped_;
 
-  /// Run/RunDelta scratch, persisted across batches and calls so the
-  /// steady-state batch loop allocates nothing: the sweep-cell arena
-  /// (pairs x batch), per-shard alarm logs + merge cursors, resolved
-  /// input columns, the per-batch Q^a arena, and the guard pre-pass.
+  /// Core scratch, persisted across batches and calls so the steady-state
+  /// loop allocates nothing: the bound input columns and frame
+  /// timestamps, the sweep-cell arena (pairs x batch), per-shard alarm
+  /// logs + merge cursors, the per-batch Q^a arena, and the guard
+  /// pre-pass.
   RunStats run_stats_;
+  std::vector<std::span<const double>> in_cols_;
+  std::vector<TimePoint> in_times_;
   std::vector<SweepCell> run_cells_;
   std::vector<AlarmLog> run_shard_logs_;
   std::vector<std::size_t> run_merge_cursors_;
-  std::vector<std::span<const double>> run_xs_;
-  std::vector<std::span<const double>> run_ys_;
   std::vector<std::optional<double>> run_qa_;  // batch x m, per-sample Q^a
-  GuardPrepass run_guard_;
+  GuardPrepass guard_pass_;
 
   /// Dirty-pair tracking for RunDelta: the engaged state, score bits,
   /// Q^a and feed health of the last emitted tick. Valid only while no

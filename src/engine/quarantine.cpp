@@ -111,11 +111,4 @@ bool PairQuarantine::AnyTripped() const {
   return false;
 }
 
-bool PairQuarantine::AnyDisengaged() const {
-  for (const PairState& pair : pairs_) {
-    if (pair.trips > 0 || pair.state != State::kActive) return true;
-  }
-  return false;
-}
-
 }  // namespace pmcorr

@@ -114,10 +114,6 @@ class PairQuarantine {
   std::size_t TripCount() const;
   /// True once any pair has ever tripped (exception or outlier burst).
   bool AnyTripped() const;
-  /// True once any pair has tripped OR left the active state (including
-  /// administrative Retire, which records no trip) — the monitor's
-  /// batched path stays on its unguarded fast sweep until this flips.
-  bool AnyDisengaged() const;
 
  private:
   struct PairState {

@@ -1,40 +1,65 @@
-// Differential harness for the monitoring engine: proves that pair-major
-// batched Run() is observably identical to the sample-major Step() loop.
+// Differential harness for the monitoring engine: proves every
+// SystemMonitor entry point observably identical to the test-only
+// reference stepper (reference_stepper.h).
 //
-// The batched engine is a correctness-critical rewrite of the hot path,
-// so the contract is deliberately brutal: for the same scenario the two
-// paths must produce bitwise-identical snapshot streams (every pair
-// score, Q^a, Q, alarm list and counter), identical alarm logs,
-// identical lifetime aggregates, and byte-identical checkpoints — at
-// every thread count and batch size, after calibration, and across
-// ResetSequences boundaries.
+// The engine runs Step, Run and RunDelta through one pair-major core,
+// so the contract is deliberately brutal: for the same scenario the
+// value-returning Step loop, the out-param Step loop that reuses one
+// snapshot, and Run at every thread count and batch width must each
+// produce the reference's snapshot stream bitwise (every pair score,
+// Q^a, Q, alarm list, counter and health flag), its alarm log, its
+// lifetime aggregates and its checkpoint bytes — after calibration,
+// under scripted engine faults, and across ResetSequences boundaries.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "engine/fault_plan.h"
 #include "engine/monitor.h"
 #include "io/monitor_io.h"
+#include "reference_stepper.h"
 
 namespace pmcorr {
 namespace difftest {
 
-/// The pre-batching reference semantics: one Step() per sample, exactly
-/// what SystemMonitor::Run did before the pair-major rewrite.
-inline std::vector<SystemSnapshot> RunSerial(SystemMonitor& monitor,
-                                             const MeasurementFrame& test) {
+/// Feeds `frame` one row at a time through the value-returning Step of
+/// `engine` (a SystemMonitor or a ReferenceStepper).
+template <typename Engine>
+std::vector<SystemSnapshot> StepLoop(Engine& engine,
+                                     const MeasurementFrame& frame) {
   std::vector<SystemSnapshot> snapshots;
-  snapshots.reserve(test.SampleCount());
-  std::vector<double> values(test.MeasurementCount());
-  for (std::size_t t = 0; t < test.SampleCount(); ++t) {
+  snapshots.reserve(frame.SampleCount());
+  std::vector<double> values(frame.MeasurementCount());
+  for (std::size_t t = 0; t < frame.SampleCount(); ++t) {
     for (std::size_t a = 0; a < values.size(); ++a) {
-      values[a] = test.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
+      values[a] = frame.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
     }
-    snapshots.push_back(monitor.Step(values, test.TimeAt(t)));
+    snapshots.push_back(engine.Step(values, frame.TimeAt(t)));
+  }
+  return snapshots;
+}
+
+/// Same through the out-param Step, assembling every row into one
+/// reused snapshot: a field the engine fails to overwrite shows up as a
+/// stale value in the copies.
+inline std::vector<SystemSnapshot> StepLoopReusingSnapshot(
+    SystemMonitor& monitor, const MeasurementFrame& frame) {
+  std::vector<SystemSnapshot> snapshots;
+  snapshots.reserve(frame.SampleCount());
+  std::vector<double> values(frame.MeasurementCount());
+  SystemSnapshot out;
+  for (std::size_t t = 0; t < frame.SampleCount(); ++t) {
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      values[a] = frame.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
+    }
+    monitor.Step(values, frame.TimeAt(t), out);
+    snapshots.push_back(out);
   }
   return snapshots;
 }
@@ -111,9 +136,10 @@ inline void ExpectAlarmLogsEqual(const AlarmLog& a, const AlarmLog& b) {
 }
 
 /// Lifetime aggregates: per-measurement and system averagers (bitwise on
-/// the running sums) and the step counter.
-inline void ExpectAggregatesEqual(const SystemMonitor& a,
-                                  const SystemMonitor& b) {
+/// the running sums) and the step counter, of two monitors or of a
+/// monitor and a ReferenceStepper.
+template <typename A, typename B>
+void ExpectAggregatesEqual(const A& a, const B& b) {
   EXPECT_EQ(a.StepCount(), b.StepCount());
   ASSERT_EQ(a.MeasurementAverages().size(), b.MeasurementAverages().size());
   for (std::size_t m = 0; m < a.MeasurementAverages().size(); ++m) {
@@ -129,9 +155,8 @@ inline void ExpectAggregatesEqual(const SystemMonitor& a,
 
 /// One differential scenario. The harness builds a fresh monitor per
 /// execution mode (learning is deterministic, so same inputs give the
-/// same models at any thread count), optionally calibrates, feeds the
-/// test frame through the serial reference and through batched Run at
-/// each thread count, and asserts total equivalence.
+/// same models at any thread count), optionally calibrates, installs the
+/// fault plan, and feeds the test frame.
 struct DifferentialCase {
   MeasurementFrame history;
   MeasurementFrame test;
@@ -141,82 +166,131 @@ struct DifferentialCase {
   double target_false_positive_rate = 0.05;
   MeasurementGraph graph;
   MonitorConfig config;
-  /// Batch sizes exercised for the batched path, besides the default.
-  /// Small odd widths force mid-frame merge boundaries.
+  /// Scripted engine faults (non-owning), installed after calibration.
+  const EngineFaultPlan* fault_plan = nullptr;
+  /// Batch sizes exercised for Run, besides the default. Small odd
+  /// widths force mid-frame merge boundaries.
   std::vector<std::size_t> batch_sizes = {0, 7};
   /// When true, the test frame is fed in two halves with ResetSequences
-  /// between them — in both paths.
+  /// between them — on every path.
   bool reset_mid_stream = false;
 };
 
-inline std::vector<SystemSnapshot> FeedSerial(SystemMonitor& monitor,
-                                              const DifferentialCase& c) {
-  if (!c.reset_mid_stream) return RunSerial(monitor, c.test);
-  const std::size_t half = c.test.SampleCount() / 2;
-  const TimePoint mid = c.test.TimeAt(half);
-  auto snaps = RunSerial(monitor, c.test.SliceByTime(c.test.StartTime(), mid));
-  monitor.ResetSequences();
-  auto rest = RunSerial(
-      monitor, c.test.SliceByTime(mid, c.test.TimeAt(c.test.SampleCount())));
+/// Feeds the case's test frame to `engine` through `feed(engine, frame)`,
+/// splitting it at ResetSequences when the case asks for that.
+template <typename Engine, typename Feed>
+std::vector<SystemSnapshot> FeedCase(Engine& engine, const DifferentialCase& c,
+                                     Feed feed) {
+  if (!c.reset_mid_stream) return feed(engine, c.test);
+  const TimePoint mid = c.test.TimeAt(c.test.SampleCount() / 2);
+  auto snaps = feed(engine, c.test.SliceByTime(c.test.StartTime(), mid));
+  engine.ResetSequences();
+  auto rest = feed(engine, c.test.SliceByTime(
+                               mid, c.test.TimeAt(c.test.SampleCount())));
   snaps.insert(snaps.end(), rest.begin(), rest.end());
   return snaps;
 }
 
-inline std::vector<SystemSnapshot> FeedBatched(SystemMonitor& monitor,
-                                               const DifferentialCase& c) {
-  if (!c.reset_mid_stream) return monitor.Run(c.test);
-  const std::size_t half = c.test.SampleCount() / 2;
-  const TimePoint mid = c.test.TimeAt(half);
-  auto snaps = monitor.Run(c.test.SliceByTime(c.test.StartTime(), mid));
-  monitor.ResetSequences();
-  auto rest =
-      monitor.Run(c.test.SliceByTime(mid, c.test.TimeAt(c.test.SampleCount())));
-  snaps.insert(snaps.end(), rest.begin(), rest.end());
-  return snaps;
+/// The reference stepper's outputs for one way of feeding the case.
+struct ReferenceRun {
+  std::vector<SystemSnapshot> snapshots;
+  AlarmLog alarms;
+  std::string checkpoint;
+};
+
+/// Asserts `monitor` ended where `reference` did after producing `want`:
+/// snapshots, alarm log, lifetime aggregates, checkpoint bytes, and each
+/// pair's previous cell (the sequence state a checkpoint does not carry).
+inline void ExpectMatchesReference(const ReferenceRun& want,
+                                   const ReferenceStepper& reference,
+                                   const SystemMonitor& monitor,
+                                   const std::vector<SystemSnapshot>& got) {
+  ExpectStreamsEqual(want.snapshots, got);
+  ExpectAlarmLogsEqual(want.alarms, monitor.Alarms());
+  ExpectAggregatesEqual(reference, monitor);
+  EXPECT_EQ(CheckpointString(monitor), want.checkpoint)
+      << "checkpoint diverged from the reference stepper";
+  ASSERT_EQ(reference.PairCount(), monitor.Graph().PairCount());
+  for (std::size_t i = 0; i < reference.PairCount(); ++i) {
+    EXPECT_EQ(reference.Model(i).PreviousCell(),
+              monitor.Model(i).PreviousCell())
+        << "sequence state of pair " << i;
+  }
 }
 
-/// Runs the scenario through (a) the serial Step loop and (b) batched
-/// Run at every requested thread count and batch size, asserting the
-/// snapshot streams, alarm logs, lifetime aggregates and checkpoints all
-/// match the serial reference exactly.
-inline void ExpectSerialAndBatchedEquivalent(
+/// Runs the scenario through the reference stepper and, at every
+/// requested thread count, through (a) the value-returning Step loop,
+/// (b) the out-param Step loop reusing one snapshot and (c) Run at every
+/// batch width, asserting each matches the reference's snapshot stream,
+/// alarm log, lifetime aggregates and checkpoint bytes exactly. Step is
+/// held to a reference fed row by row, Run to one fed frame by frame —
+/// they differ only in where the guard clock resets.
+inline void ExpectEngineMatchesReference(
     const DifferentialCase& c,
     std::vector<std::size_t> thread_counts = {1, 2, 8}) {
-  MonitorConfig serial_config = c.config;
-  serial_config.threads = 1;
-  SystemMonitor reference(c.history, c.graph, serial_config);
-  if (c.holdout) {
-    reference.CalibrateThresholds(*c.holdout, c.target_false_positive_rate);
-  }
-  const auto reference_snaps = FeedSerial(reference, c);
-  const std::string reference_checkpoint = CheckpointString(reference);
+  const auto make = [&](std::size_t threads, std::size_t batch) {
+    MonitorConfig config = c.config;
+    config.threads = threads;
+    config.batch_samples = batch;
+    auto monitor = std::make_unique<SystemMonitor>(c.history, c.graph, config);
+    if (c.holdout) {
+      monitor->CalibrateThresholds(*c.holdout, c.target_false_positive_rate);
+    }
+    monitor->SetFaultPlanForTest(c.fault_plan);
+    return monitor;
+  };
+
+  // The references start from a monitor that has not stepped.
+  const auto start = make(1, 0);
+  ReferenceStepper step_reference(*start);
+  ReferenceStepper run_reference(*start);
+  step_reference.SetFaultPlan(c.fault_plan);
+  run_reference.SetFaultPlan(c.fault_plan);
+  ReferenceRun by_row;
+  by_row.snapshots = FeedCase(step_reference, c, [](auto& e, const auto& f) {
+    return StepLoop(e, f);
+  });
+  by_row.alarms = step_reference.Alarms();
+  by_row.checkpoint = step_reference.CheckpointString();
+  ReferenceRun by_frame;
+  by_frame.snapshots = FeedCase(
+      run_reference, c, [](auto& e, const auto& f) { return e.Run(f); });
+  by_frame.alarms = run_reference.Alarms();
+  by_frame.checkpoint = run_reference.CheckpointString();
 
   // The checkpoint must itself round-trip losslessly, or checkpoint
   // equality below would prove nothing.
   {
-    std::istringstream in(reference_checkpoint);
+    std::istringstream in(by_frame.checkpoint);
     const auto reloaded = LoadSystemMonitor(in, 1);
-    EXPECT_EQ(CheckpointString(*reloaded), reference_checkpoint)
+    EXPECT_EQ(CheckpointString(*reloaded), by_frame.checkpoint)
         << "checkpoint round-trip is lossy";
   }
 
   for (std::size_t threads : thread_counts) {
+    const std::string at = "threads=" + std::to_string(threads);
+    {
+      SCOPED_TRACE("Step, " + at);
+      const auto monitor = make(threads, 0);
+      const auto snaps = FeedCase(*monitor, c, [](auto& e, const auto& f) {
+        return StepLoop(e, f);
+      });
+      ExpectMatchesReference(by_row, step_reference, *monitor, snaps);
+    }
+    {
+      SCOPED_TRACE("Step into one reused snapshot, " + at);
+      const auto monitor = make(threads, 0);
+      const auto snaps = FeedCase(*monitor, c, [](auto& e, const auto& f) {
+        return StepLoopReusingSnapshot(e, f);
+      });
+      ExpectMatchesReference(by_row, step_reference, *monitor, snaps);
+    }
     for (std::size_t batch : c.batch_sizes) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      MonitorConfig batched_config = c.config;
-      batched_config.threads = threads;
-      batched_config.batch_samples = batch;
-      SystemMonitor monitor(c.history, c.graph, batched_config);
-      if (c.holdout) {
-        monitor.CalibrateThresholds(*c.holdout, c.target_false_positive_rate);
-      }
-      const auto snaps = FeedBatched(monitor, c);
-      ExpectStreamsEqual(reference_snaps, snaps);
-      ExpectAlarmLogsEqual(reference.Alarms(), monitor.Alarms());
-      ExpectAggregatesEqual(reference, monitor);
-      EXPECT_EQ(CheckpointString(monitor), reference_checkpoint)
-          << "batched checkpoint diverged from serial reference";
+      SCOPED_TRACE("Run, " + at + " batch=" + std::to_string(batch));
+      const auto monitor = make(threads, batch);
+      const auto snaps = FeedCase(
+          *monitor, c, [](auto& e, const auto& f) { return e.Run(f); });
+      ExpectMatchesReference(by_frame, run_reference, *monitor, snaps);
     }
   }
 }

@@ -1,8 +1,9 @@
 // Steady-state allocation audit: after a warmup tick, the out-param
-// SystemMonitor::Step overload must run malloc-free with threads=1 —
-// the long-running ingest loop of a shard-scale deployment steps at a
-// fixed memory footprint. Counted with replacement global operator
-// new/new[], so any heap traffic on the hot path fails loudly.
+// SystemMonitor::Step overload must run malloc-free with threads=1, on
+// clean rows and on rows the ingest guard suppresses — the long-running
+// ingest loop of a shard-scale deployment steps at a fixed memory
+// footprint. Counted with replacement global operator new/new[], so any
+// heap traffic on the hot path fails loudly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,6 +121,107 @@ TEST(AllocAudit, SteadyStateStepIsMallocFree) {
   g_counting.store(false);
   EXPECT_EQ(g_allocations.load(), 0u)
       << "steady-state Step allocated on the hot path";
+}
+
+TEST(AllocAudit, DegradedSteadyStateStepIsMallocFree) {
+  // The one-row call filters through the ingest guard into member
+  // scratch: rows the guard suppresses — a feed frozen past
+  // frozen_after, and a duplicate timestamp that suppresses the whole
+  // row and breaks every pair's sequence — must allocate nothing either.
+  const MeasurementFrame history = CorrelatedFrame(1200, 3);
+  const MeasurementFrame test = CorrelatedFrame(200, 3);
+  MonitorConfig config;
+  config.model.partition.units = 40;
+  config.model.partition.max_intervals = 10;
+  config.threads = 1;
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+
+  // Clean warmup rows, then feed 1 frozen at its row-50 value (an
+  // in-grid value: no grid extension) for the rest of the run, with
+  // row 120 re-sent under row 119's timestamp.
+  const std::size_t warmup = 50;
+  const std::size_t duplicate = 120;
+  std::vector<std::vector<double>> rows(test.SampleCount(),
+                                        std::vector<double>(4));
+  std::vector<TimePoint> times(test.SampleCount());
+  for (std::size_t s = 0; s < test.SampleCount(); ++s) {
+    for (int a = 0; a < 4; ++a) {
+      rows[s][static_cast<std::size_t>(a)] = test.Value(MeasurementId(a), s);
+    }
+    if (s >= warmup) rows[s][1] = test.Value(MeasurementId(1), warmup);
+    times[s] = test.TimeAt(s);
+  }
+  times[duplicate] = times[duplicate - 1];
+  ASSERT_GT(test.SampleCount() - warmup,
+            monitor.Health().Config().frozen_after);
+
+  SystemSnapshot out;
+  for (std::size_t s = 0; s < warmup; ++s) {
+    monitor.Step(rows[s], times[s], out);
+  }
+
+  std::size_t suppressed = 0;
+  std::size_t duplicates = 0;
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (std::size_t s = warmup; s < test.SampleCount(); ++s) {
+    monitor.Step(rows[s], times[s], out);
+    suppressed += out.suppressed_values;
+    if (out.stream_event == StreamEvent::kDuplicate) ++duplicates;
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "degraded steady-state Step allocated on the hot path";
+  // Both kinds of degraded row really happened.
+  EXPECT_EQ(duplicates, 1u);
+  EXPECT_GT(suppressed, 4u + 1u);
+}
+
+TEST(AllocAudit, AlarmLogGrowsGeometricallyUnderStep) {
+  // Every scored transition alarms (its probability is below delta =
+  // 1), and an alarmed transition leaves the model untouched. The lifetime alarm log is
+  // the one buffer that legitimately grows without bound; each Step
+  // merges its row's alarms into it, and the log must grow
+  // geometrically — a long alarm storm costs a logarithmic number of
+  // allocations, not one reallocation per alarmed row. Two warmup
+  // passes read every source row at least twice, so each row's rank
+  // cache (built on its second unwritten read) exists before the
+  // audited third pass.
+  const MeasurementFrame history = CorrelatedFrame(1200, 3);
+  const MeasurementFrame test = CorrelatedFrame(200, 3);
+  MonitorConfig config;
+  config.model.partition.units = 40;
+  config.model.partition.max_intervals = 10;
+  config.model.delta = 1.0;
+  config.threads = 1;
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+
+  const std::size_t n = test.SampleCount();
+  std::vector<std::vector<double>> rows(n, std::vector<double>(4));
+  for (std::size_t s = 0; s < n; ++s) {
+    for (int a = 0; a < 4; ++a) {
+      rows[s][static_cast<std::size_t>(a)] = test.Value(MeasurementId(a), s);
+    }
+  }
+
+  SystemSnapshot out;
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    for (std::size_t s = 0; s < n; ++s) {
+      monitor.Step(rows[s], test.TimeAt(pass * n + s), out);
+    }
+  }
+  const std::size_t alarms_before = monitor.Alarms().Count();
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (std::size_t s = 0; s < n; ++s) {
+    monitor.Step(rows[s], test.TimeAt(2 * n + s), out);
+  }
+  g_counting.store(false);
+  const std::size_t alarmed = monitor.Alarms().Count() - alarms_before;
+  EXPECT_GE(alarmed, 2 * n);
+  EXPECT_LE(g_allocations.load(), 4u) << alarmed << " alarms over " << n
+                                      << " rows";
 }
 
 TEST(AllocAudit, CounterSeesOrdinaryAllocations) {

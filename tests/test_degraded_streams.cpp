@@ -247,6 +247,42 @@ TEST(DegradedStreams, OutOfOrderRowIsSuppressedNotScored) {
   EXPECT_TRUE(snaps[11].system_score.has_value());
 }
 
+TEST(DegradedStreams, GuardClockCarriesAcrossStepButRestartsPerRun) {
+  // Feed 2 is frozen on rows 4..19: 16 identical arrivals straddling the
+  // split at row 12, 8 on each side. Step keeps the guard's stream clock
+  // and frozen-value history across calls, so the run reaches
+  // frozen_after (12) and arrivals 12..16 are suppressed; each Run call
+  // starts a new segment, so neither half ever reaches it.
+  const MeasurementFrame history = SystemFrame(1200, 31);
+  std::vector<RawRow> rows = RowsOf(SystemFrame(24, 33));
+  for (std::size_t t = 4; t < 20; ++t) rows[t].values[2] = 123.5;
+  std::istringstream csv(RenderTrace(rows));
+  const MeasurementFrame test = ReadFrameCsv(csv);
+  ASSERT_EQ(test.SampleCount(), rows.size());
+  const TimePoint split = test.TimeAt(12);
+
+  SystemMonitor stepped(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  std::size_t step_suppressed = 0;
+  for (const RawRow& row : rows) {
+    step_suppressed += stepped.Step(row.values, row.time).suppressed_values;
+  }
+  EXPECT_EQ(step_suppressed, 5u);
+
+  SystemMonitor framed(history, MeasurementGraph::FullMesh(4),
+                       SmallConfig());
+  std::size_t run_suppressed = 0;
+  for (const MeasurementFrame& half :
+       {test.SliceByTime(test.StartTime(), split),
+        test.SliceByTime(split, test.TimeAt(test.SampleCount()))}) {
+    for (const SystemSnapshot& snap : framed.Run(half)) {
+      run_suppressed += snap.suppressed_values;
+    }
+  }
+  EXPECT_EQ(run_suppressed, 0u);
+  EXPECT_EQ(framed.StepCount(), stepped.StepCount());
+}
+
 TEST(DegradedStreams, DegradationNeverIncreasesAlarms) {
   // Same underlying data; the degraded copy only *inserts* junk rows
   // (duplicates, stragglers) and freezes one feed's tail. Suppression

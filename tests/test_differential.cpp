@@ -1,9 +1,10 @@
-// Serial-vs-batched equivalence for the monitoring engine.
+// Engine-vs-reference equivalence for the monitoring engine.
 //
-// Every case runs the same scenario through the sample-major Step loop
-// and through pair-major batched Run at 1, 2 and 8 threads (and several
-// batch widths), asserting bitwise-identical snapshot streams, alarm
-// logs, lifetime aggregates and checkpoints — see differential_util.h.
+// Every case runs the same scenario through the test-only reference
+// stepper and, at 1, 2 and 8 threads, through both Step overloads and
+// through Run at several batch widths, asserting bitwise-identical
+// snapshot streams, alarm logs, lifetime aggregates and checkpoints —
+// see differential_util.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "differential_util.h"
+#include "engine/fault_plan.h"
 #include "telemetry/generator.h"
 #include "telemetry/scenarios.h"
 
@@ -19,7 +21,7 @@ namespace pmcorr {
 namespace {
 
 using difftest::DifferentialCase;
-using difftest::ExpectSerialAndBatchedEquivalent;
+using difftest::ExpectEngineMatchesReference;
 
 // Scenario 1: a small correlated system — 2 machines x 2 metrics driven
 // by one load signal (optionally decoupling measurement 3 halfway).
@@ -54,6 +56,34 @@ MeasurementFrame CorrelatedFrame(std::size_t samples, std::uint64_t seed,
   return frame;
 }
 
+// One arriving row as a collector delivers it: timestamp verbatim.
+struct ArrivingRow {
+  TimePoint time = 0;
+  std::vector<double> values;
+};
+
+// The frame's rows, degraded the four ways a collector misses its
+// contract: a duplicate timestamp, a straggler from the past, a lost
+// block (a gap) and a frozen feed.
+std::vector<ArrivingRow> DegradedRows(const MeasurementFrame& frame) {
+  std::vector<ArrivingRow> rows(frame.SampleCount());
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    rows[t].time = frame.TimeAt(t);
+    for (std::size_t a = 0; a < frame.MeasurementCount(); ++a) {
+      rows[t].values.push_back(
+          frame.Value(MeasurementId(static_cast<std::int32_t>(a)), t));
+    }
+  }
+  for (std::size_t t = 40; t < 80; ++t) rows[t].values[2] = 123.5;
+  rows.erase(rows.begin() + 100, rows.begin() + 105);
+  const ArrivingRow straggler = rows[30];
+  rows.insert(rows.begin() + 61, straggler);
+  ArrivingRow duplicate = rows[20];
+  duplicate.values = {50.0, 51.0, 52.0, 53.0};
+  rows.insert(rows.begin() + 21, duplicate);
+  return rows;
+}
+
 MonitorConfig SmallConfig() {
   MonitorConfig config;
   config.model.partition.units = 40;
@@ -69,7 +99,7 @@ TEST(Differential, CleanSyntheticAcrossSeeds) {
     c.test = CorrelatedFrame(300, seed + 1);
     c.graph = MeasurementGraph::FullMesh(4);
     c.config = SmallConfig();
-    ExpectSerialAndBatchedEquivalent(c);
+    ExpectEngineMatchesReference(c);
   }
 }
 
@@ -84,7 +114,7 @@ TEST(Differential, BrokenCorrelationWithCalibratedAlarms) {
     c.test = CorrelatedFrame(400, seed + 2, true);
     c.graph = MeasurementGraph::FullMesh(4);
     c.config = SmallConfig();
-    ExpectSerialAndBatchedEquivalent(c);
+    ExpectEngineMatchesReference(c);
   }
 }
 
@@ -93,7 +123,7 @@ TEST(Differential, MissingDataGaps) {
   c.history = CorrelatedFrame(1400, 43);
   c.holdout = CorrelatedFrame(400, 44);
   // Knock out collector gaps in two measurements: missing samples break
-  // transition sequences, which must re-engage identically in both paths
+  // transition sequences, which must re-engage identically on every path
   // (including across batch boundaries — batch width 7 guarantees gaps
   // straddle merges).
   MeasurementFrame test = CorrelatedFrame(360, 45, true);
@@ -119,7 +149,7 @@ TEST(Differential, MissingDataGaps) {
   c.test = std::move(test);
   c.graph = MeasurementGraph::FullMesh(4);
   c.config = SmallConfig();
-  ExpectSerialAndBatchedEquivalent(c);
+  ExpectEngineMatchesReference(c);
 }
 
 TEST(Differential, ResetSequencesMidStream) {
@@ -130,10 +160,69 @@ TEST(Differential, ResetSequencesMidStream) {
   c.graph = MeasurementGraph::FullMesh(4);
   c.config = SmallConfig();
   c.reset_mid_stream = true;
-  // Batch width 1 degenerates batched Run to sample-major stepping — the
-  // merge phase must be exact even then.
+  // Batch width 1 degenerates Run to sample-major stepping — the merge
+  // phase must be exact even then.
   c.batch_sizes = {0, 7, 1};
-  ExpectSerialAndBatchedEquivalent(c);
+  ExpectEngineMatchesReference(c);
+}
+
+// Duplicate, out-of-order and late arrivals reach the engine only
+// through Step: a frame's timestamps are a regular grid. A scripted
+// fault keeps tripping pair 1, and pair 4 is retired after it
+// has stepped, so the sequence breaks that follow land on skipped pairs
+// too — every pair's chain resets, skipped ones included.
+TEST(Differential, DegradedArrivalsThroughStep) {
+  const MeasurementFrame history = CorrelatedFrame(1200, 61);
+  const std::vector<ArrivingRow> rows =
+      DegradedRows(CorrelatedFrame(160, 62, true));
+  EngineFaultPlan plan;
+  plan.pair_faults.push_back({1, 10, 1000});
+  MonitorConfig config = SmallConfig();
+  config.quarantine.backoff.base = 2;
+  const auto feed = [&](auto& engine, auto step) {
+    std::vector<SystemSnapshot> snaps;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (r == 15) engine.RetirePair(4);
+      snaps.push_back(step(engine, rows[r]));
+    }
+    return snaps;
+  };
+
+  config.threads = 1;
+  const SystemMonitor start(history, MeasurementGraph::FullMesh(4), config);
+  difftest::ReferenceStepper reference(start);
+  reference.SetFaultPlan(&plan);
+  difftest::ReferenceRun want;
+  want.snapshots = feed(reference, [](auto& e, const ArrivingRow& row) {
+    return e.Step(row.values, row.time);
+  });
+  want.alarms = reference.Alarms();
+  want.checkpoint = reference.CheckpointString();
+
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (bool reuse : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (reuse ? " reusing one snapshot" : ""));
+      config.threads = threads;
+      SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+      monitor.SetFaultPlanForTest(&plan);
+      SystemSnapshot out;
+      const auto snaps = feed(monitor, [&](auto& e, const ArrivingRow& row) {
+        if (!reuse) return e.Step(row.values, row.time);
+        e.Step(row.values, row.time, out);
+        return out;
+      });
+      difftest::ExpectMatchesReference(want, reference, monitor, snaps);
+      EXPECT_EQ(monitor.Health().DuplicateCount(), 1u);
+      EXPECT_EQ(monitor.Health().OutOfOrderCount(), 1u);
+      EXPECT_EQ(monitor.Health().GapCount(), 1u);
+      EXPECT_GT(monitor.Health().SuppressedTotal(), 8u);
+      EXPECT_GT(monitor.Quarantine().TripCount(), 1u);
+      EXPECT_NE(monitor.Quarantine().StateOf(1),
+                PairQuarantine::State::kActive);
+      EXPECT_TRUE(monitor.Quarantine().IsRetired(4));
+    }
+  }
 }
 
 // Scenario from the paper's Section 6 setup: realistic telemetry with a
@@ -164,7 +253,7 @@ TEST(Differential, PaperScenarioNeighborhoodWithFault) {
   c.graph = MeasurementGraph::Neighborhood(c.history, 1, 3);
   c.config.model.partition.units = 30;
   c.config.model.partition.max_intervals = 8;
-  ExpectSerialAndBatchedEquivalent(c);
+  ExpectEngineMatchesReference(c);
 }
 
 // Same telemetry family, association-driven graph, fixed alarm bounds
@@ -186,7 +275,7 @@ TEST(Differential, PaperScenarioByAssociationFixedThresholds) {
   c.config.model.partition.units = 30;
   c.config.model.partition.max_intervals = 8;
   c.config.model.fitness_alarm_threshold = 0.3;
-  ExpectSerialAndBatchedEquivalent(c);
+  ExpectEngineMatchesReference(c);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the per-pair circuit breaker (engine/quarantine.h) and its
 // integration with SystemMonitor: a scripted engine fault must be
 // contained to the faulty pairs — every healthy pair's scores stay
-// bitwise identical to a fault-free run — and the Step and Run paths
-// must agree exactly about when pairs trip, back off, and re-admit.
+// bitwise identical to a fault-free run — and Step and Run must agree
+// exactly with the reference stepper about when pairs trip, back off,
+// and re-admit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,45 +308,23 @@ TEST(MonitorQuarantine, TransientFaultBacksOffThenReadmits) {
 
 TEST(MonitorQuarantine, StepAndRunAgreeUnderFaults) {
   // The differential contract extends to degraded mode: trips, backoff
-  // skips, probations and re-trips land on the same samples bitwise in
-  // the sample-major and pair-major paths, across batch boundaries.
-  const MeasurementFrame history = SystemFrame(1200, 11);
-  const MeasurementFrame holdout = SystemFrame(500, 13);
-  const MeasurementFrame test = SystemFrame(90, 15, true);
-
+  // skips, probations and re-trips land on the same samples bitwise as
+  // in the reference stepper, through both Step overloads and through
+  // Run across batch boundaries.
   EngineFaultPlan plan;
   plan.pair_faults.push_back({0, 5, 6});    // transient: one throw
   plan.pair_faults.push_back({2, 3, 500});  // permanent from sample 3
   plan.pair_faults.push_back({5, 0, 1});    // throws on the very first step
 
-  MonitorConfig serial_config = SmallConfig();
-  serial_config.threads = 1;
-  serial_config.quarantine.backoff.base = 2;
-  SystemMonitor reference(history, MeasurementGraph::FullMesh(4),
-                          serial_config);
-  reference.CalibrateThresholds(holdout, 0.05);
-  reference.SetFaultPlanForTest(&plan);
-  const auto reference_snaps = difftest::RunSerial(reference, test);
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    for (std::size_t batch : {0u, 7u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      MonitorConfig batched_config = serial_config;
-      batched_config.threads = threads;
-      batched_config.batch_samples = batch;
-      SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
-                            batched_config);
-      monitor.CalibrateThresholds(holdout, 0.05);
-      monitor.SetFaultPlanForTest(&plan);
-      const auto snaps = monitor.Run(test);
-      difftest::ExpectStreamsEqual(reference_snaps, snaps);
-      difftest::ExpectAlarmLogsEqual(reference.Alarms(), monitor.Alarms());
-      difftest::ExpectAggregatesEqual(reference, monitor);
-      EXPECT_EQ(difftest::CheckpointString(monitor),
-                difftest::CheckpointString(reference));
-    }
-  }
+  difftest::DifferentialCase c;
+  c.history = SystemFrame(1200, 11);
+  c.holdout = SystemFrame(500, 13);
+  c.test = SystemFrame(90, 15, true);
+  c.graph = MeasurementGraph::FullMesh(4);
+  c.config = SmallConfig();
+  c.config.quarantine.backoff.base = 2;
+  c.fault_plan = &plan;
+  difftest::ExpectEngineMatchesReference(c);
 }
 
 TEST(MonitorQuarantine, OutlierBurstTripsOnPoisonedFeed) {

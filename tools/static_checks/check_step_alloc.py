@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """No allocation tokens in the steady-state Step/Run hot path.
 
-PR 7 proved the out-param SystemMonitor::Step malloc-free after warmup
-with a counting allocator (tests/test_alloc_audit.cpp). That proof is
-dynamic — it only sees the paths the audit trace exercises. This check
-is the static backstop: the function bodies on the per-sample hot path
-must not contain a token that *unconditionally* allocates. Capacity-
+The out-param SystemMonitor::Step is proven malloc-free after warmup,
+on clean and on guard-suppressed rows, with a counting allocator
+(tests/test_alloc_audit.cpp). That proof is dynamic — it only sees the
+paths the audit trace exercises. This check is the static backstop: the
+function bodies on the per-sample hot path (Step, the engine core
+Advance that every Step and Run goes through, its guard pre-pass
+FilterRows, and the kernels they call) must not contain a token that
+*unconditionally* allocates. Capacity-
 reusing calls (assign/clear/push_back into a warmed buffer) are fine and
 not flagged; what is flagged:
 
@@ -37,7 +40,8 @@ import pmcorr_ast
 HOT_FUNCTIONS = {
     "src/engine/monitor.cpp": [
         "SystemMonitor::Step",
-        "SystemMonitor::FinishSnapshot",
+        "SystemMonitor::Advance",
+        "SystemMonitor::FilterRows",
         "SystemMonitor::ComputeAggregates",
     ],
     "src/core/model.cpp": [
