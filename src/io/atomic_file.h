@@ -50,7 +50,12 @@ inline constexpr std::size_t kWriteChunkBytes = 4096;
 
 /// Test hook consulted at every write point of every AtomicWriteFile
 /// call (process-wide; not for concurrent writers). Throwing aborts the
-/// write at that point, leaving whatever a crash there would leave.
+/// write at that point, leaving whatever a crash there would leave. The
+/// hook runs on the writing thread, which for a serve tenant's
+/// checkpoints is the tenant's writer thread (serve/tenant.h). Install
+/// it before any writer starts and remove it after they are joined —
+/// or, around a manual-mode tenant, only between its Pump and Drain
+/// calls, which return after their writes have landed.
 using WriteFaultHook = std::function<void(const std::string& path,
                                           WriteStage stage)>;
 
@@ -61,7 +66,7 @@ WriteFaultHook SetWriteFaultHookForTest(WriteFaultHook hook);
 /// points and throws InjectedIoFailure at the chosen one:
 ///
 ///   ScopedWriteFault crash(kill_point);        // 0-based write point
-///   try { SaveMonitorCheckpoint(m, path); } catch (...) {}
+///   try { SaveSystemMonitor(m, path); } catch (...) {}
 ///   // disk now looks exactly as if the process died there
 ///   crash.Disarm();
 ///   auto recovered = LoadSystemMonitor(path);  // last-good generation

@@ -39,8 +39,11 @@ void WriteDouble(std::ostream& out, double v) {
   out << buf;
 }
 
+}  // namespace
+
 void EncodeSystemMonitor(const SystemMonitor& monitor, std::string& out) {
   const MeasurementGraph& graph = monitor.Graph();
+  out.clear();
   WireWriter w(out);
   std::size_t frame = BeginFrame(kCheckpointHeaderFrame, out);
   w.U32(kCheckpointFormatVersion);
@@ -71,6 +74,8 @@ void EncodeSystemMonitor(const SystemMonitor& monitor, std::string& out) {
   w.U32(static_cast<std::uint32_t>(graph.PairCount()));
   EndFrame(frame, out);
 }
+
+namespace {
 
 std::unique_ptr<SystemMonitor> DecodeSystemMonitor(std::string_view bytes,
                                                    std::size_t threads) {
@@ -202,11 +207,8 @@ void SaveSystemMonitor(const SystemMonitor& monitor, std::ostream& out) {
   if (!out) throw std::runtime_error("SaveSystemMonitor: write failed");
 }
 
-void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
-                       const CheckpointConfig& config) {
-  std::string bytes;
-  EncodeSystemMonitor(monitor, bytes);
-
+void WriteCheckpointFile(const std::string& path, std::string_view bytes,
+                         const CheckpointConfig& config) {
   // Rotate generations oldest-first: g -> g+1, dropping the oldest.
   // Each shift is a single rename (atomic), so a crash anywhere in the
   // loop leaves every checkpoint either at its old or its new slot —
@@ -218,6 +220,13 @@ void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
                 GenerationPath(path, g).c_str());
   }
   AtomicWriteFile(path, bytes);
+}
+
+void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
+                       const CheckpointConfig& config) {
+  std::string bytes;
+  EncodeSystemMonitor(monitor, bytes);
+  WriteCheckpointFile(path, bytes, config);
 }
 
 void SaveSystemMonitor(const SystemMonitor& monitor,

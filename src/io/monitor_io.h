@@ -30,6 +30,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/monitor.h"
@@ -54,12 +55,35 @@ struct CheckpointConfig {
   std::size_t generations = 2;
 };
 
-/// Crash-safe file checkpoint: encodes the monitor, rotates the existing
-/// generations, and replaces `path` via write-to-temp + fsync + atomic
-/// rename (io/atomic_file.h). A crash at any point leaves at least one
-/// complete, validated prior generation recoverable by the path-based
-/// loader below. Runs on the caller's thread. Throws std::runtime_error
-/// on I/O failure.
+/// A file save has two halves, which may run on different threads:
+///
+///  1. EncodeSystemMonitor reads the monitor and produces the checkpoint
+///     bytes. It must run where the monitor is not being stepped (a
+///     serve tenant runs it on its ingest thread between two rows).
+///  2. WriteCheckpointFile touches only the file system: it rotates the
+///     existing generations, then replaces `path` via write-to-temp +
+///     fsync + atomic rename + directory sync (io/atomic_file.h). A
+///     serve tenant runs it on its own writer thread, so its ingest
+///     thread does not wait on the disk.
+///
+/// A crash at any point of the write leaves at least one complete,
+/// validated prior generation recoverable by the path-based loader below.
+
+/// Encodes the monitor into `out`, replacing its contents; the capacity
+/// is kept, so a caller that keeps its buffer reuses it across saves.
+/// Throws FramingError (a std::runtime_error) if a frame would exceed
+/// the frame cap.
+void EncodeSystemMonitor(const SystemMonitor& monitor, std::string& out);
+
+/// Rotates the generations of `path` (g -> g+1, dropping the oldest)
+/// and atomically writes `bytes` as the new generation 0. Throws
+/// std::runtime_error on I/O failure (or the write-fault hook's
+/// exception), leaving the generations as a crash there would.
+void WriteCheckpointFile(const std::string& path, std::string_view bytes,
+                         const CheckpointConfig& config);
+
+/// Crash-safe file checkpoint: the two halves above, in sequence on the
+/// caller's thread. Throws std::runtime_error on I/O failure.
 void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path,
                        const CheckpointConfig& config);
 void SaveSystemMonitor(const SystemMonitor& monitor, const std::string& path);

@@ -63,9 +63,9 @@ std::unique_ptr<SystemMonitor> BuildTenantMonitor(
     try {
       std::unique_ptr<SystemMonitor> monitor =
           LoadSystemMonitor(checkpoint_path, options.threads, &recovery);
-      std::printf("tenant %s: restored from %s (generation %zu)\n",
+      std::printf("tenant %s: restored from %s (generation %zu) steps=%zu\n",
                   spec.name.c_str(), recovery.loaded_path.c_str(),
-                  recovery.generation);
+                  recovery.generation, monitor->StepCount());
       for (const std::string& rejection : recovery.rejected) {
         std::printf("tenant %s: rejected newer candidate %s\n",
                     spec.name.c_str(), rejection.c_str());

@@ -25,6 +25,9 @@ TenantRuntime::TenantRuntime(TenantConfig config,
   width_ = monitor_->MeasurementCount();
   published_.store(std::make_shared<const TenantPublishedState>(),
                    std::memory_order_release);
+  if (!config_.checkpoint_path.empty()) {
+    writer_ = std::thread(&TenantRuntime::WriterLoop, this);
+  }
   if (config_.threaded) {
     worker_ = std::thread(&TenantRuntime::WorkerLoop, this);
   }
@@ -37,6 +40,14 @@ TenantRuntime::~TenantRuntime() {
   }
   work_cv_.NotifyAll();
   if (worker_.joinable()) worker_.join();
+  // Nothing can be handed off any more: the writer lands a write it
+  // already holds, then exits.
+  {
+    const MutexLock lock(mu_);
+    writer_stop_ = true;
+  }
+  write_cv_.NotifyAll();
+  if (writer_.joinable()) writer_.join();
 }
 
 AdmitResult TenantRuntime::Submit(const SampleRow& row) {
@@ -128,19 +139,70 @@ void TenantRuntime::MaybeCheckpoint(bool final_checkpoint) {
     // cadence like a successful one instead of retrying on every row.
     rows_since_checkpoint_ %= config_.checkpoint_every;
   }
+  // At most one write in flight: the buffer is the writer's until its
+  // write lands. The encode then runs here, between two rows, and only
+  // the disk work moves to the writer.
+  AwaitWrite();
   try {
-    SaveSystemMonitor(*monitor_, config_.checkpoint_path, config_.checkpoint);
+    EncodeSystemMonitor(*monitor_, save_bytes_);
+  } catch (const std::exception& e) {
     const MutexLock lock(mu_);
+    CountSaveLocked(/*landed=*/false, e.what());
+    return;
+  }
+  {
+    const MutexLock lock(mu_);
+    write_pending_ = true;
+  }
+  write_cv_.NotifyAll();
+  // Manual mode returns only after its writes land, so the chaos tests'
+  // faults fire inside the Pump or Drain that started the save; a seal
+  // lands before the tenant reports kDrained.
+  if (final_checkpoint || !config_.threaded) AwaitWrite();
+}
+
+void TenantRuntime::AwaitWrite() {
+  const MutexLock lock(mu_);
+  while (write_pending_) write_cv_.Wait(mu_);
+}
+
+void TenantRuntime::CountSaveLocked(bool landed, const std::string& error) {
+  if (landed) {
     ++counters_.checkpoints;
     last_checkpoint_failed_ = false;
-  } catch (const std::exception& e) {
-    // A failed checkpoint is a counted degradation, not a crash: the
-    // tenant keeps serving from memory and retries at the next cadence;
-    // recovery falls back to the previous good generation.
-    const MutexLock lock(mu_);
-    ++counters_.checkpoint_failures;
-    last_checkpoint_failed_ = true;
-    last_error_ = e.what();
+    return;
+  }
+  // A failed checkpoint is a counted degradation, not a crash: the
+  // tenant keeps serving from memory and retries at the next cadence;
+  // recovery falls back to the previous good generation.
+  ++counters_.checkpoint_failures;
+  last_checkpoint_failed_ = true;
+  last_error_ = error;
+}
+
+void TenantRuntime::WriterLoop() {
+  for (;;) {
+    {
+      const MutexLock lock(mu_);
+      while (!write_pending_ && !writer_stop_) write_cv_.Wait(mu_);
+      if (!write_pending_) return;
+    }
+    // save_bytes_ is the writer's until write_pending_ is cleared.
+    bool landed = true;
+    std::string error;
+    try {
+      WriteCheckpointFile(config_.checkpoint_path, save_bytes_,
+                          config_.checkpoint);
+    } catch (const std::exception& e) {
+      landed = false;
+      error = e.what();
+    }
+    {
+      const MutexLock lock(mu_);
+      CountSaveLocked(landed, error);
+      write_pending_ = false;
+    }
+    write_cv_.NotifyAll();
   }
 }
 

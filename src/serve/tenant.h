@@ -25,19 +25,26 @@
 //  * Crash-safe progress. Checkpoints go through the atomic, CRC-framed
 //    rotation of io/monitor_io.h on a row cadence; a checkpoint failure
 //    is a counted event, not a crash (the tenant keeps serving and
-//    retries at the next cadence). A save runs on the worker between two
-//    rows, so queued rows wait for it; under backpressure a due save is
-//    held until the queue has drained to just above the low watermark.
-//    Drain() finishes the queue and writes a final checkpoint;
-//    destruction without Drain is the crash path — recovery falls back
-//    to the last good generation.
+//    retries at the next cadence). A save has two halves: the worker
+//    encodes the engine between two rows, then hands the bytes to the
+//    tenant's writer thread, which rotates the generations and writes,
+//    fsyncs and renames while the worker steps on. At most one write is
+//    in flight: a due save first waits for the previous write. Under
+//    backpressure a due save is held until the queue has drained to
+//    just above the low watermark. Drain() finishes the queue, waits
+//    for the write in flight, then writes a final checkpoint and waits
+//    for it; destruction without Drain is the crash path — it writes no
+//    seal (a write already handed off still lands), and recovery falls
+//    back to the last good generation.
 //
-// Thread shape: Submit (the daemon's socket loop) and the worker meet
-// only at the queue mutex; the engine is touched by the worker alone.
-// Queries never take any lock — they read the last published state
-// through an atomic shared_ptr. With threaded = false no worker is
-// spawned and Pump()/Drain() process rows on the caller's thread — the
-// deterministic mode the chaos tests choreograph.
+// Thread shape: Submit (the daemon's socket loop), the worker and the
+// writer meet only at the tenant mutex; the engine is touched by the
+// worker alone, the checkpoint files by the writer alone. Queries never
+// take any lock — they read the last published state through an atomic
+// shared_ptr. The writer exists only when checkpoint_path is set. With
+// threaded = false no worker is spawned and Pump()/Drain() process rows
+// on the caller's thread, returning only after every write they started
+// has landed — the deterministic mode the chaos tests choreograph.
 #pragma once
 
 #include <atomic>
@@ -63,7 +70,9 @@ struct TenantConfig {
   std::size_t backpressure_high = 0;
   std::size_t backpressure_low = 0;
   /// Checkpoint after every N processed rows (0 = cadence off; a drain
-  /// still checkpoints when checkpoint_path is set). While backpressure
+  /// still checkpoints when checkpoint_path is set). The worker encodes
+  /// the engine at the due row and the writer thread writes it, so the
+  /// file holds the state after exactly that row. While backpressure
   /// is engaged a due checkpoint waits until the queue holds at most
   /// backpressure_low + 1 rows, or queue_budget rows past due; the next
   /// one is still due N rows after this one was.
@@ -100,6 +109,9 @@ struct TenantCounters {
   /// Rows refused outright (wrong width, or tenant not active).
   std::uint64_t rejected = 0;
   std::uint64_t processed = 0;
+  /// Checkpoint writes that landed (renamed into place) and attempts
+  /// that failed, each counted when the write finishes on the writer
+  /// thread, not when the worker encodes it.
   std::uint64_t checkpoints = 0;
   std::uint64_t checkpoint_failures = 0;
   std::uint64_t backpressure_raises = 0;
@@ -145,8 +157,10 @@ class TenantRuntime {
   TenantRuntime(TenantConfig config, std::unique_ptr<SystemMonitor> monitor);
 
   /// Abrupt stop: the worker is told to quit after its current row;
-  /// queued rows are dropped and NO final checkpoint is written. This
-  /// is deliberately crash-shaped — the graceful exit is Drain().
+  /// queued rows are dropped and NO final checkpoint is written. A
+  /// cadence write already handed to the writer lands (or fails) before
+  /// the writer is joined. This is deliberately crash-shaped — the
+  /// graceful exit is Drain().
   ~TenantRuntime();
 
   TenantRuntime(const TenantRuntime&) = delete;
@@ -156,15 +170,17 @@ class TenantRuntime {
   /// full), or rejected (wrong width / tenant not active).
   AdmitResult Submit(const SampleRow& row) PMCORR_EXCLUDES(mu_);
 
-  /// Graceful shutdown: stop admitting, process every queued row, write
-  /// the final checkpoint, move to kDrained. Blocks until done (in
-  /// manual mode, processes inline). Poisoned tenants return
-  /// immediately — their last-good checkpoint must stay untouched.
+  /// Graceful shutdown: stop admitting, process every queued row, wait
+  /// for the write in flight, write the final checkpoint and wait for
+  /// it, move to kDrained. Blocks until done (in manual mode, processes
+  /// inline). Poisoned tenants return immediately — their last-good
+  /// checkpoint must stay untouched.
   void Drain() PMCORR_EXCLUDES(mu_);
 
   /// Manual mode: processes up to max_rows queued rows on the caller's
-  /// thread; returns rows processed. Throws std::logic_error when a
-  /// worker thread owns the engine.
+  /// thread; returns rows processed, after every checkpoint write it
+  /// started has landed. Throws std::logic_error when a worker thread
+  /// owns the engine.
   std::size_t Pump(std::size_t max_rows) PMCORR_EXCLUDES(mu_);
 
   TenantStatus Status() const PMCORR_EXCLUDES(mu_);
@@ -186,10 +202,20 @@ class TenantRuntime {
 
  private:
   void WorkerLoop();
+  /// Writes each save handed to it, one at a time, until stopped.
+  void WriterLoop() PMCORR_EXCLUDES(mu_);
   /// Steps the engine with one row and publishes the result. Engine
   /// exceptions propagate to the caller (who poisons the tenant).
   void ProcessRow(const SampleRow& row);
+  /// When a save is due: encodes the engine into save_bytes_ and hands
+  /// it to the writer (waiting for it in manual mode and for a seal).
   void MaybeCheckpoint(bool final_checkpoint) PMCORR_EXCLUDES(mu_);
+  /// Blocks until no write is pending; save_bytes_ is then the ingest
+  /// side's again.
+  void AwaitWrite() PMCORR_EXCLUDES(mu_);
+  /// Counts a finished save attempt (`error` says why one failed).
+  void CountSaveLocked(bool landed, const std::string& error)
+      PMCORR_REQUIRES(mu_);
   void Poison(const std::string& what) PMCORR_EXCLUDES(mu_);
   /// Pops the next row into row_scratch_; clears backpressure at the
   /// low watermark.
@@ -206,6 +232,7 @@ class TenantRuntime {
   mutable Mutex mu_;
   CondVar work_cv_;     // wakes the worker
   CondVar drained_cv_;  // wakes Drain()
+  CondVar write_cv_;    // wakes the writer, and a save awaiting its write
   std::deque<SampleRow> queue_ PMCORR_GUARDED_BY(mu_);
   TenantState state_ PMCORR_GUARDED_BY(mu_) = TenantState::kActive;
   TenantCounters counters_ PMCORR_GUARDED_BY(mu_);
@@ -213,6 +240,10 @@ class TenantRuntime {
   bool stop_ PMCORR_GUARDED_BY(mu_) = false;
   bool last_checkpoint_failed_ PMCORR_GUARDED_BY(mu_) = false;
   std::string last_error_ PMCORR_GUARDED_BY(mu_);
+  /// A save has been handed to the writer and has not landed yet.
+  bool write_pending_ PMCORR_GUARDED_BY(mu_) = false;
+  /// Set once the worker is joined: the writer exits when idle.
+  bool writer_stop_ PMCORR_GUARDED_BY(mu_) = false;
 
   std::atomic<std::shared_ptr<const TenantPublishedState>> published_;
 
@@ -224,7 +255,16 @@ class TenantRuntime {
   std::uint64_t suppressed_total_ = 0;
   std::uint64_t rows_since_checkpoint_ = 0;
 
+  /// The encoded checkpoint. Handoff: the ingest side (worker, or the
+  /// Pump/Drain caller) owns it while write_pending_ is false and
+  /// encodes into it; setting write_pending_ under mu_ hands it to the
+  /// writer, which reads it without the lock and hands it back by
+  /// clearing write_pending_ under mu_ once the write has landed. The
+  /// buffer keeps its capacity, so steady-state saves do not allocate it.
+  std::string save_bytes_;
+
   std::thread worker_;
+  std::thread writer_;
 };
 
 }  // namespace pmcorr

@@ -5,16 +5,22 @@
 // never-crashed oracle), torn final writes falling back a generation,
 // poisoned tenants leaving their last-good checkpoint untouched, and
 // the graceful-shutdown contract — drain checkpoints every tenant and
-// a restart resumes exactly where the drained daemon stopped.
+// a restart resumes exactly where the drained daemon stopped. Threaded
+// tenants prove the writer-thread side: ingest steps on while a write
+// is stuck, and every generation written is a cadence-boundary state.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "differential_util.h"
 #include "io/atomic_file.h"
@@ -82,6 +88,40 @@ std::vector<SampleRow> Rows(const MeasurementFrame& frame) {
 std::unique_ptr<SystemMonitor> FromString(const std::string& checkpoint) {
   std::istringstream in(checkpoint);
   return LoadSystemMonitor(in, 1);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Renders of an oracle fed `rows` through Step, taken after each row
+/// count in `after` (ascending): the states the tenant's saves must hold.
+std::vector<std::string> OracleRenders(const std::vector<SampleRow>& rows,
+                                       const std::vector<std::size_t>& after) {
+  std::vector<std::string> renders;
+  auto oracle = MakeMonitor();
+  std::size_t stepped = 0;
+  for (const std::size_t count : after) {
+    for (; stepped < count; ++stepped) {
+      oracle->Step(rows[stepped].values, rows[stepped].time);
+    }
+    renders.push_back(CheckpointString(*oracle));
+  }
+  return renders;
+}
+
+TenantConfig ThreadedTenant(const std::string& path, std::size_t every,
+                            std::size_t generations) {
+  TenantConfig config;  // threaded, default watermarks
+  config.name = "A";
+  config.queue_budget = 256;
+  config.checkpoint_path = path;
+  config.checkpoint_every = every;
+  config.checkpoint.generations = generations;
+  return config;
 }
 
 class ChaosDir {
@@ -468,6 +508,126 @@ TEST(ServeChaos, DestructionWithoutDrainWritesNothing) {
   }
   EXPECT_EQ(CheckpointString(*LoadSystemMonitor(path, 1)), cadence_render);
   EXPECT_FALSE(std::filesystem::exists(path + ".g2"));
+}
+
+// ---------------------------------------------------------------------
+// Threaded checkpoints: the worker encodes at the due row and the
+// writer thread does the disk work, so ingest keeps stepping while a
+// write is stuck, and each generation holds a cadence-boundary state.
+// ---------------------------------------------------------------------
+
+// Write-fault hook that parks the first write to reach its fsync point
+// until Release(); later writes pass straight through. The hook runs on
+// the tenants' writer threads, so the gate must outlive every tenant.
+class SyncGate {
+ public:
+  SyncGate() {
+    previous_ = SetWriteFaultHookForTest(
+        [this](const std::string&, WriteStage stage) { OnStage(stage); });
+  }
+  ~SyncGate() { SetWriteFaultHookForTest(std::move(previous_)); }
+  SyncGate(const SyncGate&) = delete;
+  SyncGate& operator=(const SyncGate&) = delete;
+
+  void Release() PMCORR_EXCLUDES(mu_) {
+    {
+      const MutexLock lock(mu_);
+      released_ = true;
+    }
+    cv_.NotifyAll();
+  }
+
+ private:
+  void OnStage(WriteStage stage) PMCORR_EXCLUDES(mu_) {
+    if (stage != WriteStage::kSync) return;
+    const MutexLock lock(mu_);
+    if (syncs_++ > 0) return;
+    while (!released_) cv_.Wait(mu_);
+  }
+
+  Mutex mu_;
+  CondVar cv_;
+  int syncs_ PMCORR_GUARDED_BY(mu_) = 0;
+  bool released_ PMCORR_GUARDED_BY(mu_) = false;
+  WriteFaultHook previous_;
+};
+
+// Releases the gate on scope exit, so an assertion that returns early
+// unparks the writer before the tenant's destructor joins it.
+struct ReleaseOnExit {
+  SyncGate& gate;
+  ~ReleaseOnExit() { gate.Release(); }
+};
+
+TEST(ServeChaos, IngestKeepsSteppingWhileACheckpointWriteIsBlocked) {
+  constexpr std::size_t kCadence = 10;
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(25, 151));
+  // The saves at rows 10 and 20, then the drain seal at row 25.
+  const std::vector<std::string> want = OracleRenders(rows, {10, 20, 25});
+  ChaosDir dir("pmcorr_serve_chaos_blocked");
+  const std::string path = dir.Path("a.ckpt");
+
+  SyncGate gate;  // installed before the tenant's writer starts
+  {
+    TenantRuntime tenant(ThreadedTenant(path, kCadence, 4), MakeMonitor());
+    const ReleaseOnExit release{gate};
+    for (const SampleRow& row : rows) {
+      ASSERT_TRUE(tenant.Submit(row).accepted);
+    }
+    // Row 10's write is parked at its fsync. The worker steps on, and
+    // row 20's save waits for that write before it encodes; the pause
+    // gives a worker that did not wait the time to run past row 20.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (tenant.Status().counters.processed < 2 * kCadence &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    TenantStatus status = tenant.Status();
+    EXPECT_EQ(status.counters.processed, 2 * kCadence);
+    EXPECT_EQ(status.counters.checkpoints, 0u);
+
+    gate.Release();
+    tenant.Drain();
+    status = tenant.Status();
+    EXPECT_EQ(status.counters.processed, rows.size());
+    EXPECT_EQ(status.counters.checkpoints, 3u);
+    EXPECT_EQ(status.counters.checkpoint_failures, 0u);
+  }
+  EXPECT_EQ(ReadFile(path + ".g2"), want[0]);
+  EXPECT_EQ(ReadFile(path + ".g1"), want[1]);
+  EXPECT_EQ(ReadFile(path), want[2]);
+}
+
+TEST(ServeChaos, ThreadedCadenceGenerationsAreCadenceBoundaryStates) {
+  constexpr std::size_t kCadence = 5;
+  const std::vector<SampleRow> rows = Rows(CorrelatedFrame(60, 161));
+  std::vector<std::size_t> boundaries;
+  for (std::size_t n = kCadence; n <= rows.size(); n += kCadence) {
+    boundaries.push_back(n);
+  }
+  const std::vector<std::string> want = OracleRenders(rows, boundaries);
+  ASSERT_EQ(want.size(), 12u);
+  ChaosDir dir("pmcorr_serve_chaos_grid");
+  const std::string path = dir.Path("a.ckpt");
+  {
+    // 60 rows stay below the default high watermark, so no save is held
+    // and every one lands on the cadence grid: 12 saves, then the seal.
+    TenantRuntime tenant(ThreadedTenant(path, kCadence, 16), MakeMonitor());
+    for (const SampleRow& row : rows) {
+      ASSERT_TRUE(tenant.Submit(row).accepted);
+    }
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.backpressure_raises, 0u);
+    EXPECT_EQ(tenant.Status().counters.checkpoints, 13u);
+  }
+  EXPECT_EQ(ReadFile(path), want.back());
+  for (std::size_t k = 1; k <= 12; ++k) {
+    EXPECT_EQ(ReadFile(path + ".g" + std::to_string(k)), want[12 - k])
+        << "generation " << k;
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".g13"));
 }
 
 }  // namespace

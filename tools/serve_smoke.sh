@@ -5,7 +5,8 @@
 #      submitted == accepted + shed + rejected invariant;
 #   3. client-requested drain -> every tenant checkpoints, exit 0;
 #   4. warm restart from the checkpoints;
-#   5. kill -9 mid-serve -> restart still restores a good generation;
+#   5. kill -9 mid-serve -> restart still restores a good generation,
+#      one a whole number of checkpoint cadences past the last start;
 #   6. a v1 text checkpoint is rejected by name, then cold-trained.
 #
 # usage: serve_smoke.sh <pmcorr-binary> <pmcorr_replay-binary>
@@ -50,6 +51,10 @@ await_exit() { # pid [timeout-seconds]
 
 field() { # line key -> value of key=value
   sed -n "s/.*[[:space:]]$2=\\([^[:space:]]*\\).*/\\1/p" <<<"$1"
+}
+
+restored_steps() { # log tenant -> the steps= of its restore line
+  field "$(grep "tenant $2: restored from" "$1")" steps
 }
 
 "$PMCORR" generate --group A --machines 6 --days 3 --out "$dir/trace.csv" \
@@ -115,12 +120,18 @@ wait "$serve_pid" && rc=0 || rc=$?
 grep -q 'serve: drained' "$dir/serve2.log"
 
 # --- 5: kill -9 mid-serve, restart recovers -------------------------
+# serve3 saves every 10 rows, each write on the tenant's writer thread,
+# and the kill may land during any of them. The 60 rows stay below the
+# default queue's high watermark, so no save is held off the cadence
+# grid: the restart must restore a state a whole number of cadences past
+# the one serve3 started from (zero cadences included).
 "$PMCORR" serve --socket "$dir/s.sock" \
     --tenant A="$dir/trace.csv":1 \
     --checkpoint-dir "$dir/ckpt" --checkpoint-every 10 --partners 1 \
     > "$dir/serve3.log" 2>&1 &
 serve_pid=$!
 await_line "$dir/serve3.log" "serve: listening"
+steps_before=$(restored_steps "$dir/serve3.log" A)
 "$REPLAY" --socket "$dir/s.sock" --tenant A \
     --trace "$dir/trace.csv" --rows 60 > /dev/null
 kill -9 "$serve_pid"
@@ -130,7 +141,14 @@ wait "$serve_pid" 2>/dev/null || true
     --checkpoint-dir "$dir/ckpt" > "$dir/serve4.log" 2>&1 &
 serve_pid=$!
 await_line "$dir/serve4.log" "serve: listening"
-grep -q 'tenant A: restored from' "$dir/serve4.log"
+steps_after=$(restored_steps "$dir/serve4.log" A)
+[[ -n "$steps_before" && -n "$steps_after" ]] &&
+    (( steps_after >= steps_before &&
+       (steps_after - steps_before) % 10 == 0 )) || {
+  echo "kill -9 restored steps=$steps_after, not a 10-row cadence past" \
+       "steps=$steps_before" >&2
+  exit 1
+}
 kill -TERM "$serve_pid"
 await_exit "$serve_pid"
 wait "$serve_pid" && rc=0 || rc=$?

@@ -54,8 +54,10 @@ THREAD_ALLOWLIST = {
     "src/engine/thread_pool.cpp": "ThreadPool owns its workers",
     "src/engine/retrain_pool.h": "RetrainPool owns its workers",
     "src/engine/retrain_pool.cpp": "RetrainPool owns its workers",
-    "src/serve/tenant.h": "TenantRuntime owns its per-tenant worker",
-    "src/serve/tenant.cpp": "TenantRuntime owns its per-tenant worker",
+    "src/serve/tenant.h":
+        "TenantRuntime owns its per-tenant worker and checkpoint writer",
+    "src/serve/tenant.cpp":
+        "TenantRuntime owns its per-tenant worker and checkpoint writer",
     "tests/test_thread_pool.cpp":
         "stress callers must be pool-external threads",
 }
