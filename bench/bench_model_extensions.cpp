@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -20,7 +22,7 @@
 #include "common/table.h"
 #include "core/fitness.h"
 #include "core/time_conditioned.h"
-#include "engine/retrainer.h"
+#include "engine/retrain_pool.h"
 
 namespace {
 
@@ -134,11 +136,16 @@ void RollingRetrainAblation() {
   PairModel frozen = PairModel::Learn(tx, ty, frozen_config);
   ModelConfig adaptive_config = DefaultModelConfig();
   PairModel adaptive = PairModel::Learn(tx, ty, adaptive_config);
-  RetrainerConfig cadence;
+  // The rolling model is served here; the pool rebuilds it from its
+  // window on the cadence, and a finished rebuild is adopted before the
+  // next sample.
+  PairModel rolling = PairModel::Learn(tx, ty, adaptive_config);
+  RetrainPoolConfig cadence;
   cadence.window_samples = 800;
   cadence.interval_samples = 240;
   cadence.min_samples = 200;
-  RollingPairRetrainer rolling(tx, ty, adaptive_config, cadence);
+  RetrainPool pool(adaptive_config, cadence);
+  pool.RegisterWindow(tx, ty);
 
   struct Row {
     const char* name;
@@ -151,7 +158,12 @@ void RollingRetrainAblation() {
   for (std::size_t i = split; i < n; ++i) {
     const StepOutcome f = frozen.Step(xs[i], ys[i]);
     const StepOutcome a = adaptive.Step(xs[i], ys[i]);
+    if (std::unique_ptr<PairModel> fresh = pool.TakeAdoptable(0)) {
+      rolling = std::move(*fresh);
+    }
+    pool.Observe(0, xs[i], ys[i]);
     const StepOutcome r = rolling.Step(xs[i], ys[i]);
+    pool.WaitForIdle();  // adopt every rebuild at the very next sample
     const StepOutcome* outs[3] = {&f, &a, &r};
     for (int m = 0; m < 3; ++m) {
       if (outs[m]->has_score) {
@@ -163,7 +175,7 @@ void RollingRetrainAblation() {
   }
   rows[0].cells = frozen.Grid().CellCount();
   rows[1].cells = adaptive.Grid().CellCount();
-  rows[2].cells = rolling.Model().Grid().CellCount();
+  rows[2].cells = rolling.Grid().CellCount();
 
   TextTable table;
   table.SetHeader({"model", "scored", "outliers", "avg fitness",
@@ -179,7 +191,7 @@ void RollingRetrainAblation() {
         .Done();
   }
   table.Print(std::cout);
-  std::cout << "rolling rebuilds: " << rolling.Rebuilds()
+  std::cout << "rolling rebuilds: " << pool.Rebuilds(0)
             << "\nFrozen goes silent (outliers + unscorable gaps); paper-"
                "style adaptive chases the\ndrift by growing the grid"
                " without bound; rolling rebuilds keep a compact grid\nand"

@@ -1,6 +1,6 @@
 // Deterministic retry/backoff policy and an injectable monotonic clock.
 //
-// Degraded-mode monitoring (engine/quarantine.h, engine/retrainer.h)
+// Degraded-mode monitoring (engine/quarantine.h, engine/retrain_pool.h)
 // needs two primitives that must behave identically in production, in
 // the differential tests and under fault injection:
 //
@@ -11,7 +11,7 @@
 //    counts samples, so a restored checkpoint resumes the exact same
 //    retry schedule).
 //  * MonotonicClockFn — a swappable nanosecond clock for the code that
-//    does need wall time (the retrainer's rebuild watchdog). Tests
+//    does need wall time (the retrain pool's rebuild watchdog). Tests
 //    install a fake so "a rebuild has been wedged for ten minutes" is a
 //    deterministic statement, not a sleep.
 #pragma once

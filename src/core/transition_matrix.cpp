@@ -571,10 +571,14 @@ void TransitionMatrix::CheckInvariants() const {
                                      << rows_ << "x" << cols_);
 
   std::uint64_t count_total = 0;
-  std::vector<std::uint8_t> seen(cells_, 0);
+  // Per-thread scratch, grown and never shrunk, so an audited Step stays
+  // allocation-free. `seen` is re-zeroed before each row uses it.
+  thread_local std::vector<std::uint8_t> seen;
   // Row i of the posterior, read entry by entry through PriorLogW — a
   // path independent of the slice walks the kernels use.
-  std::vector<double> post(cells_);
+  thread_local std::vector<double> post;
+  if (seen.size() < cells_) seen.resize(cells_);
+  if (post.size() < cells_) post.resize(cells_);
   for (std::size_t i = 0; i < cells_; ++i) {
     const double* ev = evidence_.data() + i * cells_;
     for (std::size_t j = 0; j < cells_; ++j) {
@@ -621,7 +625,7 @@ void TransitionMatrix::CheckInvariants() const {
     if (rc.sorted_valid) {
       PMCORR_ASSERT(rc.sorted.size() == cells_,
                     "row " << i << " rank index size " << rc.sorted.size());
-      std::fill(seen.begin(), seen.end(), 0);
+      std::fill_n(seen.begin(), cells_, 0);
       for (std::size_t k = 0; k < rc.sorted.size(); ++k) {
         const auto& [w, j] = rc.sorted[k];
         PMCORR_ASSERT(j < cells_ && !seen[j],

@@ -134,6 +134,9 @@ class IngestGuard {
     return states_[m].health;
   }
 
+  /// Measurements the guard tracks.
+  std::size_t MeasurementCount() const { return states_.size(); }
+
   /// All measurement healths, indexed by measurement id.
   std::vector<MeasurementHealth> HealthStates() const;
 

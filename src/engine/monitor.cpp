@@ -149,8 +149,8 @@ void SystemMonitor::CheckInvariants(bool deep) const {
                                      << " retired pairs exceed "
                                      << graph_.PairCount());
   if (guard_.Enabled()) {
-    PMCORR_ASSERT(guard_.HealthStates().size() == infos_.size(),
-                  "guard tracks " << guard_.HealthStates().size() << " of "
+    PMCORR_ASSERT(guard_.MeasurementCount() == infos_.size(),
+                  "guard tracks " << guard_.MeasurementCount() << " of "
                                   << infos_.size() << " measurements");
   }
   PMCORR_ASSERT(std::isfinite(system_avg_.Sum()),

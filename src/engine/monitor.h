@@ -28,16 +28,15 @@ namespace pmcorr {
 
 struct EngineFaultPlan;
 
-/// Rolling-retrain knob: when enabled the monitor owns a shared bounded
-/// RetrainPool (engine/retrain_pool.h) in detached mode — one window
-/// slot per pair, a fixed worker count — and adopts finished rebuilds
-/// at sample boundaries, replacing the standalone per-pair retrainers.
-/// Windows buffer the guard-filtered feed (rebuilds learn from exactly
-/// the stream the serving models saw) and are not part of the
-/// checkpoint format: a restored monitor starts with empty windows and
-/// pool.min_samples keeps it from rebuilding until they refill live.
-/// Adopted models carry fresh Learn-time thresholds, not a later
-/// CalibrateThresholds overlay — the RollingPairRetrainer semantics.
+/// Rolling-retrain knob (`pmcorr serve --retrain N`): when enabled the
+/// monitor owns a shared bounded RetrainPool (engine/retrain_pool.h) —
+/// one window slot per pair, a fixed worker count — and adopts finished
+/// rebuilds into its own models at sample boundaries. Windows buffer the
+/// guard-filtered feed (rebuilds learn from exactly the stream the
+/// serving models saw) and are not part of the checkpoint format: a
+/// restored monitor starts with empty windows and pool.min_samples keeps
+/// it from rebuilding until they refill live. Adopted models carry fresh
+/// Learn-time thresholds, not a later CalibrateThresholds overlay.
 struct RetrainConfig {
   bool enabled = false;
   RetrainPoolConfig pool;
@@ -324,7 +323,7 @@ class SystemMonitor {
   /// Degraded-mode machinery.
   IngestGuard guard_;
   PairQuarantine quarantine_;
-  /// Detached-mode retrain pool (one window slot per pair, indices
+  /// The retrain pool (one window slot per pair, indices
   /// aligned with models_); null when config_.retrain is off.
   std::unique_ptr<RetrainPool> retrain_;
   const EngineFaultPlan* fault_plan_ = nullptr;

@@ -40,93 +40,19 @@ PairModel RetrainPool::Rebuild(std::span<const double> x,
   return PairModel::Learn(x, y, model_config_);
 }
 
-void RetrainPool::SeedWindow(PairState& s, std::span<const double> x,
-                             std::span<const double> y,
-                             std::size_t window_samples) {
-  const std::size_t keep = std::min(x.size(), window_samples);
-  for (std::size_t i = x.size() - keep; i < x.size(); ++i) {
-    s.window_x.push_back(x[i]);
-    s.window_y.push_back(y[i]);
-  }
-}
-
-std::size_t RetrainPool::AddPair(std::span<const double> x,
-                                 std::span<const double> y) {
-  return AddPair(PairModel::Learn(x, y, model_config_), x, y);
-}
-
-std::size_t RetrainPool::AddPair(PairModel model, std::span<const double> x,
-                                 std::span<const double> y) {
-  auto state = std::make_unique<PairState>();
-  state->model = std::move(model);
-  SeedWindow(*state, x, y, config_.window_samples);
-  pairs_.push_back(std::move(state));
-  return pairs_.size() - 1;
-}
-
 std::size_t RetrainPool::RegisterWindow(std::span<const double> x,
                                         std::span<const double> y) {
   auto state = std::make_unique<PairState>();
-  SeedWindow(*state, x, y, config_.window_samples);
+  const std::size_t keep = std::min(x.size(), config_.window_samples);
+  state->window_x.assign(x.end() - static_cast<std::ptrdiff_t>(keep),
+                         x.end());
+  state->window_y.assign(y.end() - static_cast<std::ptrdiff_t>(keep),
+                         y.end());
+  // Workers index pairs_ under mu_, and a pair may register while
+  // another pair's rebuild is in flight.
+  const MutexLock lock(mu_);
   pairs_.push_back(std::move(state));
   return pairs_.size() - 1;
-}
-
-StepOutcome RetrainPool::Step(std::size_t i, double x, double y) {
-  PairState& s = *pairs_.at(i);
-
-  // Adopt a finished rebuild before scoring, so the sample is judged by
-  // exactly one model and the swap lands on a sample boundary. The
-  // watchdog runs first: a wedged rebuild — of any pair — is written off
-  // at a sample boundary too.
-  std::unique_ptr<PairModel> fresh;
-  {
-    const MutexLock lock(mu_);
-    CheckWatchdogsLocked();
-    fresh = std::move(s.pending);
-    s.has_pending.store(false, std::memory_order_relaxed);
-    if (s.cooldown_remaining > 0) --s.cooldown_remaining;
-  }
-  if (fresh) {
-    s.model = std::move(*fresh);
-    ++s.rebuilds;
-  }
-
-  const StepOutcome out = s.model.Step(x, y);
-  s.window_x.push_back(x);
-  s.window_y.push_back(y);
-  while (s.window_x.size() > config_.window_samples) {
-    s.window_x.pop_front();
-    s.window_y.pop_front();
-  }
-  ++s.since_rebuild;
-  MaybeEnqueue(s, i);
-  return out;
-}
-
-void RetrainPool::MaybeEnqueue(PairState& s, std::size_t i) {
-  if (s.since_rebuild < config_.interval_samples) return;
-  if (s.window_x.size() < config_.min_samples) return;
-  {
-    const MutexLock lock(mu_);
-    if (s.given_up) {
-      // Permanent: stop re-checking every sample.
-      s.since_rebuild = 0;
-      return;
-    }
-    // Backoff after failures, and one slot per pair: a queued, running
-    // (non-abandoned) or awaiting-adoption rebuild defers the cadence to
-    // the next Step (since_rebuild stays past the interval, so this
-    // re-checks every sample — exactly the RollingPairRetrainer rule).
-    if (s.cooldown_remaining > 0) return;
-    if (s.queued || (s.running && !s.abandoned_current) || s.pending) return;
-    s.job_x.assign(s.window_x.begin(), s.window_x.end());
-    s.job_y.assign(s.window_y.begin(), s.window_y.end());
-    s.queued = true;
-    queue_.push_back(i);
-  }
-  work_cv_.NotifyOne();
-  s.since_rebuild = 0;
 }
 
 void RetrainPool::Observe(std::size_t i, double x, double y) {
@@ -142,13 +68,18 @@ void RetrainPool::Observe(std::size_t i, double x, double y) {
   if (s.window_x.size() < config_.min_samples) return;
   {
     const MutexLock lock(mu_);
-    // Detached callers have no Step to host the watchdog, so it piggy-
-    // backs on every cadence check (and on TakeAdoptable's slow path).
+    // The watchdog piggy-backs on every due cadence check (and on
+    // TakeAdoptable's slow path).
     CheckWatchdogsLocked();
     if (s.given_up) {
+      // Permanent: stop re-checking every sample.
       s.since_rebuild = 0;
       return;
     }
+    // Backoff after failures, and one slot per pair: a queued, running
+    // (non-abandoned) or awaiting-adoption rebuild defers the cadence to
+    // the next sample (since_rebuild stays past the interval, so this
+    // re-checks every sample).
     if (s.cooldown_remaining > 0) {
       --s.cooldown_remaining;
       return;

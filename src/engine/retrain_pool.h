@@ -1,12 +1,17 @@
 // Shared bounded rolling-retrain pool.
 //
-// RollingPairRetrainer (engine/retrainer.h) gives one pair a
-// double-buffered background rebuild — at the cost of one dedicated
-// thread per pair. At 100k+ pairs that is 100k threads; the pool lifts
-// the same machinery (window snapshots, adopt-at-a-Step-boundary,
-// keep-the-old-model-on-failure, the rebuild watchdog) to a single FIFO
-// work queue drained by a fixed number of workers, so the thread count
-// is a deployment constant, independent of pair count.
+// The paper initializes each pair model "from a snapshot of history
+// data, e.g., collected from last month"; the pool keeps that snapshot
+// fresh. Every registered pair has a sliding window of its recent
+// samples, and on a fixed cadence the window is snapshotted and queued
+// for a rebuild (PairModel::Learn over the window). The serving model
+// always lives with the caller — SystemMonitor's models_ array, via
+// MonitorConfig::retrain — which feeds each sample to Observe and swaps
+// in a finished rebuild from TakeAdoptable at a sample boundary, so
+// every sample is judged by exactly one model. A failed or abandoned
+// rebuild leaves the caller serving its current model. One FIFO work
+// queue is drained by a fixed number of workers, so the thread count is
+// a deployment constant, independent of pair count.
 //
 // Fairness: the queue is strictly FIFO and a pair occupies at most one
 // slot (queued, running, or awaiting adoption) at a time, so every pair
@@ -42,8 +47,8 @@ using RebuildFn = std::function<PairModel(
     std::span<const double> x, std::span<const double> y,
     const ModelConfig& config)>;
 
-/// Pool-wide rebuild policy (the per-pair knobs of RetrainerConfig plus
-/// the worker count and a failure backoff).
+/// Pool-wide rebuild policy: the cadence, the worker count and a failure
+/// backoff.
 struct RetrainPoolConfig {
   /// Worker threads draining the rebuild queue. The deployment knob:
   /// fixed, independent of how many pairs the pool serves.
@@ -61,8 +66,8 @@ struct RetrainPoolConfig {
   /// Retry schedule after failed rebuilds, counted in the failing pair's
   /// own samples on top of the normal cadence; once the budget is spent
   /// the pair gives up for good (it keeps serving its last good model).
-  /// The default — no delay, unlimited budget — is the
-  /// RollingPairRetrainer contract: retry at every cadence, forever.
+  /// The default — no delay, unlimited budget — retries at every
+  /// cadence, forever.
   BackoffPolicy failure_backoff{
       .base = 0,
       .multiplier = 1.0,
@@ -71,16 +76,17 @@ struct RetrainPoolConfig {
   /// Clock the watchdog measures with; tests install a fake. Empty =
   /// steady_clock.
   MonotonicClockFn clock;
-  /// Fault/test seam: replaces PairModel::Learn for rebuilds (never for
-  /// AddPair's initial learn).
+  /// Fault/test seam: replaces PairModel::Learn for rebuilds. A throwing
+  /// override exercises the failure path; a slow one (with a fake clock)
+  /// the watchdog.
   RebuildFn rebuild_override;
 };
 
-/// The pool. Thread contract: AddPair and WaitFor* are serial-section
-/// calls; Step(i, ...) calls for the *same* pair must be serial, but
-/// different pairs may step from different threads concurrently (all
-/// shared state is behind one mutex; per-pair serving state — model,
-/// window, cadence — is only touched by that pair's Step caller).
+/// The pool. Thread contract: RegisterWindow and WaitFor* are
+/// serial-section calls; Observe(i, ...) and TakeAdoptable(i) calls for
+/// the *same* pair must be serial, but different pairs may be fed from
+/// different threads concurrently (all shared state is behind one mutex;
+/// a pair's window and cadence are only touched by that pair's caller).
 class RetrainPool {
  public:
   RetrainPool(ModelConfig model_config, RetrainPoolConfig config);
@@ -92,60 +98,40 @@ class RetrainPool {
   RetrainPool(const RetrainPool&) = delete;
   RetrainPool& operator=(const RetrainPool&) = delete;
 
-  /// Registers a pair: learns its initial model from (x, y) with
-  /// PairModel::Learn (the rebuild_override seam does not apply here)
-  /// and seeds its window with the tail of (x, y). Returns the pair's
-  /// pool index.
-  std::size_t AddPair(std::span<const double> x, std::span<const double> y);
-
-  /// Registers a pair with a pre-built model (e.g. restored from a
-  /// checkpoint), seeding its window with the tail of (x, y).
-  std::size_t AddPair(PairModel model, std::span<const double> x,
-                      std::span<const double> y);
-
-  /// Detached mode: registers a window-only slot for a pair whose
-  /// serving model lives elsewhere (SystemMonitor's models_ array, via
-  /// MonitorConfig::retrain). The slot's own `model` member stays
-  /// default-constructed and unused — feed the slot with Observe, pull
-  /// finished rebuilds with TakeAdoptable. Pass empty spans to start
-  /// with an empty window (e.g. after a checkpoint restore; min_samples
-  /// keeps the pool from rebuilding until the window refills live).
+  /// Registers a pair whose serving model lives with the caller, seeding
+  /// its window with the tail of (x, y), and returns the pair's pool
+  /// index. Pass empty spans to start with an empty window (e.g. after a
+  /// checkpoint restore; min_samples keeps the pool from rebuilding
+  /// until the window refills live).
   std::size_t RegisterWindow(std::span<const double> x,
-                             std::span<const double> y);
+                             std::span<const double> y) PMCORR_EXCLUDES(mu_);
 
-  /// Steps pair i: adopts a finished rebuild first (so the sample is
-  /// judged by exactly one model and swaps land on sample boundaries),
-  /// scores, buffers the sample, and enqueues a rebuild when the pair's
-  /// cadence fires and its slot is free. Also runs the watchdog over
-  /// every in-flight rebuild — any pair's Step can write off any wedged
-  /// build.
-  StepOutcome Step(std::size_t i, double x, double y) PMCORR_EXCLUDES(mu_);
-
-  /// Detached-mode sibling of Step's bookkeeping half: buffers one
-  /// sample into pair i's window and enqueues a rebuild when the cadence
-  /// fires — without touching any serving model. Feed it the same
-  /// (possibly guard-filtered) values the external model scored, so a
-  /// rebuild learns from exactly the stream the serving model saw. Same
-  /// serial-per-pair contract as Step. One semantic difference from
-  /// Step: the failure-backoff cooldown is counted down here only while
-  /// the cadence is due (Step counts every sample), so a retry lands
-  /// after interval + cooldown samples instead of max(interval,
-  /// cooldown) — the backoff is at least as conservative.
+  /// Buffers one sample into pair i's window and enqueues a rebuild when
+  /// the cadence fires and the pair's slot is free. Feed it the same
+  /// (possibly guard-filtered) values the serving model scored, so a
+  /// rebuild learns from exactly the stream that model saw; missing
+  /// (non-finite) samples are buffered too and re-break the sequence on
+  /// replay. The cadence is due once interval_samples samples have
+  /// passed since the last enqueue and the window holds min_samples.
+  /// While it is due, each sample first counts down any failure-backoff
+  /// cooldown, so a retry lands interval + cooldown samples after the
+  /// failed attempt was queued; an occupied slot (queued, running or
+  /// awaiting adoption) defers it sample by sample. Every due sample also
+  /// runs the watchdog over all in-flight rebuilds, so any pair's cadence
+  /// can write off any wedged build.
   void Observe(std::size_t i, double x, double y) PMCORR_EXCLUDES(mu_);
 
-  /// Detached-mode sibling of Step's adoption half: returns pair i's
-  /// finished rebuild (ready to swap in at a sample boundary), or
-  /// nullptr when none is pending. The no-rebuild fast path is a single
-  /// atomic load — no lock — so a shard-scale caller can poll every pair
-  /// every tick. Also runs the watchdog when it does take the lock.
+  /// Returns pair i's finished rebuild, to swap in at a sample boundary,
+  /// or nullptr when none is pending. The no-rebuild fast path is a
+  /// single atomic load — no lock — so a shard-scale caller can poll
+  /// every pair every tick. Also runs the watchdog when it does take the
+  /// lock.
   std::unique_ptr<PairModel> TakeAdoptable(std::size_t i)
       PMCORR_EXCLUDES(mu_);
 
   std::size_t PairCount() const { return pairs_.size(); }
-  const PairModel& Model(std::size_t i) const { return pairs_.at(i)->model; }
 
-  /// Adoptions for pair i: its serving model has been replaced this many
-  /// times.
+  /// Adoptions for pair i: finished rebuilds TakeAdoptable handed out.
   std::size_t Rebuilds(std::size_t i) const { return pairs_.at(i)->rebuilds; }
 
   /// Samples currently in pair i's sliding window.
@@ -171,7 +157,7 @@ class RetrainPool {
 
   /// Test hook: blocks until pair i's queued or running rebuild has
   /// produced its pending model, failed, or been abandoned. The model is
-  /// still only adopted by pair i's next Step.
+  /// still only handed out by TakeAdoptable.
   void WaitForPair(std::size_t i) PMCORR_EXCLUDES(mu_);
 
   /// Test hook: blocks until the queue is empty and no non-abandoned
@@ -180,8 +166,8 @@ class RetrainPool {
 
  private:
   struct PairState {
-    // Serving state — touched only by this pair's Step caller.
-    PairModel model;
+    // Caller state — touched only by this pair's Observe/TakeAdoptable
+    // caller.
     std::deque<double> window_x;
     std::deque<double> window_y;
     std::size_t since_rebuild = 0;
@@ -213,27 +199,25 @@ class RetrainPool {
     std::unique_ptr<PairModel> pending;  // finished rebuild awaiting adoption
     /// Mirror of `pending != nullptr`, maintained under mu_ but readable
     /// without it: TakeAdoptable's no-rebuild fast path is one acquire
-    /// load, so detached-mode callers poll lock-free on quiet ticks.
+    /// load, so callers poll lock-free on quiet ticks.
     std::atomic<bool> has_pending{false};
   };
 
   void WorkerLoop();
-  void MaybeEnqueue(PairState& s, std::size_t i) PMCORR_EXCLUDES(mu_);
   /// Abandons every in-flight rebuild past the watchdog deadline and
   /// spawns replacement workers.
   void CheckWatchdogsLocked() PMCORR_REQUIRES(mu_);
   PairModel Rebuild(std::span<const double> x, std::span<const double> y);
   std::int64_t NowNs() const;
-  static void SeedWindow(PairState& s, std::span<const double> x,
-                         std::span<const double> y,
-                         std::size_t window_samples);
 
   ModelConfig model_config_;
   RetrainPoolConfig config_;
-  /// unique_ptr slots so PairState addresses stay stable across AddPair
-  /// while workers hold references. The vector itself is governed by the
-  /// serial-section contract (AddPair never races Step or the workers),
-  /// not by mu_; each slot's shared block is guarded by mu_ as above.
+  /// unique_ptr slots so PairState addresses stay stable across
+  /// RegisterWindow while workers hold references. RegisterWindow appends
+  /// under mu_, because workers index the vector under mu_; Observe and
+  /// TakeAdoptable read it without the lock, which the serial-section
+  /// contract allows (RegisterWindow never races them). Each slot's
+  /// shared block is guarded by mu_ as above.
   std::vector<std::unique_ptr<PairState>> pairs_;
 
   mutable Mutex mu_;

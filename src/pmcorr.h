@@ -24,14 +24,12 @@
 
 // Monitoring engine.
 #include "engine/alarm.h"
-#include "engine/assembler.h"
 #include "engine/drilldown.h"
 #include "engine/evaluation.h"
 #include "engine/incident.h"
 #include "engine/localizer.h"
 #include "engine/measurement_graph.h"
 #include "engine/monitor.h"
-#include "engine/retrainer.h"
 #include "engine/scorecard.h"
 
 // Time series and traces.

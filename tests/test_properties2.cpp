@@ -3,7 +3,6 @@
 // monotonicity, incident-tracker invariants and umbrella-header sanity.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -183,78 +182,6 @@ TEST_P(IncidentProperties, IncidentsOrderedAndAccountAllAlarms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncidentProperties,
                          ::testing::Values(3u, 7u, 21u, 42u, 77u));
-
-// ---------------------------------------------------------------------
-// Property: the row assembler emits rows in strict time order and loses
-// nothing except explicitly counted late drops — under random event
-// orderings and random gaps.
-// ---------------------------------------------------------------------
-
-class AssemblerProperties : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AssemblerProperties, RowsOrderedAndEventsAccounted) {
-  Rng rng(GetParam());
-  const std::size_t measurements = 4;
-  const std::size_t slots = 60;
-
-  AssemblerConfig config;
-  config.start = 0;
-  config.period = 60;
-  config.measurement_count = measurements;
-  config.max_open_slots = 3;
-
-  std::vector<AssembledRow> rows;
-  RowAssembler assembler(config, [&](const AssembledRow& row) {
-    rows.push_back(row);
-  });
-
-  // Build a ground-truth event list with random gaps, then feed it with
-  // bounded random reordering (shuffle within windows of 6).
-  struct Event {
-    MeasurementId id;
-    TimePoint tp;
-    double value;
-  };
-  std::vector<Event> events;
-  std::size_t emitted_values = 0;
-  for (std::size_t s = 0; s < slots; ++s) {
-    for (std::size_t m = 0; m < measurements; ++m) {
-      if (rng.Bernoulli(0.15)) continue;  // collector gap
-      events.push_back({MeasurementId(static_cast<std::int32_t>(m)),
-                        static_cast<TimePoint>(s) * 60 +
-                            rng.UniformInt(0, 59),
-                        static_cast<double>(s * 10 + m)});
-      ++emitted_values;
-    }
-  }
-  for (std::size_t i = 0; i + 6 <= events.size(); i += 6) {
-    std::shuffle(events.begin() + static_cast<std::ptrdiff_t>(i),
-                 events.begin() + static_cast<std::ptrdiff_t>(i + 6), rng);
-  }
-  for (const Event& e : events) assembler.Offer(e.id, e.tp, e.value);
-  assembler.Flush();
-
-  // Rows strictly ordered, values accounted.
-  std::size_t filled_total = 0;
-  TimePoint prev = -1;
-  for (const AssembledRow& row : rows) {
-    EXPECT_GT(row.time, prev);
-    prev = row.time;
-    filled_total += row.filled;
-    std::size_t finite = 0;
-    for (double v : row.values) {
-      if (!std::isnan(v)) ++finite;
-    }
-    EXPECT_EQ(finite, row.filled);
-  }
-  EXPECT_EQ(filled_total + assembler.LateDrops(), emitted_values);
-  // Local reordering within a window rarely spans 3 slots: most values
-  // must have landed.
-  EXPECT_LT(assembler.LateDrops(), emitted_values / 4);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AssemblerProperties,
-                         ::testing::Values(1u, 5u, 9u, 14u, 32u, 64u));
 
 }  // namespace
 }  // namespace pmcorr

@@ -235,9 +235,13 @@ TEST(MonitorQuarantine, FaultyPairsAreContainedBitwise) {
     }
     // The faulty pairs are disengaged from their first fault on (every
     // probation step re-throws, so they never score again).
-    if (t >= 10) EXPECT_FALSE(fault_snaps[t].pair_scores[1].has_value());
-    if (t >= 25) EXPECT_FALSE(fault_snaps[t].pair_scores[4].has_value());
-    if (t >= 25) EXPECT_GE(fault_snaps[t].quarantined_pairs, 2u);
+    if (t >= 10) {
+      EXPECT_FALSE(fault_snaps[t].pair_scores[1].has_value());
+    }
+    if (t >= 25) {
+      EXPECT_FALSE(fault_snaps[t].pair_scores[4].has_value());
+      EXPECT_GE(fault_snaps[t].quarantined_pairs, 2u);
+    }
   }
 
   // Alarm containment: the faulty run's log is exactly the baseline log

@@ -1,13 +1,16 @@
 // Tests for the shared bounded rolling-retrain pool: a fixed worker
-// count serving many pairs from one FIFO queue, with the retrainer's
-// adopt-at-a-boundary / keep-old-model / watchdog semantics lifted to
-// the pool level.
+// count serving many pairs from one FIFO queue. The serving models live
+// with the test, as they live in SystemMonitor: each sample goes to
+// Observe, and finished rebuilds are taken with TakeAdoptable at a
+// sample boundary.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <sstream>
 #include <string>
@@ -22,8 +25,9 @@
 namespace pmcorr {
 namespace {
 
-// Same drifting process as test_retrainer, with a per-pair level offset
-// so a rebuild's window identifies which pair it belongs to.
+// A drifting process: the operating level rises by drift_per_sample per
+// sample. A per-pair level offset lets a rebuild's window identify which
+// pair it belongs to.
 void MakeDrifting(std::size_t n, double drift_per_sample, std::uint64_t seed,
                   std::vector<double>* xs, std::vector<double>* ys,
                   double offset = 0.0) {
@@ -63,6 +67,15 @@ std::string Serialize(const PairModel& model) {
   return out.str();
 }
 
+// Feeds samples [from, to) of (xs, ys) to pair p, wrapping around.
+void ObserveRange(RetrainPool& pool, std::size_t p,
+                  const std::vector<double>& xs, const std::vector<double>& ys,
+                  std::size_t from, std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    pool.Observe(p, xs[i % xs.size()], ys[i % ys.size()]);
+  }
+}
+
 TEST(RetrainPool, FifoFairnessAcrossPairs) {
   // 6 pairs, one worker. Every rebuild records which pair's window it
   // learned from (pairs are separated by a big level offset), so the
@@ -86,21 +99,20 @@ TEST(RetrainPool, FifoFairnessAcrossPairs) {
   for (std::size_t p = 0; p < kPairs; ++p) {
     MakeDrifting(300, 0.0, 3 + p, &xs[p], &ys[p],
                  static_cast<double>(p) * 1000.0);
-    ASSERT_EQ(pool.AddPair(xs[p], ys[p]), p);
+    ASSERT_EQ(pool.RegisterWindow(xs[p], ys[p]), p);
   }
 
-  // Two full cadence rounds, stepping the pairs round-robin: the queue
+  // Two full cadence rounds, feeding the pairs round-robin: the queue
   // must serve every pair once before any pair goes twice.
   for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 100; ++i) {
+    for (std::size_t i = 0; i < 100; ++i) {
       for (std::size_t p = 0; p < kPairs; ++p) {
-        pool.Step(p, xs[p][static_cast<std::size_t>(i) % 300],
-                  ys[p][static_cast<std::size_t>(i) % 300]);
+        pool.Observe(p, xs[p][i], ys[p][i]);
       }
     }
     pool.WaitForIdle();
     for (std::size_t p = 0; p < kPairs; ++p) {
-      pool.Step(p, xs[p][0], ys[p][0]);  // adoption boundary
+      EXPECT_NE(pool.TakeAdoptable(p), nullptr) << "pair " << p;
       EXPECT_EQ(pool.Rebuilds(p), static_cast<std::size_t>(round) + 1);
     }
   }
@@ -118,48 +130,114 @@ TEST(RetrainPool, ThreadCountIndependentOfPairCount) {
   RetrainPool pool(SmallModel(), FastPool(2));
   std::vector<double> xs, ys;
   MakeDrifting(300, 0.0, 17, &xs, &ys);
-  for (std::size_t p = 0; p < kPairs; ++p) pool.AddPair(xs, ys);
+  for (std::size_t p = 0; p < kPairs; ++p) pool.RegisterWindow(xs, ys);
   EXPECT_EQ(pool.ThreadCount(), 2u);
 
-  for (int i = 0; i < 100; ++i) {
-    for (std::size_t p = 0; p < kPairs; ++p) {
-      pool.Step(p, xs[static_cast<std::size_t>(i)],
-                ys[static_cast<std::size_t>(i)]);
-    }
+  for (std::size_t i = 0; i < 100; ++i) {
+    for (std::size_t p = 0; p < kPairs; ++p) pool.Observe(p, xs[i], ys[i]);
+  }
+  // Pairs keep registering while the workers drain those rebuilds, as a
+  // monitor's AddPair does mid-stream.
+  for (std::size_t p = kPairs; p < 2 * kPairs; ++p) {
+    ASSERT_EQ(pool.RegisterWindow(xs, ys), p);
   }
   pool.WaitForIdle();
   EXPECT_EQ(pool.ThreadCount(), 2u);  // never one thread per pair
   EXPECT_EQ(pool.QueueDepth(), 0u);
   for (std::size_t p = 0; p < kPairs; ++p) {
-    pool.Step(p, xs[100], ys[100]);
+    EXPECT_NE(pool.TakeAdoptable(p), nullptr) << "pair " << p;
     EXPECT_EQ(pool.Rebuilds(p), 1u) << "pair " << p;
   }
+  EXPECT_EQ(pool.WindowSize(2 * kPairs - 1), 300u);
 }
 
 TEST(RetrainPool, AdoptedModelEqualsLearnOfWindowSnapshot) {
-  // Bitwise contract carried over from RollingPairRetrainer: the model
-  // adopted at the boundary is exactly PairModel::Learn over the window
-  // as of the cadence Step, plus the online steps fed after adoption.
+  // The bitwise oracle: a model handed out by TakeAdoptable is exactly
+  // PairModel::Learn over the window as of the Observe that fired the
+  // cadence — same bytes, no drift, no shortcuts. The first cadence
+  // learns from the seed plus the observed samples while the window is
+  // still filling; the second from a window that has slid.
   std::vector<double> xs, ys;
   MakeDrifting(900, 0.02, 13, &xs, &ys);
   RetrainPool pool(SmallModel(), FastPool(1));
-  const std::vector<double> seed_x(xs.begin(), xs.begin() + 400);
-  const std::vector<double> seed_y(ys.begin(), ys.begin() + 400);
-  ASSERT_EQ(pool.AddPair(seed_x, seed_y), 0u);
+  const std::span<const double> x(xs);
+  const std::span<const double> y(ys);
+  ASSERT_EQ(pool.RegisterWindow(x.first(250), y.first(250)), 0u);
 
-  for (std::size_t i = 400; i < 500; ++i) pool.Step(0, xs[i], ys[i]);
-  const std::vector<double> wx(xs.begin() + 100, xs.begin() + 500);
-  const std::vector<double> wy(ys.begin() + 100, ys.begin() + 500);
-  ASSERT_EQ(pool.WindowSize(0), wx.size());
-  const PairModel expected = PairModel::Learn(wx, wy, SmallModel());
-
+  ObserveRange(pool, 0, xs, ys, 250, 350);
+  ASSERT_EQ(pool.WindowSize(0), 350u);
   pool.WaitForPair(0);
   EXPECT_EQ(pool.Rebuilds(0), 0u);  // built, not yet adopted
-  pool.Step(0, xs[500], ys[500]);
-  EXPECT_EQ(pool.Rebuilds(0), 1u);  // adopted at the boundary
-  PairModel oracle = expected;
-  oracle.Step(xs[500], ys[500]);
-  EXPECT_EQ(Serialize(pool.Model(0)), Serialize(oracle));
+  const std::unique_ptr<PairModel> first = pool.TakeAdoptable(0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(pool.Rebuilds(0), 1u);
+  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);  // taken exactly once
+  EXPECT_EQ(Serialize(*first),
+            Serialize(PairModel::Learn(x.first(350), y.first(350),
+                                       SmallModel())));
+
+  ObserveRange(pool, 0, xs, ys, 350, 450);
+  ASSERT_EQ(pool.WindowSize(0), 400u);  // bounded by window_samples
+  pool.WaitForPair(0);
+  const std::unique_ptr<PairModel> second = pool.TakeAdoptable(0);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(pool.Rebuilds(0), 2u);
+  EXPECT_EQ(Serialize(*second),
+            Serialize(PairModel::Learn(x.subspan(50, 400), y.subspan(50, 400),
+                                       SmallModel())));
+}
+
+TEST(RetrainPool, TracksDriftBetterThanFrozenModelDespiteMissingSamples) {
+  // Strong drift (+120 over the run) with every tenth sample missing:
+  // the frozen model's failure mode is *silence* (the tail leaves its
+  // grid, so most samples are outliers or unscorable), while the served
+  // model the pool keeps rebuilding keeps scoring at high fitness. The
+  // NaNs go into the windows the rebuilds learn from.
+  std::vector<double> xs, ys;
+  MakeDrifting(3000, 0.05, 7, &xs, &ys);
+  const std::vector<double> train_x(xs.begin(), xs.begin() + 600);
+  const std::vector<double> train_y(ys.begin(), ys.begin() + 600);
+
+  ModelConfig frozen_config = SmallModel();
+  frozen_config.adaptive = false;
+  PairModel frozen = PairModel::Learn(train_x, train_y, frozen_config);
+
+  PairModel rolling = PairModel::Learn(train_x, train_y, SmallModel());
+  RetrainPoolConfig config = FastPool(1);
+  config.window_samples = 600;
+  config.interval_samples = 200;
+  RetrainPool pool(SmallModel(), config);
+  pool.RegisterWindow(train_x, train_y);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double rolling_sum = 0.0;
+  std::size_t frozen_n = 0, rolling_n = 0, frozen_outliers = 0;
+  for (std::size_t i = 600; i < xs.size(); ++i) {
+    const bool missing = i % 10 == 0;
+    const double x = missing ? nan : xs[i];
+    const StepOutcome f = frozen.Step(x, ys[i]);
+    if (f.has_score) ++frozen_n;
+    if (f.outlier) ++frozen_outliers;
+    if (std::unique_ptr<PairModel> fresh = pool.TakeAdoptable(0)) {
+      rolling = std::move(*fresh);
+    }
+    pool.Observe(0, x, ys[i]);
+    const StepOutcome r = rolling.Step(x, ys[i]);
+    EXPECT_EQ(r.missing, missing) << "sample " << i;
+    if (r.has_score) {
+      rolling_sum += r.fitness;
+      ++rolling_n;
+    }
+    pool.WaitForIdle();  // deterministic adoption points
+  }
+  ASSERT_GT(rolling_n, 1800u);
+  EXPECT_LT(frozen_n, rolling_n / 2);
+  EXPECT_GT(frozen_outliers, 500u);
+  EXPECT_GT(rolling_sum / static_cast<double>(rolling_n), 0.85);
+  // 2400 samples at a 200-sample cadence: 12 rebuilds, the last fired by
+  // the final sample and never adopted.
+  EXPECT_EQ(pool.Rebuilds(0), 11u);
+  EXPECT_EQ(pool.FailedRebuilds(0), 0u);
 }
 
 TEST(RetrainPool, WatchdogAbandonsWedgedRebuildWithoutStarvingQueue) {
@@ -186,65 +264,107 @@ TEST(RetrainPool, WatchdogAbandonsWedgedRebuildWithoutStarvingQueue) {
     return PairModel::Learn(x, y, model_config);
   };
   RetrainPool pool(SmallModel(), config);
-  ASSERT_EQ(pool.AddPair(xs, ys), 0u);
-  ASSERT_EQ(pool.AddPair(xs, ys), 1u);
+  // Destroyed before the pool: a failed assertion below unwedges the
+  // worker, so the pool's destructor can join it.
+  struct Unwedge {
+    std::atomic<bool>& flag;
+    ~Unwedge() { flag.store(true); }
+  } unwedge{release};
+  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
+  ASSERT_EQ(pool.RegisterWindow(xs, ys), 1u);
 
   // Fire pair 0's cadence and wait for the single worker to wedge on it,
   // then fire pair 1's cadence: it queues behind the wedged build.
-  for (int i = 0; i < 100; ++i) {
-    pool.Step(0, xs[static_cast<std::size_t>(i)],
-              ys[static_cast<std::size_t>(i)]);
-  }
+  // Observe keeps returning throughout.
+  ObserveRange(pool, 0, xs, ys, 0, 100);
   while (rebuild_calls.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(pool.RebuildInFlight(0));
-  for (int i = 0; i < 100; ++i) {
-    pool.Step(1, xs[static_cast<std::size_t>(i)],
-              ys[static_cast<std::size_t>(i)]);
-  }
+  ObserveRange(pool, 1, xs, ys, 0, 100);
   EXPECT_TRUE(pool.RebuildInFlight(1));
 
-  // Past the deadline, any pair's Step writes the wedged build off and a
+  // Past the deadline, pair 1's next due cadence check writes the wedged
+  // build off (its own slot is still queued, so it defers), and a
   // replacement worker drains pair 1's rebuild — the queue is not
   // starved even though the doomed worker is still grinding.
   now_ns.fetch_add(20 * 1'000'000);  // 20ms > watchdog_ms
-  pool.Step(1, xs[100], ys[100]);
-  EXPECT_EQ(pool.AbandonedRebuilds(0), 1u);
+  ObserveRange(pool, 1, xs, ys, 100, 200);
+  ASSERT_EQ(pool.AbandonedRebuilds(0), 1u);
   EXPECT_FALSE(pool.RebuildInFlight(0));
-  EXPECT_GE(pool.ThreadCount(), 2u);  // doomed worker + replacement
+  ASSERT_GE(pool.ThreadCount(), 2u);  // doomed worker + replacement
   pool.WaitForPair(1);                // must return, not hang
-  pool.Step(1, xs[101], ys[101]);
+  EXPECT_NE(pool.TakeAdoptable(1), nullptr);
   EXPECT_EQ(pool.Rebuilds(1), 1u);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);
+  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
 
   // Unwedge: the abandoned result is discarded, never adopted, and the
   // worker count settles back to the configured bound.
   release.store(true);
   pool.WaitForIdle();
-  pool.Step(0, xs[100], ys[100]);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);
   while (pool.ThreadCount() != 1u) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
+  EXPECT_EQ(pool.Rebuilds(0), 0u);
 
   // Pair 0's slot reopened: its next cadence rebuilds and adopts.
-  for (int i = 101; i < 300 && pool.Rebuilds(0) == 0; ++i) {
-    pool.Step(0, xs[static_cast<std::size_t>(i % 300)],
-              ys[static_cast<std::size_t>(i % 300)]);
+  ObserveRange(pool, 0, xs, ys, 100, 200);
+  pool.WaitForPair(0);
+  EXPECT_NE(pool.TakeAdoptable(0), nullptr);
+  EXPECT_EQ(pool.Rebuilds(0), 1u);
+  EXPECT_EQ(pool.AbandonedRebuilds(0), 1u);
+}
+
+TEST(RetrainPool, DefaultBackoffRetriesAtEveryCadence) {
+  // The default failure backoff has no delay and no budget: a throwing
+  // rebuild is counted, the caller keeps serving its model, and the very
+  // next cadence tries again.
+  std::vector<double> xs, ys;
+  MakeDrifting(300, 0.0, 19, &xs, &ys);
+  RetrainPoolConfig config = FastPool(1);
+  config.rebuild_override = [](std::span<const double>,
+                               std::span<const double>,
+                               const ModelConfig&) -> PairModel {
+    throw std::runtime_error("kaboom: synthetic rebuild failure");
+  };
+  RetrainPool pool(SmallModel(), config);
+  PairModel serving = PairModel::Learn(xs, ys, SmallModel());
+  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
+
+  std::size_t scored = 0;
+  std::vector<std::size_t> failed_at;  // samples fed when each failure landed
+  for (std::size_t i = 0; i < 250; ++i) {
+    EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
+    pool.Observe(0, xs[i], ys[i]);
+    if (serving.Step(xs[i], ys[i]).has_score) ++scored;
+    // Drain each failure before the next sample so the schedule below is
+    // deterministic.
     pool.WaitForPair(0);
+    if (pool.FailedRebuilds(0) > failed_at.size()) failed_at.push_back(i + 1);
   }
-  EXPECT_GE(pool.Rebuilds(0), 1u);
+  // Both cadence points (100 and 200) attempted and failed; the serving
+  // model never stopped scoring.
+  EXPECT_EQ(failed_at, (std::vector<std::size_t>{100, 200}));
+  EXPECT_EQ(pool.FailedRebuilds(0), 2u);
+  EXPECT_EQ(pool.Rebuilds(0), 0u);
+  EXPECT_FALSE(pool.RebuildInFlight(0));
+  EXPECT_FALSE(pool.GaveUp(0));
+  EXPECT_NE(pool.LastRebuildError(0).find("kaboom"), std::string::npos);
+  EXPECT_GT(scored, 200u);
 }
 
 TEST(RetrainPool, FailureBackoffDelaysRetry) {
+  // One cadence rule: after a failure the cooldown is counted down only
+  // while the cadence is due, so the retry is queued interval + cooldown
+  // samples after the failed attempt — at sample 100 + 100 + 150.
   std::vector<double> xs, ys;
   MakeDrifting(300, 0.0, 31, &xs, &ys);
   std::atomic<int> rebuild_calls{0};
   RetrainPoolConfig config = FastPool(1);
-  config.failure_backoff = {.base = 1000,
+  config.failure_backoff = {.base = 150,
                             .multiplier = 1.0,
-                            .cap = 1000,
+                            .cap = 150,
                             .budget = SIZE_MAX};
   config.rebuild_override = [&](std::span<const double>,
                                 std::span<const double>,
@@ -253,27 +373,28 @@ TEST(RetrainPool, FailureBackoffDelaysRetry) {
     throw std::runtime_error("injected rebuild failure");
   };
   RetrainPool pool(SmallModel(), config);
-  ASSERT_EQ(pool.AddPair(xs, ys), 0u);
+  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
 
-  for (int i = 0; i < 100; ++i) {
-    pool.Step(0, xs[static_cast<std::size_t>(i)],
-              ys[static_cast<std::size_t>(i)]);
-  }
+  ObserveRange(pool, 0, xs, ys, 0, 100);
   pool.WaitForPair(0);
   EXPECT_EQ(pool.FailedRebuilds(0), 1u);
   EXPECT_NE(pool.LastRebuildError(0).find("injected"), std::string::npos);
 
-  // 300 more samples: far past the normal cadence, still inside the
-  // 1000-sample cooldown — no retry fires.
-  for (int i = 0; i < 300; ++i) {
-    pool.Step(0, xs[static_cast<std::size_t>(i % 300)],
-              ys[static_cast<std::size_t>(i % 300)]);
-  }
+  // Past the normal cadence (sample 200) and up to the last cooldown
+  // sample: no retry fires.
+  ObserveRange(pool, 0, xs, ys, 100, 349);
   pool.WaitForIdle();
   EXPECT_EQ(rebuild_calls.load(), 1);
+  EXPECT_FALSE(pool.RebuildInFlight(0));
   EXPECT_FALSE(pool.GaveUp(0));
-  // The serving model was never replaced by a rebuild.
-  pool.Step(0, xs[0], ys[0]);
+
+  // Sample 350 queues the retry.
+  ObserveRange(pool, 0, xs, ys, 349, 350);
+  pool.WaitForPair(0);
+  EXPECT_EQ(rebuild_calls.load(), 2);
+  EXPECT_EQ(pool.FailedRebuilds(0), 2u);
+  // No rebuild was ever handed out.
+  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
   EXPECT_EQ(pool.Rebuilds(0), 0u);
 }
 
@@ -291,23 +412,21 @@ TEST(RetrainPool, GivesUpAfterFailureBudget) {
     throw std::runtime_error("injected rebuild failure");
   };
   RetrainPool pool(SmallModel(), config);
-  ASSERT_EQ(pool.AddPair(xs, ys), 0u);
+  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
 
   // Drive many cadence rounds, letting each queued rebuild resolve so
   // the retry schedule is deterministic; after the 2-retry budget the
   // pair stops asking.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Step(0, xs[static_cast<std::size_t>(i % 300)],
-                ys[static_cast<std::size_t>(i % 300)]);
-    }
+  for (std::size_t round = 0; round < 10; ++round) {
+    ObserveRange(pool, 0, xs, ys, 0, 100);
     pool.WaitForPair(0);
   }
   pool.WaitForIdle();
   EXPECT_TRUE(pool.GaveUp(0));
   EXPECT_EQ(pool.FailedRebuilds(0), 2u);
   EXPECT_EQ(rebuild_calls.load(), 2);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);  // still serving the initial model
+  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
+  EXPECT_EQ(pool.Rebuilds(0), 0u);  // the caller keeps its initial model
 }
 
 }  // namespace

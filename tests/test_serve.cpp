@@ -3,21 +3,18 @@
 // ServeSession: bounded queues and whole-tick shedding, the
 // alarms-never-increase-under-shedding guarantee, watermark
 // backpressure accounting, bitwise multi-tenant isolation, the full
-// query protocol, and the MonitorConfig::retrain knob (detached
-// RetrainPool adoption, bitwise-off when disabled).
+// query protocol, and the MonitorConfig::retrain knob (RetrainPool
+// adoption, bitwise-off when disabled).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "differential_util.h"
-#include "engine/retrain_pool.h"
 #include "io/framing.h"
-#include "io/model_io.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
 
@@ -357,7 +354,9 @@ TEST(ServeSession, HelloBindsAndAnswersQueries) {
     EXPECT_TRUE(pair.a == 2u || pair.b == 2u);
     const auto& score = published->snapshot.pair_scores[pair.pair_index];
     ASSERT_EQ(pair.has_score, score.has_value());
-    if (score) EXPECT_EQ(pair.score, *score);
+    if (score) {
+      EXPECT_EQ(pair.score, *score);
+    }
   }
 }
 
@@ -452,14 +451,9 @@ TEST(ServeCore, DuplicateTenantNameRejected) {
 }
 
 // ---------------------------------------------------------------------
-// MonitorConfig::retrain — the detached RetrainPool inside the engine.
+// MonitorConfig::retrain — the RetrainPool inside the engine. The pool's
+// own bitwise Learn-of-the-window oracle lives in test_retrain_pool.
 // ---------------------------------------------------------------------
-
-std::string Serialize(const PairModel& model) {
-  std::ostringstream out;
-  SavePairModel(model, out);
-  return out.str();
-}
 
 TEST(MonitorRetrain, DisabledKnobIsBitwiseInvisible) {
   // enabled-with-a-never-due-cadence must equal plainly-disabled, row
@@ -482,49 +476,6 @@ TEST(MonitorRetrain, DisabledKnobIsBitwiseInvisible) {
                                    idle->Step(row.values, row.time));
   }
   EXPECT_EQ(CheckpointString(*plain), CheckpointString(*idle));
-}
-
-TEST(MonitorRetrain, AdoptedModelsAreBitwiseLearnOfTheWindow) {
-  // Detached mode against the pool directly: after a cadence worth of
-  // Observe calls the adoptable model must be exactly
-  // PairModel::Learn(window) — same bytes, no drift, no shortcuts.
-  ModelConfig model_config;
-  model_config.partition.units = 30;
-  model_config.partition.max_intervals = 8;
-  RetrainPoolConfig pool_config;
-  pool_config.threads = 1;
-  pool_config.window_samples = 200;
-  pool_config.interval_samples = 60;
-  pool_config.min_samples = 50;
-  RetrainPool pool(model_config, pool_config);
-
-  Rng rng(91);
-  std::vector<double> xs, ys;
-  for (std::size_t i = 0; i < 200; ++i) {
-    const double x = 50.0 + 20.0 * std::sin(static_cast<double>(i) * 0.05) +
-                     rng.Normal(0.0, 1.0);
-    xs.push_back(x);
-    ys.push_back(2.0 * x + 10.0 + rng.Normal(0.0, 1.0));
-  }
-  ASSERT_EQ(pool.RegisterWindow(std::span<const double>(xs).first(100),
-                                std::span<const double>(ys).first(100)),
-            0u);
-
-  for (std::size_t i = 100; i < 180; ++i) {
-    pool.Observe(0, xs[i], ys[i]);
-  }
-  pool.WaitForIdle();
-  const std::unique_ptr<PairModel> adopted = pool.TakeAdoptable(0);
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);  // taken exactly once
-
-  // Reconstruct the window the pool must have learned from: the seed
-  // plus every observed sample up to the cadence tick that queued the
-  // rebuild (interval 60 after the 100-sample seed -> 160 samples).
-  const auto wx = std::span<const double>(xs).first(160);
-  const auto wy = std::span<const double>(ys).first(160);
-  const PairModel expected = PairModel::Learn(wx, wy, model_config);
-  EXPECT_EQ(Serialize(*adopted), Serialize(expected));
 }
 
 TEST(MonitorRetrain, EngineAdoptsRetrainedModelAtAStepBoundary) {
