@@ -236,6 +236,14 @@ int main() {
 
   const double rss_mib = PeakRssMib();
   std::cout << "peak RSS: " << FormatDouble(rss_mib, 0) << " MiB\n";
+  const MatrixBytes bytes = MonitorMatrixBytes(monitor);
+  const auto mib = [](std::size_t b) {
+    return FormatDouble(static_cast<double>(b) / 1048576.0, 1);
+  };
+  std::cout << "transition matrices: " << mib(bytes.Total())
+            << " MiB (stencil " << mib(bytes.stencil) << ", evidence "
+            << mib(bytes.evidence) << ", counts " << mib(bytes.counts)
+            << ", row caches " << mib(bytes.caches) << ")\n";
 
   BenchJson json("large_graph");
   json.Set("pairs", static_cast<std::int64_t>(graph.PairCount()));
@@ -264,6 +272,7 @@ int main() {
   json.Set("delta_shrink_pct", shrink_pct);
   json.Set("quiet_tick_shrink_pct", quiet_shrink_pct);
   json.Set("peak_rss_mib", rss_mib);
+  SetMatrixBytes(json, bytes);
   const std::string json_path = json.Write();
   if (!json_path.empty()) std::cout << "wrote " << json_path << "\n";
 

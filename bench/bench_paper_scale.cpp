@@ -131,21 +131,15 @@ int main() {
             << FormatDouble(serial_s / run_s, 2) << "x (identical output —"
             << " see test_differential)\n";
 
-  // Model memory: each pair carries an s^2 double evidence array, an s^2
-  // uint32 count array and its (2r-1) x (2c-1) double kernel stencil,
-  // the only storage of the prior.
+  // Model memory: each pair's transition matrix, by component — its
+  // kernel stencil (the only storage of the prior), the evidence rows it
+  // wrote, its sparse counts and its row caches.
   std::size_t total_cells = 0;
-  double total_bytes = 0.0;
   for (std::size_t i = 0; i < graph.PairCount(); ++i) {
-    const Grid2D& grid = monitor.Model(i).Grid();
-    const std::size_t s = grid.CellCount();
-    total_cells += s;
-    total_bytes += static_cast<double>(s) * static_cast<double>(s) *
-                       (sizeof(double) + sizeof(std::uint32_t)) +
-                   static_cast<double>((2 * grid.Rows() - 1) *
-                                       (2 * grid.Cols() - 1)) *
-                       sizeof(double);
+    total_cells += monitor.Model(i).Grid().CellCount();
   }
+  const MatrixBytes bytes = MonitorMatrixBytes(monitor);
+  const double total_bytes = static_cast<double>(bytes.Total());
   std::cout << "\naverage system fitness over the test period: "
             << FormatDouble(monitor.SystemAverage().Mean(), 4)
             << "  (paper band: 0.8-0.98)\n"
@@ -186,7 +180,7 @@ int main() {
   json.Set("alarms", static_cast<std::int64_t>(alarms));
   json.Set("outliers", static_cast<std::int64_t>(outliers));
   json.Set("extensions", static_cast<std::int64_t>(extensions));
-  json.Set("model_mib", total_bytes / 1048576.0);
+  SetMatrixBytes(json, bytes);
   json.Set("avg_cells_per_grid",
            static_cast<double>(total_cells) /
                static_cast<double>(graph.PairCount()));

@@ -138,6 +138,29 @@ std::string BenchJson::Write() const {
   return out ? path : "";
 }
 
+MatrixBytes MonitorMatrixBytes(const SystemMonitor& monitor) {
+  MatrixBytes sum;
+  for (std::size_t i = 0; i < monitor.Graph().PairCount(); ++i) {
+    const MatrixBytes b = monitor.Model(i).Matrix().Bytes();
+    sum.stencil += b.stencil;
+    sum.evidence += b.evidence;
+    sum.counts += b.counts;
+    sum.caches += b.caches;
+  }
+  return sum;
+}
+
+void SetMatrixBytes(BenchJson& json, const MatrixBytes& bytes) {
+  const auto mib = [](std::size_t b) {
+    return static_cast<double>(b) / 1048576.0;
+  };
+  json.Set("model_mib", mib(bytes.Total()));
+  json.Set("stencil_mib", mib(bytes.stencil));
+  json.Set("evidence_mib", mib(bytes.evidence));
+  json.Set("counts_mib", mib(bytes.counts));
+  json.Set("row_caches_mib", mib(bytes.caches));
+}
+
 std::string BenchJsonDir() {
   if (const char* dir = std::getenv("PMCORR_BENCH_JSON_DIR");
       dir != nullptr && *dir != '\0') {

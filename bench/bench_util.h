@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "engine/monitor.h"
 #include "telemetry/scenarios.h"
 #include "timeseries/frame.h"
 
@@ -78,6 +79,13 @@ class BenchJson {
   // (key, pre-encoded JSON value) in insertion order.
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/// Heap bytes of the monitor's transition matrices, summed by component.
+MatrixBytes MonitorMatrixBytes(const SystemMonitor& monitor);
+
+/// Records `bytes` as flat MiB keys: model_mib (the total), then
+/// stencil_mib, evidence_mib, counts_mib and row_caches_mib.
+void SetMatrixBytes(BenchJson& json, const MatrixBytes& bytes);
 
 /// Directory BENCH_*.json files land in: $PMCORR_BENCH_JSON_DIR when set,
 /// otherwise the repository root baked in at configure time (benches are

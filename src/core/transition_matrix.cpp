@@ -1,8 +1,8 @@
 #include "core/transition_matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/check.h"
 
@@ -23,10 +23,64 @@ TransitionMatrix TransitionMatrix::Prior(const Grid2D& grid,
   m.rows_ = grid.Rows();
   m.cols_ = grid.Cols();
   m.stencil_ = KernelStencil(m.rows_, m.cols_, kernel);
-  m.evidence_.assign(m.cells_ * m.cells_, 0.0);
-  m.counts_.assign(m.cells_ * m.cells_, 0);
+  m.arena_.assign(m.cells_, 0.0);  // slot 0: the shared zero row
+  m.evidence_slot_.assign(m.cells_, 0);
+  m.count_begin_.assign(m.cells_ + 1, 0);
   m.cache_.assign(m.cells_, RowCache{});
   return m;
+}
+
+namespace {
+
+// Room the arena and the count pool keep beyond what they hold after
+// they grow: an eighth, so n first writes or inserts reallocate
+// O(log n) times while the slack stays within 12.5% of the live bytes.
+std::size_t Headroom(std::size_t n) { return std::max<std::size_t>(n / 8, 1); }
+
+}  // namespace
+
+void TransitionMatrix::ReserveRows(std::size_t rows) {
+  const std::size_t need = arena_.size() / cells_ + rows;
+  if (arena_.capacity() < need * cells_) {
+    arena_.reserve((need + Headroom(need)) * cells_);
+  }
+}
+
+void TransitionMatrix::ReserveCounts(std::size_t entries) {
+  const std::size_t need = count_pool_.size() + entries;
+  if (count_pool_.capacity() < need) {
+    count_pool_.reserve(need + Headroom(need));
+  }
+}
+
+double* TransitionMatrix::WritableRow(std::size_t row) {
+  std::uint32_t& slot = evidence_slot_[row];
+  if (slot == 0) {
+    if (arena_.capacity() - arena_.size() < cells_) {
+      ReserveRows(1);  // alloc-ok: geometric growth, O(log n) times for n first writes
+    }
+    slot = static_cast<std::uint32_t>(arena_.size() / cells_);
+    arena_.resize(arena_.size() + cells_, 0.0);
+  }
+  return arena_.data() + std::size_t{slot} * cells_;
+}
+
+void TransitionMatrix::BumpCount(std::size_t from, std::size_t to) {
+  const auto column = static_cast<std::uint32_t>(to);
+  const auto last = count_pool_.begin() + count_begin_[from + 1];
+  auto at = count_pool_.begin() + count_begin_[from];
+  while (at != last && at->column < column) ++at;
+  if (at != last && at->column == column) {
+    ++at->count;
+    return;
+  }
+  const std::size_t pos = static_cast<std::size_t>(at - count_pool_.begin());
+  if (count_pool_.size() == count_pool_.capacity()) {
+    ReserveCounts(1);  // alloc-ok: geometric growth, O(log n) times for n new entries
+  }
+  count_pool_.insert(count_pool_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     CountEntry{column, 1});
+  for (std::size_t r = from + 1; r <= cells_; ++r) ++count_begin_[r];
 }
 
 template <typename Fn>
@@ -46,7 +100,7 @@ const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
     std::size_t from) const {
   RowCache& rc = cache_[from];
   if (!rc.stats_valid) {
-    const double* ev = evidence_.data() + from * cells_;
+    const double* ev = Row(from);
     const std::size_t cols = cols_;
     double max_logw = PosteriorLogW(from, 0);
     ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
@@ -69,7 +123,7 @@ const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
 
 void TransitionMatrix::BuildSorted(std::size_t from) const {
   RowCache& rc = cache_[from];
-  const double* ev = evidence_.data() + from * cells_;
+  const double* ev = Row(from);
   const std::size_t cols = cols_;
   rc.sorted.resize(cells_);
   ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
@@ -104,7 +158,7 @@ std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
     }
     return rank;
   }
-  const double* ev = evidence_.data() + from * cells_;
+  const double* ev = Row(from);
   const std::size_t cols = cols_;
   std::size_t rank = 1;
   ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
@@ -146,7 +200,7 @@ TransitionScore TransitionMatrix::ScoreTransition(std::size_t from,
     // Cold row, full read: one fused pass for max + rank, one for the
     // exponential sum — versus the three passes of the unfused
     // Probability + RankOf sequence.
-    const double* ev = evidence_.data() + from * cells_;
+    const double* ev = Row(from);
     const std::size_t cols = cols_;
     double max_logw = PosteriorLogW(from, 0);
     std::size_t rank = 1;
@@ -181,7 +235,7 @@ std::vector<double> TransitionMatrix::RowDistribution(std::size_t from) const {
   PMCORR_DASSERT(from < cells_);
   const RowCache& rc = RowStats(from);
   std::vector<double> row(cells_);
-  const double* ev = evidence_.data() + from * cells_;
+  const double* ev = Row(from);
   const std::size_t cols = cols_;
   ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
     for (std::size_t c = 0; c < cols; ++c) {
@@ -200,7 +254,7 @@ std::vector<double> TransitionMatrix::RowDistribution(std::size_t from) const {
 void TransitionMatrix::UpdateRowEvidence(std::size_t from,
                                          std::size_t observed, double weight,
                                          double forgetting) {
-  double* e = evidence_.data() + from * cells_;
+  double* e = WritableRow(from);
   const std::size_t cols = cols_;
   if (forgetting == 1.0 && weight == 1.0) {
     ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
@@ -220,7 +274,7 @@ void TransitionMatrix::UpdateRowEvidence(std::size_t from,
       }
     });
   }
-  ++counts_[from * cells_ + observed];
+  BumpCount(from, observed);
 }
 
 void TransitionMatrix::ObserveTransition(std::size_t from,
@@ -251,7 +305,7 @@ void TransitionMatrix::ObserveTransitionStencil(std::size_t from,
   (void)kernel;  // the stencil tabulated this kernel at Prior() time
   const int oi = static_cast<int>(observed / cols_);
   const std::size_t oj = observed % cols_;
-  double* e = evidence_.data() + from * cells_;
+  double* e = WritableRow(from);
   for (std::size_t r = 0; r < rows_; ++r) {
     const double* lw = stencil_.RowSlice(static_cast<int>(r) - oi, oj);
     for (std::size_t c = 0; c < cols_; ++c) {
@@ -259,7 +313,7 @@ void TransitionMatrix::ObserveTransitionStencil(std::size_t from,
     }
     e += cols_;
   }
-  ++counts_[from * cells_ + observed];
+  BumpCount(from, observed);
   ++observed_;
   InvalidateRow(from);
 }
@@ -412,8 +466,7 @@ void TransitionMatrix::ReplayTransitions(
 
   // Counting-sort the destination slots into per-source-row buckets,
   // keeping each bucket in original arrival order. offsets[row] ..
-  // offsets[row + 1) indexes the row's slots in `slots`. Counts are
-  // integers, so they are bumped here rather than in the sweeps.
+  // offsets[row + 1) indexes the row's slots in `slots`.
   std::vector<std::size_t> offsets(cells_ + 1, 0);
   for (const Transition& t : transitions) ++offsets[t.from + 1];
   for (std::size_t i = 1; i <= cells_; ++i) offsets[i] += offsets[i - 1];
@@ -422,15 +475,69 @@ void TransitionMatrix::ReplayTransitions(
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (const Transition& t : transitions) {
       slots[cursor[t.from]++] = slot[t.to];
-      ++counts_[t.from * cells_ + t.to];
     }
   }
+
+  // Counts are integers, so they are tallied here rather than in the
+  // sweeps: each row's bucket is tallied by prior slot, and the slots,
+  // which ascend with their destinations, are read back in order over
+  // the bucket's slot range (transitions are local, so the range is
+  // narrow) and merged with the row's list into a new pool, in row
+  // order.
+  std::vector<std::uint32_t> dest_of(visited);
+  for (std::size_t d = 0; d < cells_; ++d) {
+    if (slot[d] != kUnvisited) dest_of[slot[d]] = static_cast<std::uint32_t>(d);
+  }
+  std::vector<CountEntry> pool;
+  pool.reserve(count_pool_.size() + n);  // old entries, one per transition
+  std::vector<std::uint32_t> begin(cells_ + 1);
+  std::vector<std::uint32_t> tally(visited, 0);
+  for (std::size_t row = 0; row < cells_; ++row) {
+    begin[row] = static_cast<std::uint32_t>(pool.size());
+    const std::span<const CountEntry> old = CountRow(row);
+    auto o = old.begin();
+    if (offsets[row] != offsets[row + 1]) {
+      std::uint32_t lo = slots[offsets[row]];
+      std::uint32_t hi = lo;
+      for (std::size_t k = offsets[row]; k < offsets[row + 1]; ++k) {
+        ++tally[slots[k]];
+        lo = std::min(lo, slots[k]);
+        hi = std::max(hi, slots[k]);
+      }
+      for (std::size_t sl = lo; sl <= hi; ++sl) {
+        if (tally[sl] == 0) continue;
+        const std::uint32_t column = dest_of[sl];
+        for (; o != old.end() && o->column < column; ++o) pool.push_back(*o);
+        std::uint32_t count = std::exchange(tally[sl], 0);
+        if (o != old.end() && o->column == column) count += (o++)->count;
+        pool.push_back(CountEntry{column, count});
+      }
+    }
+    pool.insert(pool.end(), o, old.end());
+  }
+  begin[cells_] = static_cast<std::uint32_t>(pool.size());
+  count_pool_ = {};
+  ReserveCounts(pool.size());  // the merged size plus the usual headroom
+  count_pool_.assign(pool.begin(), pool.end());
+  count_begin_ = std::move(begin);
+
   std::vector<std::uint32_t> active;
   active.reserve(cells_);
+  std::size_t first_writes = 0;
   for (std::size_t row = 0; row < cells_; ++row) {
     if (offsets[row] != offsets[row + 1]) {
       active.push_back(static_cast<std::uint32_t>(row));
+      first_writes += evidence_slot_[row] == 0 ? 1 : 0;
     }
+  }
+  // Every active row takes its arena slot here, all in one resize,
+  // before the runner forks: the sweeps below then write disjoint slots
+  // of an arena nothing grows.
+  ReserveRows(first_writes);
+  auto next_slot = static_cast<std::uint32_t>(arena_.size() / cells_);
+  arena_.resize(arena_.size() + first_writes * cells_, 0.0);
+  for (const std::uint32_t row : active) {
+    if (evidence_slot_[row] == 0) evidence_slot_[row] = next_slot++;
   }
 
   // Replay each bucket in order. Buckets touch disjoint evidence rows,
@@ -438,7 +545,8 @@ void TransitionMatrix::ReplayTransitions(
   // the exact bits of the sequential ObserveTransition loop.
   const auto replay_row = [&](std::size_t a) {
     const std::size_t row = active[a];
-    kReplayRowFn(evidence_.data() + row * cells_, prior.data(), cells_,
+    kReplayRowFn(arena_.data() + std::size_t{evidence_slot_[row]} * cells_,
+                 prior.data(), cells_,
                  slots.data() + offsets[row], offsets[row + 1] - offsets[row],
                  weight, forgetting);
     InvalidateRow(row);
@@ -462,7 +570,7 @@ std::size_t TransitionMatrix::ArgMax(std::size_t from) const {
   PMCORR_DASSERT(from < cells_);
   const RowCache& rc = cache_[from];
   if (rc.sorted_valid) return rc.sorted.front().second;
-  const double* ev = evidence_.data() + from * cells_;
+  const double* ev = Row(from);
   const std::size_t cols = cols_;
   std::size_t best = 0;
   double best_logw = PosteriorLogW(from, 0);
@@ -481,7 +589,11 @@ std::size_t TransitionMatrix::ArgMax(std::size_t from) const {
 std::uint64_t TransitionMatrix::CountOf(std::size_t from,
                                         std::size_t to) const {
   PMCORR_DASSERT(from < cells_ && to < cells_);
-  return counts_[from * cells_ + to];
+  const std::span<const CountEntry> row = CountRow(from);
+  const auto at = std::lower_bound(
+      row.begin(), row.end(), to,
+      [](const CountEntry& e, std::size_t c) { return e.column < c; });
+  return at != row.end() && at->column == to ? at->count : 0;
 }
 
 void TransitionMatrix::ApplyExtension(const GridExtension& ext,
@@ -491,16 +603,16 @@ void TransitionMatrix::ApplyExtension(const GridExtension& ext,
                                       double likelihood_weight) {
   const std::size_t old_cells = cells_;
   TransitionMatrix grown = Prior(new_grid, kernel);
+  std::vector<std::uint32_t> remap(old_cells);
   std::vector<bool> is_old(grown.cells_, false);
+  std::size_t rows = 0;
   for (std::size_t i = 0; i < old_cells; ++i) {
-    const std::size_t ni = Grid2D::RemapIndex(i, old_cols, ext);
-    is_old[ni] = true;
-    for (std::size_t j = 0; j < old_cells; ++j) {
-      const std::size_t nj = Grid2D::RemapIndex(j, old_cols, ext);
-      grown.evidence_[ni * grown.cells_ + nj] = evidence_[i * cells_ + j];
-      grown.counts_[ni * grown.cells_ + nj] = counts_[i * cells_ + j];
-    }
+    remap[i] = static_cast<std::uint32_t>(Grid2D::RemapIndex(i, old_cols, ext));
+    is_old[remap[i]] = true;
+    rows += RowWritten(i) || !CountRow(i).empty() ? 1 : 0;
   }
+  grown.ReserveRows(rows);
+  grown.ReserveCounts(count_pool_.size());
   grown.observed_ = observed_;
 
   // Coordinates of every new-grid cell, decomposed once (the backfill
@@ -511,24 +623,37 @@ void TransitionMatrix::ApplyExtension(const GridExtension& ext,
                           static_cast<int>(j % grown.cols_)};
   }
 
-  // Backfill evidence for the new columns of previously-observed rows.
+  // A row with evidence or counts moves to its remapped index; a row
+  // with neither stays unwritten. Remapping keeps row-major order, so
+  // the rows' count lists land in the new pool in row order, each still
+  // ascending; `next` is the first new row whose offset is unset.
   struct Dest {
     CellCoord coord;
     double count;
   };
+  std::vector<Dest> dests;
+  std::size_t next = 0;
   for (std::size_t i = 0; i < old_cells; ++i) {
-    const std::size_t ni = Grid2D::RemapIndex(i, old_cols, ext);
-    // Sparse (destination, count) list of this row's history, in
-    // ascending old-index order (the summation order is pinned).
-    std::vector<Dest> dests;
-    for (std::size_t j = 0; j < old_cells; ++j) {
-      const std::uint32_t c = counts_[i * cells_ + j];
-      if (c > 0) {
-        dests.push_back(Dest{coords[Grid2D::RemapIndex(j, old_cols, ext)],
-                             static_cast<double>(c)});
-      }
+    const std::span<const CountEntry> counts = CountRow(i);
+    if (!RowWritten(i) && counts.empty()) continue;
+    const std::size_t ni = remap[i];
+    double* row = grown.WritableRow(ni);
+    const double* old_row = Row(i);
+    for (std::size_t j = 0; j < old_cells; ++j) row[remap[j]] = old_row[j];
+    for (; next <= ni; ++next) {
+      grown.count_begin_[next] =
+          static_cast<std::uint32_t>(grown.count_pool_.size());
+    }
+    dests.clear();
+    for (const CountEntry& e : counts) {
+      grown.count_pool_.push_back(CountEntry{remap[e.column], e.count});
+      dests.push_back(Dest{coords[remap[e.column]],
+                           static_cast<double>(e.count)});
     }
     if (dests.empty()) continue;
+    // Backfill evidence for the new columns of a previously-observed row
+    // from its (destination, count) history, in ascending old-index
+    // order (the summation order is pinned).
     for (std::size_t nj = 0; nj < grown.cells_; ++nj) {
       if (is_old[nj]) continue;
       const CellCoord nc = coords[nj];
@@ -537,9 +662,12 @@ void TransitionMatrix::ApplyExtension(const GridExtension& ext,
         evidence += d.count * grown.stencil_.LogWeight(d.coord.i1 - nc.i1,
                                                        d.coord.i2 - nc.i2);
       }
-      grown.evidence_[ni * grown.cells_ + nj] =
-          likelihood_weight * evidence;
+      row[nj] = likelihood_weight * evidence;
     }
+  }
+  for (; next <= grown.cells_; ++next) {
+    grown.count_begin_[next] =
+        static_cast<std::uint32_t>(grown.count_pool_.size());
   }
   *this = std::move(grown);
 }
@@ -548,8 +676,9 @@ void TransitionMatrix::CheckInvariants() const {
   if (cells_ == 0) {
     PMCORR_ASSERT(rows_ == 0 && cols_ == 0, "empty matrix with grid shape "
                                                 << rows_ << "x" << cols_);
-    PMCORR_ASSERT(stencil_.Empty() && evidence_.empty() && counts_.empty() &&
-                      cache_.empty(),
+    PMCORR_ASSERT(stencil_.Empty() && arena_.empty() &&
+                      evidence_slot_.empty() && count_pool_.empty() &&
+                      count_begin_.empty() && cache_.empty(),
                   "empty matrix with live arrays");
     PMCORR_ASSERT(observed_ == 0, "empty matrix observed " << observed_);
     return;
@@ -557,11 +686,17 @@ void TransitionMatrix::CheckInvariants() const {
   PMCORR_ASSERT(rows_ * cols_ == cells_, "grid shape " << rows_ << "x"
                                                        << cols_ << " != "
                                                        << cells_ << " cells");
-  const std::size_t entries = cells_ * cells_;
-  PMCORR_ASSERT(evidence_.size() == entries,
-                "evidence size " << evidence_.size());
-  PMCORR_ASSERT(counts_.size() == entries, "counts size " << counts_.size());
+  PMCORR_ASSERT(evidence_slot_.size() == cells_,
+                "evidence slot table size " << evidence_slot_.size());
+  PMCORR_ASSERT(count_begin_.size() == cells_ + 1 && count_begin_[0] == 0 &&
+                    count_begin_[cells_] == count_pool_.size(),
+                "count offsets of size " << count_begin_.size()
+                                         << " for a pool of "
+                                         << count_pool_.size());
   PMCORR_ASSERT(cache_.size() == cells_, "cache size " << cache_.size());
+  PMCORR_ASSERT(!arena_.empty() && arena_.size() % cells_ == 0,
+                "arena of " << arena_.size() << " doubles for " << cells_
+                            << " cells");
   // The stencil is the prior: a drifted entry fails its symmetry,
   // center or decay clauses here.
   stencil_.CheckInvariants();
@@ -570,21 +705,58 @@ void TransitionMatrix::CheckInvariants() const {
                                      << stencil_.GridCols() << ", grid is "
                                      << rows_ << "x" << cols_);
 
-  std::uint64_t count_total = 0;
   // Per-thread scratch, grown and never shrunk, so an audited Step stays
-  // allocation-free. `seen` is re-zeroed before each row uses it.
+  // allocation-free. `seen` is re-zeroed before each use.
   thread_local std::vector<std::uint8_t> seen;
   // Row i of the posterior, read entry by entry through PriorLogW — a
   // path independent of the slice walks the kernels use.
   thread_local std::vector<double> post;
-  if (seen.size() < cells_) seen.resize(cells_);
+  const std::size_t slots = arena_.size() / cells_;
+  if (seen.size() < std::max(cells_, slots)) {
+    seen.resize(std::max(cells_, slots));
+  }
   if (post.size() < cells_) post.resize(cells_);
+
+  // Sparse storage: slot 0 is the shared zero row, bitwise +0.0, and
+  // every other slot belongs to exactly one row.
+  for (std::size_t j = 0; j < cells_; ++j) {
+    PMCORR_ASSERT(std::bit_cast<std::uint64_t>(arena_[j]) == 0,
+                  "shared zero row entry " << j << " = " << arena_[j]);
+  }
+  std::fill_n(seen.begin(), slots, 0);
   for (std::size_t i = 0; i < cells_; ++i) {
-    const double* ev = evidence_.data() + i * cells_;
+    const std::uint32_t slot = evidence_slot_[i];
+    if (slot == 0) continue;
+    PMCORR_ASSERT(slot < slots && !seen[slot],
+                  "row " << i << " holds arena slot " << slot << " of "
+                         << slots);
+    seen[slot] = 1;
+  }
+  for (std::size_t slot = 1; slot < slots; ++slot) {
+    PMCORR_ASSERT(seen[slot], "arena slot " << slot << " has no row");
+  }
+  // Count lists: strictly ascending columns inside the grid, nonzero
+  // counts.
+  std::uint64_t count_total = 0;
+  for (std::size_t i = 0; i < cells_; ++i) {
+    PMCORR_ASSERT(count_begin_[i] <= count_begin_[i + 1],
+                  "row " << i << " count offsets descend");
+    const std::span<const CountEntry> counts = CountRow(i);
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+      PMCORR_ASSERT(counts[k].column < cells_ && counts[k].count > 0 &&
+                        (k == 0 || counts[k - 1].column < counts[k].column),
+                    "row " << i << " count entry " << k << " ("
+                           << counts[k].column << ", " << counts[k].count
+                           << ")");
+      count_total += counts[k].count;
+    }
+  }
+
+  for (std::size_t i = 0; i < cells_; ++i) {
+    const double* ev = Row(i);
     for (std::size_t j = 0; j < cells_; ++j) {
       PMCORR_ASSERT(std::isfinite(ev[j]) && ev[j] <= 0.0,
                     "evidence (" << i << "," << j << ") = " << ev[j]);
-      count_total += counts_[i * cells_ + j];
       post[j] = PosteriorLogW(i, j);
     }
 
@@ -648,18 +820,36 @@ void TransitionMatrix::CheckInvariants() const {
                                               << observed_);
 }
 
-void TransitionMatrix::RestoreState(std::vector<double> evidence,
-                                    std::vector<std::uint32_t> counts,
-                                    std::uint64_t observed) {
-  if (evidence.size() != cells_ * cells_ || counts.size() != cells_ * cells_) {
-    throw std::invalid_argument(
-        "TransitionMatrix::RestoreState: size mismatch with current grid");
+std::span<double> TransitionMatrix::RestoreEvidenceRow(std::size_t row) {
+  PMCORR_DASSERT(row < cells_ && evidence_slot_[row] == 0);
+  return {WritableRow(row), cells_};
+}
+
+void TransitionMatrix::RestoreCountRow(std::size_t row,
+                                       std::span<const CountEntry> entries) {
+  PMCORR_DASSERT(row < cells_ && count_begin_[row] == count_pool_.size());
+  ReserveCounts(entries.size());
+  count_pool_.insert(count_pool_.end(), entries.begin(), entries.end());
+  for (std::size_t r = row + 1; r <= cells_; ++r) {
+    count_begin_[r] = static_cast<std::uint32_t>(count_pool_.size());
   }
-  evidence_ = std::move(evidence);
-  counts_ = std::move(counts);
-  observed_ = observed;
-  cache_.assign(cells_, RowCache{});
-  PMCORR_AUDIT_ONLY(CheckInvariants();)
+  for (const CountEntry& e : entries) observed_ += e.count;
+}
+
+MatrixBytes TransitionMatrix::Bytes() const {
+  MatrixBytes bytes;
+  if (cells_ != 0) {
+    bytes.stencil = (2 * rows_ - 1) * (2 * cols_ - 1) * sizeof(double);
+  }
+  bytes.evidence = arena_.capacity() * sizeof(double) +
+                   evidence_slot_.capacity() * sizeof(std::uint32_t);
+  bytes.counts = count_pool_.capacity() * sizeof(CountEntry) +
+                 count_begin_.capacity() * sizeof(std::uint32_t);
+  bytes.caches = cache_.capacity() * sizeof(RowCache);
+  for (const RowCache& rc : cache_) {
+    bytes.caches += rc.sorted.capacity() * sizeof(rc.sorted[0]);
+  }
+  return bytes;
 }
 
 std::vector<std::uint64_t> TransitionDistanceHistogram(
@@ -673,15 +863,13 @@ std::vector<std::uint64_t> TransitionDistanceHistogram(
   std::vector<CellCoord> coords(cells);
   for (std::size_t i = 0; i < cells; ++i) coords[i] = grid.CoordOf(i);
   for (std::size_t i = 0; i < cells; ++i) {
-    for (std::size_t j = 0; j < cells; ++j) {
-      const std::uint64_t c = matrix.CountOf(i, j);
-      if (c == 0) continue;
+    for (const CountEntry& e : matrix.CountRow(i)) {
       const CellCoord ca = coords[i];
-      const CellCoord cb = coords[j];
+      const CellCoord cb = coords[e.column];
       const auto d = static_cast<std::size_t>(
           std::max(std::abs(ca.i1 - cb.i1), std::abs(ca.i2 - cb.i2)));
       if (d >= hist.size()) hist.resize(d + 1, 0);
-      hist[d] += c;
+      hist[d] += e.count;
     }
   }
   return hist;

@@ -26,8 +26,18 @@
 //    c-element stencil slices, one per grid row of destinations. Every
 //    row scan walks those slices in ascending destination order, so it
 //    sees the same doubles in the same order a materialized s x s copy
-//    would give it. Per entry the matrix stores 12 bytes (evidence and
-//    counts); the stencil is about 4s doubles.
+//    would give it. The stencil is about 4s doubles.
+//  * Evidence is stored only for rows that were written. A row takes an
+//    s-double slot from a per-matrix arena on its first write; every
+//    unwritten row reads one shared all-zero row (slot 0), so the row
+//    kernels stay branch-free and add the same +0.0 bits a dense s x s
+//    array would hold. The arena grows geometrically, by an eighth.
+//  * Counts are per-row (column, count) lists in ascending column order,
+//    nonzero entries only, stored back to back in row order in one pool
+//    with s + 1 row offsets. A new entry is inserted in place, shifting
+//    the pool's tail; only a transition never seen before pays that.
+//    The sparsity is the paper's locality finding: most transitions stay
+//    in-cell or go to a neighbouring cell.
 //  * The Eq. (2) likelihood vector for an observed destination d is the
 //    kernel centered at d, i.e. prior row d: ObserveTransition sweeps it
 //    slice by slice. The batch ReplayTransitions gathers the prior rows
@@ -53,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "grid/grid.h"
 #include "grid/kernels.h"
 
@@ -83,6 +94,26 @@ using ParallelRunner =
 struct TransitionScore {
   double probability = 0.0;
   std::size_t rank = 0;
+};
+
+/// One nonzero empirical count of a matrix row: `count` transitions to
+/// cell `column`.
+struct CountEntry {
+  std::uint32_t column = 0;
+  std::uint32_t count = 0;
+
+  friend constexpr bool operator==(CountEntry, CountEntry) = default;
+};
+
+/// Heap bytes a TransitionMatrix holds, by component (capacities, not
+/// sizes).
+struct MatrixBytes {
+  std::size_t stencil = 0;   // the prior's (2r-1) x (2c-1) log weights
+  std::size_t evidence = 0;  // the arena (zero row, written rows), slot table
+  std::size_t counts = 0;    // the count pool and its row offsets
+  std::size_t caches = 0;    // per-row caches and their sorted rank indexes
+
+  std::size_t Total() const { return stencil + evidence + counts + caches; }
 };
 
 /// What a scoring read computes. kFull fills both fields of
@@ -190,15 +221,48 @@ class TransitionMatrix {
                       const Grid2D& new_grid, const DecayKernel& kernel,
                       double likelihood_weight = 1.0);
 
-  /// Accumulated evidence (row-major, s*s) — exposed for serialization.
-  const std::vector<double>& Evidence() const { return evidence_; }
-  /// Empirical counts (row-major, s*s) — exposed for serialization.
-  const std::vector<std::uint32_t>& Counts() const { return counts_; }
-  /// Restores evidence/counts saved earlier; the stencil must already
-  /// have been built via Prior() on the same grid.
-  void RestoreState(std::vector<double> evidence,
-                    std::vector<std::uint32_t> counts,
-                    std::uint64_t observed);
+  /// Row `row`'s accumulated evidence, s entries: its arena slot once
+  /// written, else the shared all-zero row. Valid until the next write
+  /// or restore of any row (the arena may move when it grows).
+  std::span<const double> EvidenceRow(std::size_t row) const {
+    PMCORR_DASSERT(row < cells_);
+    return {Row(row), cells_};
+  }
+
+  /// True once row `row` holds an arena slot: it was written by an
+  /// observe, a replay, an extension's remap or a restore.
+  bool RowWritten(std::size_t row) const {
+    PMCORR_DASSERT(row < cells_);
+    return evidence_slot_[row] != 0;
+  }
+
+  /// Row `row`'s nonzero empirical counts in ascending column order.
+  /// Valid until the next write or restore.
+  std::span<const CountEntry> CountRow(std::size_t row) const {
+    PMCORR_DASSERT(row < cells_);
+    return {count_pool_.data() + count_begin_[row],
+            count_pool_.data() + count_begin_[row + 1]};
+  }
+
+  /// Makes arena room for `rows` more written rows, so the next `rows`
+  /// first writes or restores take no allocation; when it must grow, it
+  /// adds an eighth as headroom. ReplayTransitions calls it before
+  /// forking; the model decoder before restoring.
+  void ReserveRows(std::size_t rows);
+
+  /// The decoder's path into the sparse form, on a matrix fresh from
+  /// Prior(): takes row `row`'s arena slot and returns it, all +0.0, for
+  /// the caller to fill. Each row is restored at most once.
+  std::span<double> RestoreEvidenceRow(std::size_t row);
+
+  /// Sets row `row`'s counts to `entries` — nonzero counts in strictly
+  /// ascending column order inside the grid — and adds them to
+  /// ObservedCount(). Rows are restored in ascending order, each at most
+  /// once.
+  void RestoreCountRow(std::size_t row, std::span<const CountEntry> entries);
+
+  /// Heap bytes held, by component.
+  MatrixBytes Bytes() const;
 
   /// Grid shape the matrix was built for (rows * cols == CellCount()).
   std::size_t GridRows() const { return rows_; }
@@ -219,9 +283,14 @@ class TransitionMatrix {
 
   /// Audits the matrix invariants the paper's math and the row caches
   /// rely on:
-  ///  * shape agreement — rows * cols == cells, evidence and counts
-  ///    sized s*s, stencil built for exactly this shape and internally
-  ///    valid (it is the prior, so a drifted entry fires here);
+  ///  * shape agreement — rows * cols == cells, one evidence slot and one
+  ///    cache per row, s + 1 count offsets, stencil built for exactly
+  ///    this shape and internally valid (it is the prior, so a drifted
+  ///    entry fires here);
+  ///  * sparse storage — the shared zero row holds only +0.0 bits, every
+  ///    other arena slot belongs to exactly one row, and the row offsets
+  ///    partition the count pool into lists with strictly ascending
+  ///    columns inside the grid and nonzero counts;
   ///  * evidence stays finite and non-positive (Eq. 2 accumulates
   ///    weight * log-weights <= 0 under forgetting in (0, 1]);
   ///  * every row is a probability distribution — the normalized row
@@ -231,7 +300,7 @@ class TransitionMatrix {
   ///    index (which a rank-only read may build without the stats) is a
   ///    permutation of [0, s), ordered (desc weight, asc index), whose
   ///    keys match the live posterior bitwise;
-  ///  * counts_ sums to ObservedCount().
+  ///  * the counts sum to ObservedCount().
   /// O(s^2) — called from audit-build boundaries and tests, not from
   /// production hot paths.
   void CheckInvariants() const;
@@ -254,9 +323,26 @@ class TransitionMatrix {
     std::vector<std::pair<double, std::uint32_t>> sorted;
   };
 
-  double PosteriorLogW(std::size_t from, std::size_t to) const {
-    return PriorLogW(from, to) + evidence_[from * cells_ + to];
+  /// Row `row`'s evidence: its arena slot, or the shared zero row.
+  const double* Row(std::size_t row) const {
+    return arena_.data() + std::size_t{evidence_slot_[row]} * cells_;
   }
+
+  double PosteriorLogW(std::size_t from, std::size_t to) const {
+    return PriorLogW(from, to) + Row(from)[to];
+  }
+
+  /// Row `row`'s evidence for writing: takes the next arena slot on the
+  /// row's first write, growing the arena geometrically when it is full.
+  double* WritableRow(std::size_t row);
+
+  /// Adds one to the count of (from, to): bumps the entry in place, or
+  /// inserts it in column order.
+  void BumpCount(std::size_t from, std::size_t to);
+
+  /// The count pool's ReserveRows: room for `entries` more, plus an
+  /// eighth when it must grow.
+  void ReserveCounts(std::size_t entries);
 
   /// Calls fn(lw, j0) once per grid row of destinations, in ascending
   /// order: lw[c] is prior row `center`'s log weight for destination
@@ -293,8 +379,14 @@ class TransitionMatrix {
   std::size_t rows_ = 0;               // grid rows (r)
   std::size_t cols_ = 0;               // grid cols (c)
   KernelStencil stencil_;              // (2r-1) x (2c-1) prior log weights
-  std::vector<double> evidence_;       // s*s accumulated log likelihood
-  std::vector<std::uint32_t> counts_;  // s*s empirical transition counts
+  // Accumulated log likelihood: s-double slots, slot 0 the shared zero
+  // row; evidence_slot_[i] is row i's slot (0 until its first write).
+  std::vector<double> arena_;
+  std::vector<std::uint32_t> evidence_slot_;
+  // Empirical transition counts: row i's list is
+  // count_pool_[count_begin_[i], count_begin_[i + 1]).
+  std::vector<CountEntry> count_pool_;
+  std::vector<std::uint32_t> count_begin_;
   std::uint64_t observed_ = 0;
   mutable std::vector<RowCache> cache_;  // one per row, thread-confined
 };

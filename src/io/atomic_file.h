@@ -111,8 +111,20 @@ void AtomicWriteFile(const std::string& path, std::string_view content);
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
 /// the per-frame check of io/framing.h, so it runs on every serve socket
 /// frame, every binary delta frame and every checkpoint and model-file
-/// frame. Table-driven slice-by-8 (eight 1 KiB tables built at compile
-/// time), giving the values of the bitwise definition.
+/// frame. A CPU probe picks the kernel once per process: PCLMULQDQ
+/// folding where the CPU has it (x86-64 with PCLMULQDQ and SSE4.1), else
+/// slice-by-8 tables. Both give the values of the bitwise definition.
 std::uint32_t Crc32(std::string_view bytes);
+
+/// The kernels under Crc32, callable directly so tests cover both on a
+/// CPU that has PCLMULQDQ and the fallback on one that does not.
+/// Crc32Slice8 is table-driven slice-by-8 (eight 1 KiB tables built at
+/// compile time): the fallback, and the reference the tests hold the
+/// folding kernel to. Crc32Clmul folds 16-byte blocks of inputs of 64
+/// bytes or more with carry-less multiplies and finishes the tail with
+/// the tables; call it only when Crc32ClmulSupported().
+std::uint32_t Crc32Slice8(std::string_view bytes);
+std::uint32_t Crc32Clmul(std::string_view bytes);
+bool Crc32ClmulSupported();
 
 }  // namespace pmcorr

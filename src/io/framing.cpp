@@ -63,6 +63,15 @@ void EndFrame(std::size_t start, std::string& out) {
   PutU32(Crc32(std::string_view(out.data() + start + 4, body_length)), out);
 }
 
+void ResealFrame(std::size_t start, std::string& out) {
+  const std::size_t body_length = GetU32(out.data() + start);
+  const std::uint32_t crc =
+      Crc32(std::string_view(out.data() + start + 4, body_length));
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + 4 + body_length + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+}
+
 void AppendFrame(std::uint8_t type, std::string_view payload,
                  std::string& out) {
   if (payload.size() > kMaxFramePayload) {

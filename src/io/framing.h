@@ -67,6 +67,10 @@ void AppendFrame(std::uint8_t type, std::string_view payload,
 std::size_t BeginFrame(std::uint8_t type, std::string& out);
 void EndFrame(std::size_t start, std::string& out);
 
+/// Recomputes the CRC of the frame EndFrame sealed at `start` in `out`,
+/// for a caller that patched the frame's payload in place since.
+void ResealFrame(std::size_t start, std::string& out);
+
 /// Writes one encoded frame to a stream (the file-backed users).
 /// Throws std::runtime_error on write failure.
 void WriteFrame(std::ostream& out, std::uint8_t type,

@@ -1,10 +1,10 @@
 #include "io/model_io.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -25,19 +25,18 @@ constexpr std::string_view kContext = "LoadPairModel";
 constexpr std::size_t kMaxIntervalsPerDim = 1024;
 constexpr std::size_t kMaxGridCells = 4096;
 
-// True when the `n` bytes at `p` are all zero — for evidence, a row of
-// +0.0 bit patterns. memcmp against a zero block runs at memory speed,
-// where an element loop does not.
-bool AllZero(const void* p, std::size_t n) {
-  static constexpr std::size_t kBlock = 4096;
-  static constexpr char kZeros[kBlock] = {};
-  const char* bytes = static_cast<const char*>(p);
-  for (std::size_t done = 0; done < n; done += kBlock) {
-    if (std::memcmp(bytes + done, kZeros, std::min(kBlock, n - done)) != 0) {
-      return false;
-    }
+// Whether row `row` goes to the file as an evidence frame: an arena row
+// that holds a bit other than +0.0. Only a 1x1 grid, whose one log
+// weight is the center's 0, or a likelihood weight so small that every
+// term underflows, leaves a written row at +0.0, so the test stops at
+// the row's first or second entry everywhere else, on memory the frame
+// copies next. Unwritten rows are not read at all.
+bool EvidenceRowWritten(const TransitionMatrix& m, std::size_t row) {
+  if (!m.RowWritten(row)) return false;
+  for (const double v : m.EvidenceRow(row)) {
+    if (std::bit_cast<std::uint64_t>(v) != 0) return true;
   }
-  return true;
+  return false;
 }
 
 void WriteEdges(WireWriter& w, const IntervalList& list) {
@@ -85,26 +84,20 @@ void AppendPairModelFrames(const PairModel& model, std::string& out) {
   const ModelConfig& c = model.Config();
   const TransitionMatrix& m = model.Matrix();
   const std::size_t cells = m.CellCount();
-  const double* evidence = m.Evidence().data();
-  const std::uint32_t* counts = m.Counts().data();
 
-  // Which rows each section writes, found once: the model frame
-  // declares both numbers before the rows follow.
-  std::vector<bool> evidence_written(cells);
-  std::vector<bool> counts_written(cells);
+  // The model frame declares how many rows each section writes before
+  // the rows follow. It counts every arena row as an evidence row
+  // without reading the arena; one that turns out to hold only +0.0 is
+  // dropped below and the declared count patched.
   std::uint32_t evidence_rows = 0;
   std::uint32_t counts_rows = 0;
   for (std::size_t row = 0; row < cells; ++row) {
-    evidence_written[row] =
-        !AllZero(evidence + row * cells, cells * sizeof(double));
-    counts_written[row] =
-        !AllZero(counts + row * cells, cells * sizeof(std::uint32_t));
-    evidence_rows += evidence_written[row] ? 1 : 0;
-    counts_rows += counts_written[row] ? 1 : 0;
+    evidence_rows += m.RowWritten(row) ? 1 : 0;
+    counts_rows += m.CountRow(row).empty() ? 0 : 1;
   }
 
   WireWriter w(out);
-  std::size_t frame = BeginFrame(kModelFrame, out);
+  const std::size_t model_frame = BeginFrame(kModelFrame, out);
   w.U8(static_cast<std::uint8_t>(c.kernel.type));
   w.F64(c.kernel.w);
   w.U8(static_cast<std::uint8_t>(c.kernel.metric));
@@ -120,26 +113,34 @@ void AppendPairModelFrames(const PairModel& model, std::string& out) {
   WriteEdges(w, model.Grid().Dim1());
   WriteEdges(w, model.Grid().Dim2());
   w.U64(m.ObservedCount());
+  const std::size_t evidence_rows_at = out.size();
   w.U32(evidence_rows);
   w.U32(counts_rows);
-  EndFrame(frame, out);
+  EndFrame(model_frame, out);
 
+  std::uint32_t written = 0;
   for (std::size_t row = 0; row < cells; ++row) {
-    if (!evidence_written[row]) continue;
-    frame = BeginFrame(kEvidenceFrame, out);
+    if (!EvidenceRowWritten(m, row)) continue;
+    const std::size_t frame = BeginFrame(kEvidenceFrame, out);
     w.U32(static_cast<std::uint32_t>(row));
-    w.F64s(evidence + row * cells, cells);
+    w.F64s(m.EvidenceRow(row).data(), cells);
     EndFrame(frame, out);
+    ++written;
+  }
+  if (written != evidence_rows) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[evidence_rows_at + i] = static_cast<char>((written >> (8 * i)) & 0xff);
+    }
+    ResealFrame(model_frame, out);
   }
   for (std::size_t row = 0; row < cells; ++row) {
-    if (!counts_written[row]) continue;
-    frame = BeginFrame(kCountsFrame, out);
+    const std::span<const CountEntry> counts = m.CountRow(row);
+    if (counts.empty()) continue;
+    const std::size_t frame = BeginFrame(kCountsFrame, out);
     w.U32(static_cast<std::uint32_t>(row));
-    const std::uint32_t* values = counts + row * cells;
-    for (std::size_t j = 0; j < cells; ++j) {
-      if (values[j] == 0) continue;
-      w.U32(static_cast<std::uint32_t>(j));
-      w.U32(values[j]);
+    for (const CountEntry& e : counts) {
+      w.U32(e.column);
+      w.U32(e.count);
     }
     EndFrame(frame, out);
   }
@@ -211,29 +212,33 @@ PairModel ReadPairModelFrames(FrameReader& frames) {
     r.Fail("declared row count exceeds the grid's cells");
   }
 
-  std::vector<double> evidence(cells * cells);
+  // Rows are restored straight into the matrix's sparse form: evidence
+  // into arena slots reserved for the declared rows, counts into its
+  // pool.
+  const auto kernel = MakeKernel(config.kernel);
+  TransitionMatrix matrix = TransitionMatrix::Prior(grid, *kernel);
+  matrix.ReserveRows(evidence_rows);
   std::size_t next_row = 0;
   for (std::uint32_t k = 0; k < evidence_rows; ++k) {
     const Frame frame = ExpectFrame(frames, kEvidenceFrame, kContext);
     WireReader e(frame.payload, "LoadPairModel: evidence");
     const std::size_t row = ReadRow(e, cells, next_row);
     next_row = row + 1;
-    double* values = &evidence[row * cells];
-    e.F64s(values, cells);
-    for (std::size_t j = 0; j < cells; ++j) {
+    const std::span<double> values = matrix.RestoreEvidenceRow(row);
+    e.F64s(values.data(), cells);
+    bool any_bit = false;
+    for (const double v : values) {
       // Every evidence term is a forgetting-discounted sum of weighted
       // log-probabilities, so legitimate checkpoints never hold positive
       // or non-finite entries.
-      if (!(std::isfinite(values[j]) && values[j] <= 0.0)) {
-        e.Fail("bad evidence entry");
-      }
+      if (!(std::isfinite(v) && v <= 0.0)) e.Fail("bad evidence entry");
+      any_bit |= std::bit_cast<std::uint64_t>(v) != 0;
     }
     e.ExpectEnd();
-    if (AllZero(values, cells * sizeof(double))) e.Fail("all-zero row written");
+    if (!any_bit) e.Fail("all-zero row written");
   }
 
-  std::vector<std::uint32_t> counts(cells * cells);
-  std::uint64_t count_total = 0;
+  std::vector<CountEntry> entries;
   next_row = 0;
   for (std::uint32_t k = 0; k < counts_rows; ++k) {
     const Frame frame = ExpectFrame(frames, kCountsFrame, kContext);
@@ -241,6 +246,7 @@ PairModel ReadPairModelFrames(FrameReader& frames) {
     const std::size_t row = ReadRow(c, cells, next_row);
     next_row = row + 1;
     if (c.AtEnd()) c.Fail("empty row");
+    entries.clear();
     std::size_t next_column = 0;
     while (!c.AtEnd()) {
       const std::uint32_t column = c.U32();
@@ -250,19 +256,17 @@ PairModel ReadPairModelFrames(FrameReader& frames) {
       next_column = column + 1;
       const std::uint32_t count = c.U32();
       if (count == 0) c.Fail("zero count listed");
-      counts[row * cells + column] = count;
-      count_total += count;
+      entries.push_back(CountEntry{column, count});
     }
+    matrix.RestoreCountRow(row, entries);
   }
-  if (count_total != observed) {
-    throw std::runtime_error("LoadPairModel: counts sum to " +
-                             std::to_string(count_total) +
-                             ", header declares " + std::to_string(observed));
+  if (matrix.ObservedCount() != observed) {
+    throw std::runtime_error(
+        "LoadPairModel: counts sum to " +
+        std::to_string(matrix.ObservedCount()) + ", header declares " +
+        std::to_string(observed));
   }
 
-  const auto kernel = MakeKernel(config.kernel);
-  TransitionMatrix matrix = TransitionMatrix::Prior(grid, *kernel);
-  matrix.RestoreState(std::move(evidence), std::move(counts), observed);
   PairModel model =
       PairModel::FromParts(config, std::move(grid), std::move(matrix));
   PMCORR_AUDIT_ONLY(model.CheckInvariants();)

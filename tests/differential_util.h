@@ -10,6 +10,9 @@
 // Q^a, Q, alarm list, counter and health flag), its alarm log, its
 // lifetime aggregates and its checkpoint bytes — after calibration,
 // under scripted engine faults, and across ResetSequences boundaries.
+// After every row the reference fed row by row steps, and on the models
+// of a reloaded checkpoint, each pair model must also encode to the
+// bytes of the dense reference encoder (dense_reference.h).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_reference.h"
 #include "engine/fault_plan.h"
 #include "engine/monitor.h"
 #include "io/monitor_io.h"
@@ -60,6 +64,35 @@ inline std::vector<SystemSnapshot> StepLoopReusingSnapshot(
     }
     monitor.Step(values, frame.TimeAt(t), out);
     snapshots.push_back(out);
+  }
+  return snapshots;
+}
+
+/// Asserts that every pair model of `engine` (a SystemMonitor or a
+/// ReferenceStepper) encodes to the dense reference encoder's bytes.
+template <typename Engine>
+void ExpectModelFramesMatchDense(const Engine& engine, std::size_t pairs) {
+  for (std::size_t i = 0; i < pairs; ++i) {
+    ASSERT_TRUE(ModelFrames(engine.Model(i)) ==
+                DenseReferenceModelFrames(engine.Model(i)))
+        << "pair " << i << " encodes unlike the dense reference";
+  }
+}
+
+/// StepLoop, checking every pair model's encoding against the dense
+/// reference encoder after every row.
+template <typename Engine>
+std::vector<SystemSnapshot> StepLoopCheckingFrames(
+    Engine& engine, const MeasurementFrame& frame, std::size_t pairs) {
+  std::vector<SystemSnapshot> snapshots;
+  std::vector<double> values(frame.MeasurementCount());
+  for (std::size_t t = 0; t < frame.SampleCount(); ++t) {
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      values[a] = frame.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
+    }
+    snapshots.push_back(engine.Step(values, frame.TimeAt(t)));
+    SCOPED_TRACE("after row " + std::to_string(t));
+    ExpectModelFramesMatchDense(engine, pairs);
   }
   return snapshots;
 }
@@ -247,9 +280,12 @@ inline void ExpectEngineMatchesReference(
   step_reference.SetFaultPlan(c.fault_plan);
   run_reference.SetFaultPlan(c.fault_plan);
   ReferenceRun by_row;
-  by_row.snapshots = FeedCase(step_reference, c, [](auto& e, const auto& f) {
-    return StepLoop(e, f);
-  });
+  const std::size_t pairs = start->Graph().PairCount();
+  ExpectModelFramesMatchDense(*start, pairs);
+  by_row.snapshots =
+      FeedCase(step_reference, c, [pairs](auto& e, const auto& f) {
+        return StepLoopCheckingFrames(e, f, pairs);
+      });
   by_row.alarms = step_reference.Alarms();
   by_row.checkpoint = step_reference.CheckpointString();
   ReferenceRun by_frame;
@@ -265,6 +301,7 @@ inline void ExpectEngineMatchesReference(
     const auto reloaded = LoadSystemMonitor(in, 1);
     EXPECT_EQ(CheckpointString(*reloaded), by_frame.checkpoint)
         << "checkpoint round-trip is lossy";
+    ExpectModelFramesMatchDense(*reloaded, pairs);
   }
 
   for (std::size_t threads : thread_counts) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/model.h"
 #include "engine/monitor.h"
 
 namespace {
@@ -222,6 +223,56 @@ TEST(AllocAudit, AlarmLogGrowsGeometricallyUnderStep) {
   EXPECT_GE(alarmed, 2 * n);
   EXPECT_LE(g_allocations.load(), 4u) << alarmed << " alarms over " << n
                                       << " rows";
+}
+
+TEST(AllocAudit, FirstWritesAllocateLogarithmically) {
+  // A transition row takes its evidence from the matrix's arena on its
+  // first write, and a new (row, column) count is inserted into the
+  // count pool; both grow by an eighth when full. So a stream that
+  // first-writes n rows after warm-up reallocates O(log n) times, not
+  // once per row. The model's 24 x 24 grid is warmed up on its diagonal;
+  // the audited stream then draws x and y independently inside the grid,
+  // so it visits off-diagonal cells without extending the grid, and
+  // without alarms (none are configured) every scored row is written.
+  constexpr std::size_t kSide = 24;
+  Grid2D grid(IntervalList::Uniform(0.0, kSide, kSide),
+              IntervalList::Uniform(0.0, kSide, kSide));
+  const ModelConfig config;
+  TransitionMatrix prior =
+      TransitionMatrix::Prior(grid, *MakeKernel(config.kernel));
+  PairModel model =
+      PairModel::FromParts(config, std::move(grid), std::move(prior));
+  Rng rng(7);
+  for (int s = 0; s < 200; ++s) {
+    const double v = rng.Uniform() * kSide;
+    model.Step(v, v);
+  }
+  const auto written_rows = [&] {
+    std::size_t n = 0;
+    for (std::size_t row = 0; row < model.Matrix().CellCount(); ++row) {
+      n += model.Matrix().RowWritten(row) ? 1 : 0;
+    }
+    return n;
+  };
+  std::vector<Point2> stream(2000);
+  for (Point2& p : stream) p = {rng.Uniform() * kSide, rng.Uniform() * kSide};
+  const std::size_t before = written_rows();
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (const Point2& p : stream) model.Step(p.x, p.y);
+  g_counting.store(false);
+  ASSERT_EQ(model.Grid().CellCount(), kSide * kSide) << "the grid extended";
+  ASSERT_EQ(model.Stats().alarms, 0u);
+  const std::size_t n = written_rows() - before;
+  ASSERT_GE(n, 400u) << "too few first writes to tell log from linear";
+  // Each of the two stores grows by at least an eighth per allocation,
+  // and from below eight rows or entries by at least one.
+  const double bound =
+      2.0 * (std::log(static_cast<double>(n)) / std::log(9.0 / 8.0) + 8.0);
+  EXPECT_LE(static_cast<double>(g_allocations.load()), bound)
+      << n << " rows first-written";
+  EXPECT_LT(g_allocations.load() * 4, n) << n << " rows first-written";
 }
 
 TEST(AllocAudit, CounterSeesOrdinaryAllocations) {

@@ -45,18 +45,51 @@ std::uint32_t BitwiseCrc32(std::string_view bytes) {
 TEST(Framing, Crc32MatchesTheBitwiseDefinition) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);  // the IEEE check value
   EXPECT_EQ(Crc32(""), 0u);
-  // Every length 0..64 at every start offset mod 8, so each split
-  // between the 8-byte steps and the byte-wise tail is covered.
-  Rng rng(5);
-  std::string buffer(8 + 64, '\0');
+  // Both kernels run where the CPU allows it: the slice-by-8 tables on
+  // every CPU, the PCLMULQDQ folding kernel where the probe finds it.
+  // Crc32 itself runs whichever the probe picked.
+  const bool clmul = Crc32ClmulSupported();
+  const auto expect_all = [&](std::string_view bytes, std::uint32_t want,
+                              const std::string& where) {
+    ASSERT_EQ(Crc32Slice8(bytes), want) << "slice-by-8, " << where;
+    if (clmul) {
+      ASSERT_EQ(Crc32Clmul(bytes), want) << "folding, " << where;
+    }
+    ASSERT_EQ(Crc32(bytes), want) << "Crc32, " << where;
+  };
+  // Every length 0..1024 at every start offset mod 16: each split
+  // between the 8-byte table steps and the byte-wise tail, the 64-byte
+  // folding threshold, every 16-byte fold remainder and every load
+  // alignment.
+  const std::uint64_t seed = 5;
+  Rng rng(seed);
+  std::string buffer(16 + 1024, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.UniformInt(0, 255));
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
       const std::string_view bytes(buffer.data() + offset, length);
-      ASSERT_EQ(Crc32(bytes), BitwiseCrc32(bytes))
-          << "offset " << offset << " length " << length;
+      expect_all(bytes, BitwiseCrc32(bytes),
+                 "offset " + std::to_string(offset) + " length " +
+                     std::to_string(length));
     }
   }
+  // Random lengths up to 64 KiB at random offsets.
+  std::string wide(16 + (64u << 10), '\0');
+  for (char& c : wide) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (int k = 0; k < 64; ++k) {
+    const auto offset = static_cast<std::size_t>(rng.UniformInt(0, 15));
+    const auto length =
+        static_cast<std::size_t>(rng.UniformInt(0, 64 << 10));
+    const std::string_view bytes(wide.data() + offset, length);
+    expect_all(bytes, BitwiseCrc32(bytes),
+               "seed " + std::to_string(seed) + " offset " +
+                   std::to_string(offset) + " length " +
+                   std::to_string(length));
+  }
+  // One buffer the size of a serve_catchup checkpoint and more.
+  std::string large((9u << 20) + 13, '\0');
+  for (char& c : large) c = static_cast<char>(rng.UniformInt(0, 255));
+  expect_all(large, BitwiseCrc32(large), "9 MiB + 13 bytes");
 }
 
 TEST(Framing, RoundTripSingleFrame) {

@@ -16,11 +16,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/rng.h"
 #include "engine/monitor.h"
+#include "io/atomic_file.h"
+#include "io/model_io.h"
 #include "io/monitor_io.h"
 
 namespace pmcorr {
@@ -68,15 +71,20 @@ MeasurementFrame GoldenFrame(std::size_t samples, std::uint64_t seed,
   return frame;
 }
 
-std::string RenderGoldenTrace() {
+// The scenario's monitor: learned and calibrated, not yet stepped.
+std::unique_ptr<SystemMonitor> GoldenMonitor() {
   MonitorConfig config;
   config.model.partition.units = 40;
   config.model.partition.max_intervals = 10;
   config.threads = 2;
-  SystemMonitor monitor(GoldenFrame(1000, 2008, false),
-                        MeasurementGraph::FullMesh(4), config);
-  monitor.CalibrateThresholds(GoldenFrame(300, 2009, false), 0.05);
-  const auto snapshots = monitor.Run(GoldenFrame(120, 2010, true));
+  auto monitor = std::make_unique<SystemMonitor>(
+      GoldenFrame(1000, 2008, false), MeasurementGraph::FullMesh(4), config);
+  monitor->CalibrateThresholds(GoldenFrame(300, 2009, false), 0.05);
+  return monitor;
+}
+
+std::string RenderGoldenTrace() {
+  const auto snapshots = GoldenMonitor()->Run(GoldenFrame(120, 2010, true));
   std::ostringstream out;
   WriteSnapshotStreamJsonl(snapshots, out);
   return out.str();
@@ -124,6 +132,57 @@ TEST(GoldenTrace, SnapshotStreamMatchesCheckedInTrace) {
     }
   }
   SUCCEED();
+}
+
+// What the encoders write from the live scenario monitor, pinned by
+// size and CRC-32: the checkpoint and the model file of pair 5 (m2, m3;
+// m3 decouples, and the pair's grid extends) after Learn and
+// calibration, after the first 100 test rows, and after all 120. The
+// values were recorded with the dense transition-matrix layout, so any
+// storage change that alters one byte fails here.
+TEST(GoldenTrace, EncodedBytesArePinned) {
+  struct Pin {
+    std::size_t rows;
+    std::size_t checkpoint_bytes;
+    std::uint32_t checkpoint_crc;
+    std::size_t model_bytes;
+    std::uint32_t model_crc;
+  };
+  constexpr std::size_t kPair = 5;
+  const Pin pins[] = {
+      {0, 132348, 0x238ea888u, 26048, 0x83db7eb2u},
+      {100, 219452, 0x8fe45c32u, 55718, 0xa3dbb5a9u},
+      {120, 273126, 0xeb71b884u, 73208, 0xee4786c4u},
+  };
+  const MeasurementFrame test = GoldenFrame(120, 2010, true);
+  std::size_t learned_cells = 0;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("after " + std::to_string(pin.rows) + " rows");
+    const auto monitor = GoldenMonitor();
+    if (pin.rows == 0) {
+      learned_cells = monitor->Model(kPair).Grid().CellCount();
+    } else {
+      (void)monitor->Run(
+          test.SliceByTime(test.StartTime(), test.TimeAt(pin.rows)));
+    }
+    std::ostringstream checkpoint;
+    SaveSystemMonitor(*monitor, checkpoint);
+    std::ostringstream model;
+    SavePairModel(monitor->Model(kPair), model);
+    std::ostringstream got;
+    got << "checkpoint " << checkpoint.str().size() << " bytes crc 0x"
+        << std::hex << Crc32(checkpoint.str())
+        << ", model " << std::dec << model.str().size() << " bytes crc 0x"
+        << std::hex << Crc32(model.str());
+    EXPECT_EQ(checkpoint.str().size(), pin.checkpoint_bytes) << got.str();
+    EXPECT_EQ(Crc32(checkpoint.str()), pin.checkpoint_crc) << got.str();
+    EXPECT_EQ(model.str().size(), pin.model_bytes) << got.str();
+    EXPECT_EQ(Crc32(model.str()), pin.model_crc) << got.str();
+    if (pin.rows == 120) {
+      EXPECT_GT(monitor->Model(kPair).Grid().CellCount(), learned_cells)
+          << "the pinned pair's grid must extend";
+    }
+  }
 }
 
 // The golden scenario's headline numbers stay in a sane band even when

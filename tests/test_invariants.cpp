@@ -36,11 +36,15 @@ struct InvariantTestPeer {
     return stencil.table_;
   }
   static KernelStencil& Stencil(TransitionMatrix& m) { return m.stencil_; }
-  static std::vector<double>& Evidence(TransitionMatrix& m) {
-    return m.evidence_;
+  static std::vector<double>& Arena(TransitionMatrix& m) { return m.arena_; }
+  static double* EvidenceRow(TransitionMatrix& m, std::size_t row) {
+    return m.WritableRow(row);
   }
-  static std::vector<std::uint32_t>& Counts(TransitionMatrix& m) {
-    return m.counts_;
+  static std::vector<std::uint32_t>& EvidenceSlots(TransitionMatrix& m) {
+    return m.evidence_slot_;
+  }
+  static std::vector<CountEntry>& CountPool(TransitionMatrix& m) {
+    return m.count_pool_;
   }
   static std::uint64_t& Observed(TransitionMatrix& m) { return m.observed_; }
   static auto& Cache(TransitionMatrix& m) { return m.cache_; }
@@ -261,7 +265,24 @@ TEST(MatrixInvariants, HealthyMatrixPasses) {
 TEST(MatrixInvariants, FiresOnPositiveEvidence) {
   ScopedCheckThrow guard;
   MatrixFixture f;
-  InvariantTestPeer::Evidence(f.matrix)[3] = 0.5;
+  InvariantTestPeer::EvidenceRow(f.matrix, 0)[3] = 0.5;
+  EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
+}
+
+TEST(MatrixInvariants, FiresOnWrittenSharedZeroRow) {
+  ScopedCheckThrow guard;
+  MatrixFixture f;
+  // Slot 0 is the row every unwritten row reads; -0.0 is not its bits.
+  InvariantTestPeer::Arena(f.matrix)[1] = -0.0;
+  EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
+}
+
+TEST(MatrixInvariants, FiresOnArenaSlotHeldByTwoRows) {
+  ScopedCheckThrow guard;
+  MatrixFixture f;
+  std::vector<std::uint32_t>& slots = InvariantTestPeer::EvidenceSlots(f.matrix);
+  ASSERT_NE(slots[0], 0u);
+  slots[1] = slots[0];
   EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
 }
 
@@ -278,7 +299,10 @@ TEST(MatrixInvariants, FiresOnPriorDriftingFromStencil) {
 TEST(MatrixInvariants, FiresOnCountObservedMismatch) {
   ScopedCheckThrow guard;
   MatrixFixture f;
-  ++InvariantTestPeer::Counts(f.matrix)[0];
+  // A live entry: row 0's first (row 0 is the walk's first source).
+  std::vector<CountEntry>& pool = InvariantTestPeer::CountPool(f.matrix);
+  ++pool[static_cast<std::size_t>(f.matrix.CountRow(0).data() - pool.data())]
+        .count;
   EXPECT_THROW(f.matrix.CheckInvariants(), CheckFailure);
 }
 
@@ -453,7 +477,7 @@ TransitionScore NaiveScore(const TransitionMatrix& m, std::size_t from,
                            std::size_t to) {
   const std::size_t s = m.CellCount();
   const auto posterior = [&](std::size_t j) {
-    return m.PriorLogW(from, j) + m.Evidence()[from * s + j];
+    return m.PriorLogW(from, j) + m.EvidenceRow(from)[j];
   };
   double max_logw = -std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < s; ++j) {

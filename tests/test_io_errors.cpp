@@ -135,8 +135,9 @@ TEST(ModelIoErrors, ValidFilesStillLoad) {
   EXPECT_EQ(model.Grid().CellCount(), 4u);
   EXPECT_EQ(model.Matrix().ObservedCount(), 3u);
   EXPECT_EQ(model.Matrix().CountOf(1, 3), 2u);
-  EXPECT_EQ(model.Matrix().Evidence()[4 + 2], -0.5);
-  EXPECT_EQ(model.Matrix().Evidence()[0], 0.0);  // unwritten row
+  EXPECT_EQ(model.Matrix().EvidenceRow(1)[2], -0.5);
+  EXPECT_EQ(model.Matrix().EvidenceRow(0)[0], 0.0);  // unwritten row
+  EXPECT_FALSE(model.Matrix().RowWritten(0));
 }
 
 TEST(ModelIoErrors, EveryTruncationFailsCleanly) {

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "core/model.h"
 #include "core/transition_matrix.h"
+#include "dense_reference.h"
 #include "engine/thread_pool.h"
 #include "grid/grid.h"
 #include "grid/kernels.h"
@@ -195,19 +196,29 @@ TEST(LearnReplay, ReplayTransitionsMatchesObserveLoop) {
       replay_serial.ReplayTransitions(seq, weight, forgetting);
       TransitionMatrix replay_parallel = TransitionMatrix::Prior(grid, *kernel);
       replay_parallel.ReplayTransitions(seq, weight, forgetting, runner);
-      ASSERT_EQ(loop.Evidence().size(), replay_serial.Evidence().size());
-      for (std::size_t i = 0; i < loop.Evidence().size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(loop.Evidence()[i]),
-                  std::bit_cast<std::uint64_t>(replay_serial.Evidence()[i]))
+      const std::vector<double> want = difftest::DenseEvidence(loop);
+      const std::vector<double> serial = difftest::DenseEvidence(replay_serial);
+      const std::vector<double> parallel =
+          difftest::DenseEvidence(replay_parallel);
+      ASSERT_EQ(want.size(), serial.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                  std::bit_cast<std::uint64_t>(serial[i]))
             << "serial evidence[" << i << "] w=" << weight
             << " f=" << forgetting;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(loop.Evidence()[i]),
-                  std::bit_cast<std::uint64_t>(replay_parallel.Evidence()[i]))
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                  std::bit_cast<std::uint64_t>(parallel[i]))
             << "parallel evidence[" << i << "] w=" << weight
             << " f=" << forgetting;
       }
-      EXPECT_EQ(loop.Counts(), replay_serial.Counts());
-      EXPECT_EQ(loop.Counts(), replay_parallel.Counts());
+      EXPECT_EQ(difftest::DenseCounts(loop),
+                difftest::DenseCounts(replay_serial));
+      EXPECT_EQ(difftest::DenseCounts(loop),
+                difftest::DenseCounts(replay_parallel));
+      for (std::size_t row = 0; row < grid.CellCount(); ++row) {
+        EXPECT_EQ(loop.RowWritten(row), replay_serial.RowWritten(row));
+        EXPECT_EQ(loop.RowWritten(row), replay_parallel.RowWritten(row));
+      }
       EXPECT_EQ(loop.ObservedCount(),
                 replay_serial.ObservedCount());
       EXPECT_EQ(loop.ObservedCount(),

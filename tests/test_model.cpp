@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/model.h"
+#include "dense_reference.h"
 
 namespace pmcorr {
 namespace {
@@ -141,12 +142,13 @@ TEST(PairModel, OfflineModelNeverChanges) {
   PairModel model = PairModel::Learn(xs, ys, config);
 
   const std::size_t cells = model.Matrix().CellCount();
-  const auto evidence = model.Matrix().Evidence();
+  const auto evidence = difftest::DenseEvidence(model.Matrix());
   model.Step(xs[0], ys[0]);
   model.Step(xs[1], ys[1]);
   model.Step(model.Grid().Dim1().Hi() + 0.1, ys[2]);  // just outside
   EXPECT_EQ(model.Matrix().CellCount(), cells);        // no extension
-  EXPECT_EQ(model.Matrix().Evidence(), evidence);      // no updates
+  EXPECT_TRUE(difftest::SameBits(difftest::DenseEvidence(model.Matrix()),
+                                 evidence));          // no updates
   EXPECT_EQ(model.Stats().matrix_updates, 0u);
 }
 
@@ -270,8 +272,10 @@ void ExpectSameOutcomeButProbability(const StepOutcome& a,
 
 void ExpectSameModelState(const PairModel& a, const PairModel& b) {
   EXPECT_EQ(a.Matrix().CellCount(), b.Matrix().CellCount());
-  EXPECT_EQ(a.Matrix().Evidence(), b.Matrix().Evidence());
-  EXPECT_EQ(a.Matrix().Counts(), b.Matrix().Counts());
+  EXPECT_TRUE(difftest::SameBits(difftest::DenseEvidence(a.Matrix()),
+                                 difftest::DenseEvidence(b.Matrix())));
+  EXPECT_EQ(difftest::DenseCounts(a.Matrix()),
+            difftest::DenseCounts(b.Matrix()));
   EXPECT_EQ(a.Stats().alarms, b.Stats().alarms);
   EXPECT_EQ(a.Stats().matrix_updates, b.Stats().matrix_updates);
 }

@@ -3,11 +3,13 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "dense_reference.h"
 #include "io/framing.h"
 #include "io/model_io.h"
 
@@ -183,18 +185,16 @@ TEST(ModelIo, ModelLargerThanOneFrameRoundTripsBitwise) {
   ModelConfig config;
   const auto kernel = MakeKernel(config.kernel);
   TransitionMatrix matrix = TransitionMatrix::Prior(grid, *kernel);
-  std::vector<double> evidence(cells * cells);
-  std::vector<std::uint32_t> counts(cells * cells);
-  std::uint64_t observed = 0;
+  matrix.ReserveRows(cells);
   for (std::size_t i = 0; i < cells; ++i) {
+    const std::span<double> evidence = matrix.RestoreEvidenceRow(i);
     for (std::size_t j = 0; j < cells; ++j) {
-      evidence[i * cells + j] = -1e-3 * static_cast<double>((i * 31 + j) % 97);
+      evidence[j] = -1e-3 * static_cast<double>((i * 31 + j) % 97);
     }
-    const auto count = static_cast<std::uint32_t>(1 + i % 5);
-    counts[i * cells + (i * 7) % cells] = count;
-    observed += count;
+    const CountEntry count{static_cast<std::uint32_t>((i * 7) % cells),
+                           static_cast<std::uint32_t>(1 + i % 5)};
+    matrix.RestoreCountRow(i, {&count, 1});
   }
-  matrix.RestoreState(std::move(evidence), std::move(counts), observed);
   const PairModel model =
       PairModel::FromParts(config, std::move(grid), std::move(matrix));
 
@@ -214,11 +214,75 @@ TEST(ModelIo, ModelLargerThanOneFrameRoundTripsBitwise) {
   }
 
   const PairModel loaded = LoadPairModel(first);
-  EXPECT_EQ(loaded.Matrix().Evidence(), model.Matrix().Evidence());
-  EXPECT_EQ(loaded.Matrix().Counts(), model.Matrix().Counts());
+  EXPECT_TRUE(difftest::SameBits(difftest::DenseEvidence(loaded.Matrix()),
+                                 difftest::DenseEvidence(model.Matrix())));
+  EXPECT_EQ(difftest::DenseCounts(loaded.Matrix()),
+            difftest::DenseCounts(model.Matrix()));
   std::stringstream second;
   SavePairModel(loaded, second);
   EXPECT_TRUE(second.str() == bytes);
+}
+
+// The sparse encoder writes what the dense layout's encoder wrote, bit
+// for bit, after every step: with forgetting < 1 and alarms armed, across
+// grid extensions, on a model restored mid-stream, and on a 1x1 grid
+// whose one written row stays +0.0 (its only log weight is the center's
+// 0), so it carries a counts frame and no evidence frame.
+TEST(ModelIo, SparseEncodingMatchesTheDenseReferenceEveryStep) {
+  std::size_t extensions = 0;
+  const auto step_and_check = [&](PairModel& model,
+                                  const std::vector<Point2>& points) {
+    for (std::size_t t = 0; t < points.size(); ++t) {
+      extensions += model.Step(points[t].x, points[t].y).extended_grid;
+      ASSERT_TRUE(difftest::ModelFrames(model) ==
+                  difftest::DenseReferenceModelFrames(model))
+          << "step " << t;
+    }
+  };
+
+  // The load's mean drifts past the trained range, so the grid extends.
+  Rng rng(41);
+  std::vector<Point2> drift(600);
+  for (std::size_t i = 0; i < drift.size(); ++i) {
+    const double load = 50.0 +
+                        30.0 * std::sin(static_cast<double>(i) * 0.04) +
+                        0.05 * static_cast<double>(i) + rng.Normal(0.0, 1.0);
+    drift[i] = {load, 100.0 * load / (load + 40.0) + rng.Normal(0.0, 0.4)};
+  }
+  PairModel model = TrainedModel();  // forgetting 0.995, alarms armed
+  ASSERT_LT(model.Config().forgetting, 1.0);
+  step_and_check(model, {drift.begin(), drift.begin() + 300});
+  std::stringstream stream;
+  SavePairModel(model, stream);
+  PairModel restored = LoadPairModel(stream);
+  ASSERT_TRUE(difftest::ModelFrames(restored) ==
+              difftest::DenseReferenceModelFrames(restored));
+  step_and_check(restored, {drift.begin() + 300, drift.end()});
+  EXPECT_GE(extensions, 1u);
+
+  Grid2D grid(IntervalList::Uniform(0.0, 1.0, 1),
+              IntervalList::Uniform(0.0, 1.0, 1));
+  const ModelConfig config;
+  TransitionMatrix prior =
+      TransitionMatrix::Prior(grid, *MakeKernel(config.kernel));
+  PairModel tiny = PairModel::FromParts(config, std::move(grid),
+                                        std::move(prior));
+  extensions = 0;
+  step_and_check(tiny, std::vector<Point2>(5, Point2{0.5, 0.5}));
+  ASSERT_EQ(tiny.Grid().CellCount(), 1u);
+  ASSERT_TRUE(tiny.Matrix().RowWritten(0));
+  {
+    FrameReader reader;
+    reader.Feed(difftest::ModelFrames(tiny));
+    std::vector<std::uint8_t> types;
+    while (const std::optional<Frame> frame = reader.Next()) {
+      types.push_back(frame->type);
+    }
+    EXPECT_EQ(types, (std::vector<std::uint8_t>{kModelFrame, kCountsFrame}));
+  }
+  step_and_check(tiny, {Point2{1.5, 0.5}, Point2{0.5, 0.5}});
+  EXPECT_EQ(extensions, 1u);
+  EXPECT_EQ(tiny.Grid().CellCount(), 2u);
 }
 
 TEST(ModelIo, RejectsGarbage) {

@@ -176,12 +176,19 @@ TEST(MonitorIo, FuzzSeedsMatchTheFormat) {
     SaveSystemMonitor(*LoadSystemMonitor(in, 1), out);
     EXPECT_TRUE(out.str() == bytes);
   }
-  {
-    const std::string bytes = read("model.bin");
+  // model.bin is a learned model; the others hold states the decoder
+  // accepts but Step rarely writes: an evidence row with no counts, a
+  // stepped 1x1 grid (a counts row, its +0.0 evidence row unwritten), a
+  // row of -0.0 evidence, and written rows with unwritten rows between.
+  for (const char* name :
+       {"model.bin", "model_evidence_without_counts.bin",
+        "model_1x1_counts_only.bin", "model_negative_zero_row.bin",
+        "model_rows_with_gaps.bin"}) {
+    const std::string bytes = read(name);
     std::istringstream in(bytes);
     std::ostringstream out;
     SavePairModel(LoadPairModel(in), out);
-    EXPECT_TRUE(out.str() == bytes);
+    EXPECT_TRUE(out.str() == bytes) << name;
   }
   for (const char* name : {"checkpoint_torn_tail.bin", "checkpoint_bad_crc.bin",
                            "checkpoint_v1_text.txt"}) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/transition_matrix.h"
+#include "dense_reference.h"
 #include "grid/grid.h"
 #include "grid/kernels.h"
 
@@ -37,7 +38,7 @@ OracleScore Oracle(const TransitionMatrix& m, std::size_t from,
                    std::size_t to) {
   const std::size_t s = m.CellCount();
   const auto w = [&](std::size_t j) {
-    return m.PriorLogW(from, j) + m.Evidence()[from * s + j];
+    return m.PriorLogW(from, j) + m.EvidenceRow(from)[j];
   };
   double max_logw = w(0);
   for (std::size_t j = 1; j < s; ++j) max_logw = std::max(max_logw, w(j));
@@ -368,7 +369,7 @@ TEST(TransitionMatrix, ExtensionBackfillWithForgetting) {
   matrix.ObserveTransition(2, 0, grid, kernel, weight, forgetting);
 
   // Old-grid counts per row, before the extension remaps them.
-  const std::vector<std::uint32_t> old_counts = matrix.Counts();
+  const std::vector<std::uint32_t> old_counts = difftest::DenseCounts(matrix);
   const std::size_t old_cells = matrix.CellCount();
 
   const std::size_t old_cols = grid.Cols();
@@ -401,7 +402,7 @@ TEST(TransitionMatrix, ExtensionBackfillWithForgetting) {
                                      std::abs(cd.i2 - cn.i2));
       }
       const double expected = any ? weight * evidence : 0.0;
-      EXPECT_TRUE(BitEqual(matrix.Evidence()[ni * s + nj], expected))
+      EXPECT_TRUE(BitEqual(matrix.EvidenceRow(ni)[nj], expected))
           << "row " << ni << " new col " << nj;
       // And the backfilled column must not outrank real history.
       if (any) {
@@ -411,13 +412,52 @@ TEST(TransitionMatrix, ExtensionBackfillWithForgetting) {
   }
 }
 
-TEST(TransitionMatrix, RestoreStateRejectsWrongSizes) {
-  const Grid2D grid = Grid3x3();
+TEST(TransitionMatrix, RowsTakeArenaSlotsOnFirstWriteOnly) {
+  Grid2D grid = Grid3x3();
   const TriangularKernel kernel;
   TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
-  EXPECT_THROW(matrix.RestoreState(std::vector<double>(3, 0.0),
-                                   std::vector<std::uint32_t>(81, 0), 0),
-               std::invalid_argument);
+  const MatrixBytes prior = matrix.Bytes();
+  // Unwritten rows read the shared zero row: +0.0 bits, no counts.
+  for (std::size_t row = 0; row < 9; ++row) {
+    EXPECT_FALSE(matrix.RowWritten(row));
+    for (const double e : matrix.EvidenceRow(row)) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(e), 0u);
+    }
+    EXPECT_TRUE(matrix.CountRow(row).empty());
+  }
+
+  matrix.ObserveTransition(4, 7, grid, kernel);
+  matrix.ObserveTransition(4, 1, grid, kernel);
+  matrix.ObserveTransition(4, 7, grid, kernel);
+  matrix.ObserveTransition(2, 2, grid, kernel);
+  for (std::size_t row = 0; row < 9; ++row) {
+    EXPECT_EQ(matrix.RowWritten(row), row == 4 || row == 2) << row;
+  }
+  EXPECT_GT(matrix.Bytes().evidence, prior.evidence);
+  // Counts list the nonzero columns in ascending order.
+  const auto counts = matrix.CountRow(4);
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts[0], (CountEntry{1, 1}));
+  EXPECT_EQ(counts[1], (CountEntry{7, 2}));
+  EXPECT_EQ(matrix.CountOf(4, 7), 2u);
+  EXPECT_EQ(matrix.CountOf(4, 8), 0u);
+  EXPECT_EQ(matrix.ObservedCount(), 4u);
+
+  // An extension moves the written rows and leaves the others unwritten.
+  const std::size_t old_cols = grid.Cols();
+  const auto ext = grid.ExtendToInclude({3.4, 1.5}, 3.0, 3.0);
+  ASSERT_TRUE(ext.has_value());
+  matrix.ApplyExtension(*ext, old_cols, grid, kernel);
+  std::size_t written = 0;
+  for (std::size_t row = 0; row < matrix.CellCount(); ++row) {
+    written += matrix.RowWritten(row) ? 1 : 0;
+  }
+  EXPECT_EQ(written, 2u);
+  EXPECT_TRUE(matrix.RowWritten(Grid2D::RemapIndex(4, old_cols, *ext)));
+  EXPECT_EQ(matrix.CountOf(Grid2D::RemapIndex(4, old_cols, *ext),
+                           Grid2D::RemapIndex(7, old_cols, *ext)),
+            2u);
+  EXPECT_NO_THROW(matrix.CheckInvariants());
 }
 
 }  // namespace

@@ -569,9 +569,8 @@ int CmdInspect(const Flags& flags) {
   };
   std::vector<Hot> hot;
   for (std::size_t i = 0; i < model.Matrix().CellCount(); ++i) {
-    for (std::size_t j = 0; j < model.Matrix().CellCount(); ++j) {
-      const std::uint64_t c = model.Matrix().CountOf(i, j);
-      if (c > 0) hot.push_back({i, j, c});
+    for (const CountEntry& e : model.Matrix().CountRow(i)) {
+      hot.push_back({i, e.column, e.count});
     }
   }
   std::sort(hot.begin(), hot.end(),

@@ -7,7 +7,8 @@ on clean and on guard-suppressed rows, with a counting allocator
 paths the audit trace exercises. This check is the static backstop: the
 function bodies on the per-sample hot path (Step, the engine core
 Advance that every Step and Run goes through, its guard pre-pass
-FilterRows, and the kernels they call) must not contain a token that
+FilterRows, and the kernels they call, the sparse matrix's first-write
+and count-insert kernels included) must not contain a token that
 *unconditionally* allocates. Capacity-
 reusing calls (assign/clear/push_back into a warmed buffer) are fine and
 not flagged; what is flagged:
@@ -52,6 +53,8 @@ HOT_FUNCTIONS = {
         "TransitionMatrix::ObserveTransition",
         "TransitionMatrix::UpdateRowEvidence",
         "TransitionMatrix::RankInRow",
+        "TransitionMatrix::WritableRow",
+        "TransitionMatrix::BumpCount",
     ],
 }
 
