@@ -10,8 +10,10 @@
 // initialized from 1, 8 and 15 days of history.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,30 +169,42 @@ std::unique_ptr<SystemMonitor> RestoreSystemMonitor(std::size_t threads) {
   return LoadSystemMonitor(in, threads);
 }
 
-// The one-row call of the engine core, once per sample via Step(): one
-// sweep, merge and assembly per row (a fork/join per row above one
-// thread).
+// The engine core through the multi-row Step, the way a serve tenant
+// feeds it: range(0) engine threads, range(1) rows per call (1 is the
+// one-row Step). Each call pays one guard pre-pass, sweep, merge and
+// assembly — and above one thread one fork/join — however many rows it
+// carries, and its rows run pair-major.
 void BM_MonitorStepLoop(benchmark::State& state) {
   const SystemDataset& d = SharedSystemDataset();
-  std::vector<double> values(d.test.MeasurementCount());
+  const std::size_t samples = d.test.SampleCount();
+  const auto width = static_cast<std::size_t>(state.range(1));
+  std::vector<TimePoint> times(samples);
+  for (std::size_t t = 0; t < samples; ++t) times[t] = d.test.TimeAt(t);
+  std::vector<std::span<const double>> cols(d.test.MeasurementCount());
+  std::vector<SystemSnapshot> slots(width);
   for (auto _ : state) {
     state.PauseTiming();
     const auto monitor =
         RestoreSystemMonitor(static_cast<std::size_t>(state.range(0)));
     state.ResumeTiming();
-    for (std::size_t t = 0; t < d.test.SampleCount(); ++t) {
-      for (std::size_t a = 0; a < values.size(); ++a) {
-        values[a] =
-            d.test.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
+    for (std::size_t t0 = 0; t0 < samples; t0 += width) {
+      const std::size_t rows = std::min(width, samples - t0);
+      for (std::size_t a = 0; a < cols.size(); ++a) {
+        cols[a] = d.test.Series(MeasurementId(static_cast<std::int32_t>(a)))
+                      .Values()
+                      .subspan(t0, rows);
       }
-      benchmark::DoNotOptimize(monitor->Step(values, d.test.TimeAt(t)));
+      monitor->Step(cols, std::span<const TimePoint>(times).subspan(t0, rows),
+                    std::span<SystemSnapshot>(slots.data(), rows));
+      benchmark::DoNotOptimize(slots.data());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * d.test.SampleCount() * d.graph.PairCount()));
+      state.iterations() * samples * d.graph.PairCount()));
   state.counters["pairs"] = static_cast<double>(d.graph.PairCount());
 }
-BENCHMARK(BM_MonitorStepLoop)->Arg(1)->Arg(2)->Arg(8)
+BENCHMARK(BM_MonitorStepLoop)
+    ->ArgsProduct({{1, 4}, {1, 8, 32}})
     ->UseRealTime()->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 

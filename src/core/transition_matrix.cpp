@@ -158,14 +158,22 @@ std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
     }
     return rank;
   }
+  // Cold scan. The tie rule (w > target, or w == target before `to`)
+  // splits at `to`: destinations below it count w >= target, the rest
+  // w > target. The comparisons are exact and NaN fails both forms, so
+  // the count is the per-entry rule's, without its per-entry branch
+  // logic — two add-compare-count loops per slice.
   const double* ev = Row(from);
   const std::size_t cols = cols_;
   std::size_t rank = 1;
   ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double w = lw[c] + ev[j0 + c];
-      rank += static_cast<std::size_t>((w > target) |
-                                       ((w == target) & (j0 + c < to)));
+    const double* e = ev + j0;
+    const std::size_t split = std::clamp(to, j0, j0 + cols) - j0;
+    for (std::size_t c = 0; c < split; ++c) {
+      rank += static_cast<std::size_t>(lw[c] + e[c] >= target);
+    }
+    for (std::size_t c = split; c < cols; ++c) {
+      rank += static_cast<std::size_t>(lw[c] + e[c] > target);
     }
   });
   return rank;
@@ -205,10 +213,17 @@ TransitionScore TransitionMatrix::ScoreTransition(std::size_t from,
     double max_logw = PosteriorLogW(from, 0);
     std::size_t rank = 1;
     ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double w = lw[c] + ev[j0 + c];
+      const double* e = ev + j0;
+      const std::size_t split = std::clamp(to, j0, j0 + cols) - j0;
+      for (std::size_t c = 0; c < split; ++c) {
+        const double w = lw[c] + e[c];
         max_logw = std::max(max_logw, w);
-        if (w > target || (w == target && j0 + c < to)) ++rank;
+        rank += static_cast<std::size_t>(w >= target);
+      }
+      for (std::size_t c = split; c < cols; ++c) {
+        const double w = lw[c] + e[c];
+        max_logw = std::max(max_logw, w);
+        rank += static_cast<std::size_t>(w > target);
       }
     });
     double total = 0.0;

@@ -200,14 +200,34 @@ void SystemMonitor::Step(std::span<const double> values, TimePoint tp,
   if (values.size() != infos_.size()) {
     throw std::invalid_argument("SystemMonitor::Step: value count mismatch");
   }
-  // One row: measurement a's column is the single value values[a]. No
-  // guard reset — the stream clock carries over between Step calls,
-  // which is where degraded streams actually arrive.
+  // One row: measurement a's column is the single value values[a].
   in_cols_.resize(values.size());
   for (std::size_t a = 0; a < values.size(); ++a) {
     in_cols_[a] = values.subspan(a, 1);
   }
-  Advance(in_cols_, std::span<const TimePoint>(&tp, 1), &out, nullptr);
+  Step(in_cols_, std::span<const TimePoint>(&tp, 1),
+       std::span<SystemSnapshot>(&out, 1));
+}
+
+void SystemMonitor::Step(std::span<const std::span<const double>> cols,
+                         std::span<const TimePoint> times,
+                         std::span<SystemSnapshot> out) {
+  if (cols.size() != infos_.size()) {
+    throw std::invalid_argument("SystemMonitor::Step: column count mismatch");
+  }
+  if (out.size() != times.size()) {
+    throw std::invalid_argument(
+        "SystemMonitor::Step: snapshot count mismatch");
+  }
+  for (const std::span<const double> col : cols) {
+    if (col.size() != times.size()) {
+      throw std::invalid_argument(
+          "SystemMonitor::Step: column length mismatch");
+    }
+  }
+  // No guard reset — the stream clock carries over between Step calls,
+  // which is where degraded streams actually arrive.
+  Advance(cols, times, out.data(), nullptr);
 }
 
 std::vector<SystemSnapshot> SystemMonitor::Run(const MeasurementFrame& test) {

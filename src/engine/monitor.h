@@ -113,6 +113,25 @@ class SystemMonitor {
   void Step(std::span<const double> values, TimePoint tp,
             SystemSnapshot& out);
 
+  /// Multi-row Step: feeds rows [0, times.size()) given by column —
+  /// cols[a][t] is measurement a's value at row t — and assembles row t's
+  /// snapshot into out[t], overwriting every field and reusing its
+  /// vectors' capacity. Like Step, and unlike Run, it keeps the ingest
+  /// guard's stream clock across calls, so any split of a stream into
+  /// calls gives the snapshots a one-row Step loop gives. A finished
+  /// retrain rebuild is adopted at a batch boundary (config.batch_samples),
+  /// so within one call only at its first row at the widths a tenant
+  /// uses; with retrain off the split is invisible. The rows run
+  /// pair-major, so each pair's model stays in cache across them and the
+  /// guard pre-pass, fork/join and alarm merge are paid once per call.
+  /// The one-row Step is this call over one row. After a warm call at the
+  /// widest width, calls at that width or narrower allocate nothing.
+  /// Alarms() orders a call's alarms by (time, pair): the guard turns a
+  /// duplicate or out-of-order row into NaN, which raises none, so with
+  /// the guard disabled give one call's rows increasing timestamps.
+  void Step(std::span<const std::span<const double>> cols,
+            std::span<const TimePoint> times, std::span<SystemSnapshot> out);
+
   /// Feeds an entire test frame (its measurements must line up with the
   /// history frame) and returns one snapshot per sample.
   ///
@@ -283,7 +302,7 @@ class SystemMonitor {
   /// or deltas[t] when `deltas` is set: guard pre-pass, pair-major
   /// batched sweep with the quarantine and retrain hooks, alarm merge,
   /// sharded assembly, serial lifetime aggregates. Does not reset the
-  /// guard clock; Run/RunDelta do that before calling it.
+  /// guard clock; Run/RunDelta do that before calling it, Step does not.
   void Advance(std::span<const std::span<const double>> cols,
                std::span<const TimePoint> times, SystemSnapshot* snapshots,
                SystemDelta* deltas);

@@ -23,6 +23,10 @@ TenantRuntime::TenantRuntime(TenantConfig config,
     low_watermark_ = high_watermark_ - 1;
   }
   width_ = monitor_->MeasurementCount();
+  batch_values_.resize(width_ * kBatchRows);
+  batch_times_.resize(kBatchRows);
+  batch_cols_.resize(width_);
+  batch_snaps_.resize(kBatchRows);
   published_.store(std::make_shared<const TenantPublishedState>(),
                    std::memory_order_release);
   if (!config_.checkpoint_path.empty()) {
@@ -85,31 +89,129 @@ AdmitResult TenantRuntime::Submit(const SampleRow& row) {
   return result;
 }
 
-bool TenantRuntime::PopRowLocked() {
-  if (queue_.empty()) return false;
-  row_scratch_ = std::move(queue_.front());
-  queue_.pop_front();
-  if (backpressure_ && queue_.size() <= low_watermark_) {
-    backpressure_ = false;
-    ++counters_.backpressure_clears;
-  }
-  return true;
+bool TenantRuntime::SaveHeldLocked(std::uint64_t rows_since) const {
+  // Every row queued behind a save waits for it. While backpressure is
+  // engaged the producer is paused and the queue only drains, so a due
+  // save is held until the queue is down to one row above the low
+  // watermark — still engaged, so no refill arrives during the save. A
+  // producer that ignores backpressure gets the save at most one queue
+  // budget of rows late.
+  return backpressure_ && queue_.size() > low_watermark_ + 1 &&
+         rows_since < config_.checkpoint_every + config_.queue_budget;
 }
 
-void TenantRuntime::ProcessRow(const SampleRow& row) {
-  if (config_.chaos_hook) config_.chaos_hook(processed_total_);
-  monitor_->Step(row.values, row.time, snap_scratch_);
-  ++processed_total_;
-  ++rows_since_checkpoint_;
-  alarms_total_ += snap_scratch_.alarmed_pairs.size();
-  suppressed_total_ += snap_scratch_.suppressed_values;
+std::size_t TenantRuntime::TakeBatchLocked(std::size_t limit) {
+  const bool cadence =
+      !config_.checkpoint_path.empty() && config_.checkpoint_every != 0;
+  std::size_t n = 0;
+  while (n < limit && !queue_.empty()) {
+    // The row whose pop clears backpressure starts a batch, so the clear
+    // comes after the rows ahead of it are stepped, as with one-row
+    // batches.
+    if (n > 0 && backpressure_ && queue_.size() - 1 <= low_watermark_) break;
+    const SampleRow& row = queue_.front();
+    for (std::size_t a = 0; a < width_; ++a) {
+      batch_values_[a * kBatchRows + n] = row.values[a];
+    }
+    batch_times_[n] = row.time;
+    queue_.pop_front();
+    ++n;
+    if (backpressure_ && queue_.size() <= low_watermark_) {
+      backpressure_ = false;
+      ++counters_.backpressure_clears;
+    }
+    // A batch ends at the row after which a save runs: the cadence row,
+    // or, while a due save is held, the row at which the hold ends.
+    const std::uint64_t rows_since = rows_since_checkpoint_ + n;
+    if (cadence && rows_since >= config_.checkpoint_every &&
+        !SaveHeldLocked(rows_since)) {
+      break;
+    }
+  }
+  return n;
+}
+
+std::size_t TenantRuntime::StepBatch(std::size_t n) {
+  // The chaos hook sees every row of the batch before the engine steps
+  // any; a throw at row k poisons the tenant once the rows ahead of k
+  // are stepped and published, as one-row batches would leave it.
+  std::size_t good = n;
+  std::string hook_error;
+  if (config_.chaos_hook) {
+    for (std::size_t k = 0; k < n; ++k) {
+      try {
+        config_.chaos_hook(processed_total_ + k);
+      } catch (const std::exception& e) {
+        good = k;
+        hook_error = e.what();
+        break;
+      }
+    }
+  }
+  if (good > 0) {
+    for (std::size_t a = 0; a < width_; ++a) {
+      batch_cols_[a] = std::span<const double>(
+          batch_values_.data() + a * kBatchRows, good);
+    }
+    try {
+      monitor_->Step(batch_cols_,
+                     std::span<const TimePoint>(batch_times_.data(), good),
+                     std::span<SystemSnapshot>(batch_snaps_.data(), good));
+    } catch (const std::exception& e) {
+      // The engine's state past the batch's first row is abandoned with
+      // the tenant, so nothing of the batch is counted or published.
+      Poison(e.what());
+      return 0;
+    }
+    Publish(good);
+    const MutexLock lock(mu_);
+    counters_.processed += good;
+  }
+  if (good < n) Poison(hook_error);
+  return good;
+}
+
+void TenantRuntime::Publish(std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    alarms_total_ += batch_snaps_[k].alarmed_pairs.size();
+    suppressed_total_ += batch_snaps_[k].suppressed_values;
+  }
+  processed_total_ += n;
+  rows_since_checkpoint_ += n;
   auto next = std::make_shared<TenantPublishedState>();
   next->has_snapshot = true;
-  next->snapshot = snap_scratch_;
+  next->snapshot = batch_snaps_[n - 1];
   next->processed = processed_total_;
   next->alarms_total = alarms_total_;
   next->suppressed_total = suppressed_total_;
   published_.store(std::move(next), std::memory_order_release);
+}
+
+std::size_t TenantRuntime::BatchLoop(std::size_t max_rows, bool wait) {
+  std::size_t done = 0;
+  while (done < max_rows) {
+    std::size_t n = 0;
+    {
+      const MutexLock lock(mu_);
+      while (wait && queue_.empty() && state_ == TenantState::kActive &&
+             !stop_) {
+        work_cv_.Wait(mu_);
+      }
+      // An abrupt stop drops the queued rows; a poisoned tenant is done.
+      if (stop_ || state_ == TenantState::kPoisoned) break;
+      n = TakeBatchLocked(std::min(kBatchRows, max_rows - done));
+    }
+    if (n == 0) break;  // the queue is dry (draining, or a manual pump)
+    if (config_.ingest_delay_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          config_.ingest_delay_ms * static_cast<std::int64_t>(n)));
+    }
+    const std::size_t stepped = StepBatch(n);
+    done += stepped;
+    if (stepped < n) break;  // poisoned
+    MaybeCheckpoint(/*final_checkpoint=*/false);
+  }
+  return done;
 }
 
 void TenantRuntime::MaybeCheckpoint(bool final_checkpoint) {
@@ -120,18 +222,8 @@ void TenantRuntime::MaybeCheckpoint(bool final_checkpoint) {
     if (config_.checkpoint_every == 0) return;
     if (rows_since_checkpoint_ < config_.checkpoint_every) return;
     {
-      // Every row queued behind a save waits for it. While backpressure
-      // is engaged the producer is paused and the queue only drains, so
-      // a due save is held until the queue is down to one row above the
-      // low watermark — still engaged, so no refill arrives during the
-      // save. A producer that ignores backpressure gets the save at most
-      // one queue budget of rows late.
       const MutexLock lock(mu_);
-      if (backpressure_ && queue_.size() > low_watermark_ + 1 &&
-          rows_since_checkpoint_ <
-              config_.checkpoint_every + config_.queue_budget) {
-        return;
-      }
+      if (SaveHeldLocked(rows_since_checkpoint_)) return;
     }
     // Counted from the due row, before the attempt: a held save keeps
     // the next one on the cadence's row grid (several held past due
@@ -217,30 +309,10 @@ void TenantRuntime::Poison(const std::string& what) {
 }
 
 void TenantRuntime::WorkerLoop() {
-  for (;;) {
-    {
-      const MutexLock lock(mu_);
-      while (queue_.empty() && state_ == TenantState::kActive && !stop_) {
-        work_cv_.Wait(mu_);
-      }
-      if (stop_) return;  // abrupt stop: queued rows are dropped
-      if (!PopRowLocked()) break;  // draining and the queue is dry
-    }
-    if (config_.ingest_delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.ingest_delay_ms));
-    }
-    try {
-      ProcessRow(row_scratch_);
-    } catch (const std::exception& e) {
-      Poison(e.what());
-      return;
-    }
-    {
-      const MutexLock lock(mu_);
-      ++counters_.processed;
-    }
-    MaybeCheckpoint(/*final_checkpoint=*/false);
+  BatchLoop(std::numeric_limits<std::size_t>::max(), /*wait=*/true);
+  {
+    const MutexLock lock(mu_);
+    if (stop_ || state_ == TenantState::kPoisoned) return;
   }
   // Drain epilogue: the queue is empty and no more rows can be
   // admitted; seal the tenant with a final checkpoint.
@@ -257,27 +329,7 @@ std::size_t TenantRuntime::Pump(std::size_t max_rows) {
     throw std::logic_error(
         "TenantRuntime::Pump: a worker thread owns this engine");
   }
-  std::size_t done = 0;
-  while (done < max_rows) {
-    {
-      const MutexLock lock(mu_);
-      if (state_ == TenantState::kPoisoned) break;
-      if (!PopRowLocked()) break;
-    }
-    try {
-      ProcessRow(row_scratch_);
-    } catch (const std::exception& e) {
-      Poison(e.what());
-      break;
-    }
-    {
-      const MutexLock lock(mu_);
-      ++counters_.processed;
-    }
-    ++done;
-    MaybeCheckpoint(/*final_checkpoint=*/false);
-  }
-  return done;
+  return BatchLoop(max_rows, /*wait=*/false);
 }
 
 void TenantRuntime::Drain() {

@@ -37,6 +37,20 @@
 //    seal (a write already handed off still lands), and recovery falls
 //    back to the last good generation.
 //
+// Batched ingest. The worker (or Pump) takes up to kBatchRows queued
+// rows at a time into column scratch and steps them in one multi-row
+// SystemMonitor::Step, which runs them pair-major with the guard clock
+// carried, so the engine's outputs are those of one Step per row. A
+// batch ends after the cadence row, after the row at which a held save's
+// hold ends, and before the row whose pop clears backpressure; saves,
+// watermark edges and chaos-hook poison land on the rows one-row
+// batches give them (exactly so in manual mode, where a Pump of k rows
+// does what k one-row Pumps do). An engine throw the quarantine does
+// not contain poisons the tenant at its batch's first row. Queries see
+// the state after each batch: the published snapshot is the batch's
+// last row. A finished retrain rebuild is adopted at a batch's first
+// row.
+//
 // Thread shape: Submit (the daemon's socket loop), the worker and the
 // writer meet only at the tenant mutex; the engine is touched by the
 // worker alone, the checkpoint files by the writer alone. Queries never
@@ -52,8 +66,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/mutex.h"
 #include "engine/monitor.h"
@@ -80,14 +96,16 @@ struct TenantConfig {
   /// Checkpoint file ("" = checkpointing off).
   std::string checkpoint_path;
   CheckpointConfig checkpoint;
-  /// Chaos knob: sleep this long before each processed row — a slow
-  /// consumer that forces queue growth at replay speed.
+  /// Chaos knob: sleep this long per processed row (a batch of n rows
+  /// sleeps n times this before it steps) — a slow consumer that forces
+  /// queue growth at replay speed.
   std::int64_t ingest_delay_ms = 0;
   /// false = no worker thread; rows advance only through Pump()/Drain().
   bool threaded = true;
-  /// Chaos hook: called with the 0-based index of each row just before
-  /// the engine steps it. A throw from here is indistinguishable from
-  /// the engine throwing — it poisons the tenant, which is exactly the
+  /// Chaos hook: called with the 0-based index of each row before the
+  /// engine steps the batch that holds it. A throw at row k poisons the
+  /// tenant with rows [0, k) stepped and published and row k not, just
+  /// as if the engine had thrown stepping it — exactly the
   /// fault-isolation contract the chaos tests exercise.
   std::function<void(std::uint64_t)> chaos_hook;
 };
@@ -134,8 +152,10 @@ struct TenantStatus {
 };
 
 /// The lock-free published state: everything a query needs, replaced
-/// wholesale after each processed row. Readers hold a shared_ptr, so a
-/// reply is consistent even while the worker publishes the next one.
+/// wholesale after each processed batch (the snapshot is the batch's
+/// last row; the totals count every row of it). Readers hold a
+/// shared_ptr, so a reply is consistent even while the worker publishes
+/// the next one.
 struct TenantPublishedState {
   bool has_snapshot = false;
   SystemSnapshot snapshot;
@@ -154,9 +174,23 @@ struct AdmitResult {
 
 class TenantRuntime {
  public:
+  /// Rows one engine call steps at most. A batch runs pair-major (each
+  /// pair's model stays in cache across its rows) and pays the engine's
+  /// per-call set-up and the publish once; but every row of a batch is
+  /// published when its last row is stepped, so a wider batch delays its
+  /// first rows. On perfbench's 171-pair serve_catchup tenant (4 vCPU,
+  /// GCC 12, Release, one engine thread), caps of 16 and 32 ran at
+  /// x1.15-1.21 and x1.11-1.26 the rows/s of one-row calls (two seeds,
+  /// 14.3 and 25.0 rows per call). Against one-row calls without the
+  /// split rank count (docs/kernels.md) they ran at pair medians of
+  /// x1.39 and x1.37 over 12 interleaved seeds, but 32 had the worse
+  /// outliers (x1.10 and x1.18 against 16's worst x1.29) and no better
+  /// median row latency.
+  static constexpr std::size_t kBatchRows = 16;
+
   TenantRuntime(TenantConfig config, std::unique_ptr<SystemMonitor> monitor);
 
-  /// Abrupt stop: the worker is told to quit after its current row;
+  /// Abrupt stop: the worker is told to quit after its current batch;
   /// queued rows are dropped and NO final checkpoint is written. A
   /// cadence write already handed to the writer lands (or fails) before
   /// the writer is joined. This is deliberately crash-shaped — the
@@ -178,9 +212,9 @@ class TenantRuntime {
   void Drain() PMCORR_EXCLUDES(mu_);
 
   /// Manual mode: processes up to max_rows queued rows on the caller's
-  /// thread; returns rows processed, after every checkpoint write it
-  /// started has landed. Throws std::logic_error when a worker thread
-  /// owns the engine.
+  /// thread, in batches cut as the worker cuts them; returns rows
+  /// processed, after every checkpoint write it started has landed.
+  /// Throws std::logic_error when a worker thread owns the engine.
   std::size_t Pump(std::size_t max_rows) PMCORR_EXCLUDES(mu_);
 
   TenantStatus Status() const PMCORR_EXCLUDES(mu_);
@@ -204,9 +238,26 @@ class TenantRuntime {
   void WorkerLoop();
   /// Writes each save handed to it, one at a time, until stopped.
   void WriterLoop() PMCORR_EXCLUDES(mu_);
-  /// Steps the engine with one row and publishes the result. Engine
-  /// exceptions propagate to the caller (who poisons the tenant).
-  void ProcessRow(const SampleRow& row);
+  /// The one ingest loop, shared by the worker (`wait`: block for rows
+  /// while the tenant is active) and Pump (return when the queue is
+  /// dry): takes a batch, steps and publishes it, then runs a due save.
+  /// Returns the rows processed, at most max_rows; stops early on an
+  /// abrupt stop or poison.
+  std::size_t BatchLoop(std::size_t max_rows, bool wait) PMCORR_EXCLUDES(mu_);
+  /// Moves up to `limit` queued rows into the column scratch, cut as the
+  /// header describes, and returns how many; clears backpressure on the
+  /// pop that reaches the low watermark.
+  std::size_t TakeBatchLocked(std::size_t limit) PMCORR_REQUIRES(mu_);
+  /// Whether a due save waits, `rows_since` rows after the last one.
+  bool SaveHeldLocked(std::uint64_t rows_since) const PMCORR_REQUIRES(mu_);
+  /// Runs the chaos hook over the batch's n rows, steps the rows ahead
+  /// of any throw in one engine call and publishes them, and poisons the
+  /// tenant on a throw from the hook or the engine. Returns the rows
+  /// processed.
+  std::size_t StepBatch(std::size_t n) PMCORR_EXCLUDES(mu_);
+  /// Adds the batch's alarms and suppressed values to the lifetime
+  /// totals and publishes its last snapshot.
+  void Publish(std::size_t n);
   /// When a save is due: encodes the engine into save_bytes_ and hands
   /// it to the writer (waiting for it in manual mode and for a seal).
   void MaybeCheckpoint(bool final_checkpoint) PMCORR_EXCLUDES(mu_);
@@ -217,9 +268,6 @@ class TenantRuntime {
   void CountSaveLocked(bool landed, const std::string& error)
       PMCORR_REQUIRES(mu_);
   void Poison(const std::string& what) PMCORR_EXCLUDES(mu_);
-  /// Pops the next row into row_scratch_; clears backpressure at the
-  /// low watermark.
-  bool PopRowLocked() PMCORR_REQUIRES(mu_);
 
   TenantConfig config_;
   std::size_t high_watermark_ = 0;
@@ -247,9 +295,14 @@ class TenantRuntime {
 
   std::atomic<std::shared_ptr<const TenantPublishedState>> published_;
 
-  // Worker-only state (manual mode: Pump/Drain caller).
-  SampleRow row_scratch_;
-  SystemSnapshot snap_scratch_;
+  // Worker-only state (manual mode: Pump/Drain caller). The batch
+  // scratch: measurement a's values at batch_values_[a * kBatchRows + t],
+  // the rows' timestamps, the column spans bound to them, and one
+  // snapshot slot per row, reused across batches.
+  std::vector<double> batch_values_;
+  std::vector<TimePoint> batch_times_;
+  std::vector<std::span<const double>> batch_cols_;
+  std::vector<SystemSnapshot> batch_snaps_;
   std::uint64_t processed_total_ = 0;
   std::uint64_t alarms_total_ = 0;
   std::uint64_t suppressed_total_ = 0;

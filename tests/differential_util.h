@@ -5,7 +5,8 @@
 // The engine runs Step, Run and RunDelta through one pair-major core,
 // so the contract is deliberately brutal: for the same scenario the
 // value-returning Step loop, the out-param Step loop that reuses one
-// snapshot, and Run at every thread count and batch width must each
+// snapshot, the multi-row Step at several call widths, and Run at every
+// thread count and batch width must each
 // produce the reference's snapshot stream bitwise (every pair score,
 // Q^a, Q, alarm list, counter and health flag), its alarm log, its
 // lifetime aggregates and its checkpoint bytes — after calibration,
@@ -17,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,6 +67,38 @@ inline std::vector<SystemSnapshot> StepLoopReusingSnapshot(
     }
     monitor.Step(values, frame.TimeAt(t), out);
     snapshots.push_back(out);
+  }
+  return snapshots;
+}
+
+/// Feeds `frame` through the multi-row Step in calls of `width` rows (0:
+/// one call over the whole frame), assembling each call into slots
+/// reused across calls, so a field the engine fails to overwrite shows
+/// up as a stale value in the copies.
+inline std::vector<SystemSnapshot> StepInCalls(SystemMonitor& monitor,
+                                               const MeasurementFrame& frame,
+                                               std::size_t width) {
+  const std::size_t samples = frame.SampleCount();
+  if (width == 0) width = std::max<std::size_t>(samples, 1);
+  std::vector<SystemSnapshot> snapshots;
+  snapshots.reserve(samples);
+  std::vector<SystemSnapshot> slots(width);
+  std::vector<std::span<const double>> cols(frame.MeasurementCount());
+  std::vector<TimePoint> times;
+  for (std::size_t t0 = 0; t0 < samples; t0 += width) {
+    const std::size_t rows = std::min(width, samples - t0);
+    for (std::size_t a = 0; a < cols.size(); ++a) {
+      cols[a] = frame.Series(MeasurementId(static_cast<std::int32_t>(a)))
+                    .Values()
+                    .subspan(t0, rows);
+    }
+    times.clear();
+    for (std::size_t t = t0; t < t0 + rows; ++t) {
+      times.push_back(frame.TimeAt(t));
+    }
+    monitor.Step(cols, times, std::span<SystemSnapshot>(slots.data(), rows));
+    snapshots.insert(snapshots.end(), slots.begin(),
+                     slots.begin() + static_cast<std::ptrdiff_t>(rows));
   }
   return snapshots;
 }
@@ -251,13 +286,20 @@ inline void ExpectMatchesReference(const ReferenceRun& want,
   }
 }
 
+/// Multi-row Step widths the harness drives, besides one call over the
+/// whole case: calls that split the case at many points, at odd offsets,
+/// and wider than most of a case's degradations are apart.
+inline constexpr std::size_t kStepCallWidths[] = {2, 7, 32, 0};
+
 /// Runs the scenario through the reference stepper and, at every
 /// requested thread count, through (a) the value-returning Step loop,
-/// (b) the out-param Step loop reusing one snapshot and (c) Run at every
+/// (b) the out-param Step loop reusing one snapshot, (c) the multi-row
+/// Step in calls of every kStepCallWidths width and (d) Run at every
 /// batch width, asserting each matches the reference's snapshot stream,
-/// alarm log, lifetime aggregates and checkpoint bytes exactly. Step is
-/// held to a reference fed row by row, Run to one fed frame by frame —
-/// they differ only in where the guard clock resets.
+/// alarm log, lifetime aggregates and checkpoint bytes exactly. Step, at
+/// any width, is held to a reference fed row by row (the guard clock
+/// carries across calls), Run to one fed frame by frame — they differ
+/// only in where the guard clock resets.
 inline void ExpectEngineMatchesReference(
     const DifferentialCase& c,
     std::vector<std::size_t> thread_counts = {1, 2, 8}) {
@@ -320,6 +362,16 @@ inline void ExpectEngineMatchesReference(
       const auto snaps = FeedCase(*monitor, c, [](auto& e, const auto& f) {
         return StepLoopReusingSnapshot(e, f);
       });
+      ExpectMatchesReference(by_row, step_reference, *monitor, snaps);
+    }
+    for (std::size_t width : kStepCallWidths) {
+      SCOPED_TRACE("multi-row Step, " + at +
+                   " width=" + std::to_string(width));
+      const auto monitor = make(threads, 0);
+      const auto snaps =
+          FeedCase(*monitor, c, [width](auto& e, const auto& f) {
+            return StepInCalls(e, f, width);
+          });
       ExpectMatchesReference(by_row, step_reference, *monitor, snaps);
     }
     for (std::size_t batch : c.batch_sizes) {

@@ -1,9 +1,10 @@
 // Steady-state allocation audit: after a warmup tick, the out-param
-// SystemMonitor::Step overload must run malloc-free with threads=1, on
-// clean rows and on rows the ingest guard suppresses — the long-running
-// ingest loop of a shard-scale deployment steps at a fixed memory
-// footprint. Counted with replacement global operator new/new[], so any
-// heap traffic on the hot path fails loudly.
+// SystemMonitor::Step overloads (one row, and multi-row at every width
+// up to the serve tenant's batch cap) must run malloc-free with
+// threads=1, on clean rows and on rows the ingest guard suppresses — the
+// long-running ingest loop of a shard-scale deployment steps at a fixed
+// memory footprint. Counted with replacement global operator new/new[],
+// so any heap traffic on the hot path fails loudly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +12,13 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/model.h"
 #include "engine/monitor.h"
+#include "serve/tenant.h"
 
 namespace {
 
@@ -174,6 +177,69 @@ TEST(AllocAudit, DegradedSteadyStateStepIsMallocFree) {
   EXPECT_EQ(g_allocations.load(), 0u)
       << "degraded steady-state Step allocated on the hot path";
   // Both kinds of degraded row really happened.
+  EXPECT_EQ(duplicates, 1u);
+  EXPECT_GT(suppressed, 4u + 1u);
+}
+
+TEST(AllocAudit, MultiRowStepIsMallocFreeAtEveryWidth) {
+  // A serve tenant steps its queue in multi-row calls of up to
+  // TenantRuntime::kBatchRows rows. After one warm call at that width,
+  // calls at every width up to it allocate nothing: the guard pre-pass,
+  // sweep cells and snapshot slots keep the warm call's capacity — also
+  // on rows the guard suppresses (a frozen feed, a duplicate).
+  constexpr std::size_t kCap = TenantRuntime::kBatchRows;
+  constexpr std::size_t kRows = kCap + kCap * (kCap + 1) / 2;
+  const MeasurementFrame history = CorrelatedFrame(1200, 3);
+  const MeasurementFrame test = CorrelatedFrame(kRows, 3);
+  MonitorConfig config;
+  config.model.partition.units = 40;
+  config.model.partition.max_intervals = 10;
+  config.threads = 1;
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+
+  // Column-major rows; feed 1 frozen at an in-grid value after the warm
+  // call, and one row re-sent under the previous row's timestamp.
+  const std::size_t duplicate = kRows - 20;
+  std::vector<std::vector<double>> cols(4, std::vector<double>(kRows));
+  std::vector<TimePoint> times(kRows);
+  for (std::size_t t = 0; t < kRows; ++t) {
+    for (int a = 0; a < 4; ++a) {
+      cols[static_cast<std::size_t>(a)][t] =
+          test.Value(MeasurementId(a), t);
+    }
+    if (t >= kCap) cols[1][t] = test.Value(MeasurementId(1), kCap);
+    times[t] = test.TimeAt(t);
+  }
+  times[duplicate] = times[duplicate - 1];
+  std::vector<std::span<const double>> call(4);
+  std::vector<SystemSnapshot> slots(kCap);
+  const auto step = [&](std::size_t begin, std::size_t width) {
+    for (std::size_t a = 0; a < 4; ++a) {
+      call[a] = std::span<const double>(cols[a]).subspan(begin, width);
+    }
+    monitor.Step(call,
+                 std::span<const TimePoint>(times).subspan(begin, width),
+                 std::span<SystemSnapshot>(slots.data(), width));
+  };
+  step(0, kCap);
+
+  std::size_t suppressed = 0;
+  std::size_t duplicates = 0;
+  std::size_t begin = kCap;
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (std::size_t width = 1; width <= kCap; ++width) {
+    step(begin, width);
+    begin += width;
+    for (std::size_t k = 0; k < width; ++k) {
+      suppressed += slots[k].suppressed_values;
+      if (slots[k].stream_event == StreamEvent::kDuplicate) ++duplicates;
+    }
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "a multi-row Step allocated on the hot path";
+  EXPECT_EQ(begin, kRows);
   EXPECT_EQ(duplicates, 1u);
   EXPECT_GT(suppressed, 4u + 1u);
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -268,6 +270,31 @@ TEST(DegradedStreams, GuardClockCarriesAcrossStepButRestartsPerRun) {
     step_suppressed += stepped.Step(row.values, row.time).suppressed_values;
   }
   EXPECT_EQ(step_suppressed, 5u);
+
+  // The multi-row Step carries the clock too: two calls split where the
+  // Run calls below are suppress what the one-row loop suppresses.
+  SystemMonitor batched(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  std::size_t batched_suppressed = 0;
+  std::vector<SystemSnapshot> slots(rows.size());
+  for (const auto& [begin, end] :
+       {std::pair<std::size_t, std::size_t>{0, 12}, {12, rows.size()}}) {
+    std::vector<std::span<const double>> cols;
+    for (std::size_t a = 0; a < test.MeasurementCount(); ++a) {
+      cols.push_back(test.Series(MeasurementId(static_cast<std::int32_t>(a)))
+                         .Values()
+                         .subspan(begin, end - begin));
+    }
+    std::vector<TimePoint> times;
+    for (std::size_t t = begin; t < end; ++t) times.push_back(test.TimeAt(t));
+    const std::span<SystemSnapshot> out(slots.data() + begin, end - begin);
+    batched.Step(cols, times, out);
+    for (const SystemSnapshot& snap : out) {
+      batched_suppressed += snap.suppressed_values;
+    }
+  }
+  EXPECT_EQ(batched_suppressed, step_suppressed);
+  EXPECT_EQ(batched.StepCount(), stepped.StepCount());
 
   SystemMonitor framed(history, MeasurementGraph::FullMesh(4),
                        SmallConfig());

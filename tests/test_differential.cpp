@@ -222,6 +222,46 @@ TEST(Differential, DegradedArrivalsThroughStep) {
                 PairQuarantine::State::kActive);
       EXPECT_TRUE(monitor.Quarantine().IsRetired(4));
     }
+    // The multi-row Step in calls of `width` rows (0: one call on each
+    // side of the retirement at row 15), so the duplicate, straggler, gap
+    // and frozen feed fall inside calls at some widths and on call
+    // boundaries at others.
+    for (const std::size_t width : difftest::kStepCallWidths) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " multi-row Step width=" + std::to_string(width));
+      config.threads = threads;
+      SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+      monitor.SetFaultPlanForTest(&plan);
+      std::vector<SystemSnapshot> snaps;
+      std::vector<SystemSnapshot> slots(width == 0 ? rows.size() : width);
+      std::vector<double> values(4 * slots.size());
+      std::vector<std::span<const double>> cols(4);
+      std::vector<TimePoint> times;
+      for (std::size_t r = 0; r < rows.size();) {
+        if (r == 15) monitor.RetirePair(4);
+        const std::size_t stop = r < 15 ? 15 : rows.size();
+        const std::size_t n = std::min(slots.size(), stop - r);
+        times.clear();
+        for (std::size_t k = 0; k < n; ++k) {
+          for (std::size_t a = 0; a < 4; ++a) {
+            values[a * slots.size() + k] = rows[r + k].values[a];
+          }
+          times.push_back(rows[r + k].time);
+        }
+        for (std::size_t a = 0; a < 4; ++a) {
+          cols[a] = std::span<const double>(values.data() + a * slots.size(),
+                                            n);
+        }
+        monitor.Step(cols, times, std::span<SystemSnapshot>(slots.data(), n));
+        snaps.insert(snaps.end(), slots.begin(),
+                     slots.begin() + static_cast<std::ptrdiff_t>(n));
+        r += n;
+      }
+      difftest::ExpectMatchesReference(want, reference, monitor, snaps);
+      EXPECT_EQ(monitor.Health().DuplicateCount(), 1u);
+      EXPECT_EQ(monitor.Health().OutOfOrderCount(), 1u);
+      EXPECT_EQ(monitor.Health().GapCount(), 1u);
+    }
   }
 }
 

@@ -2,13 +2,19 @@
 // through manual-pump tenants (threaded = false) and the transport-free
 // ServeSession: bounded queues and whole-tick shedding, the
 // alarms-never-increase-under-shedding guarantee, watermark
-// backpressure accounting, bitwise multi-tenant isolation, the full
+// backpressure accounting, bitwise multi-tenant isolation, batched
+// ingest equal to a one-row Step loop at every batch width, the full
 // query protocol, and the MonitorConfig::retrain knob (RetrainPool
 // adoption, bitwise-off when disabled).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -258,6 +264,287 @@ TEST(TenantRuntime, PoisonedTenantIsFencedOff) {
 
   // The neighbor never noticed.
   EXPECT_EQ(CheckpointString(b.Monitor()), CheckpointString(*solo));
+}
+
+// ---------------------------------------------------------------------
+// Batched ingest: a tenant steps its queue in multi-row engine calls,
+// and must leave what a one-row Step loop over the same rows leaves.
+// ---------------------------------------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : dir_(std::filesystem::path(testing::TempDir()) / name) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  std::string Path(const std::string& file) const {
+    return (dir_ / file).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+constexpr std::size_t kCadence = 10;
+
+// A decorrelating stream degraded the four ways a collector misses its
+// contract: a frozen feed, a duplicate timestamp, a straggler from the
+// past and a lost block (a gap).
+std::vector<SampleRow> DegradedRows() {
+  std::vector<SampleRow> rows = Rows(CorrelatedFrame(140, 33, true));
+  for (std::size_t t = 30; t < 50; ++t) rows[t].values[2] = 123.5;
+  rows.erase(rows.begin() + 100, rows.begin() + 104);
+  const SampleRow straggler = rows[40];
+  rows.insert(rows.begin() + 71, straggler);
+  SampleRow duplicate = rows[17];
+  duplicate.values = {50.0, 51.0, 52.0, 53.0};
+  rows.insert(rows.begin() + 18, duplicate);
+  return rows;
+}
+
+// A calibrated monitor, so the decorrelated half raises alarms.
+std::unique_ptr<SystemMonitor> CalibratedMonitor(std::size_t threads = 1) {
+  MonitorConfig config = SmallConfig();
+  config.threads = threads;
+  const MeasurementFrame history = CorrelatedFrame(400, 31);
+  auto monitor = std::make_unique<SystemMonitor>(
+      history, MeasurementGraph::FullMesh(history.MeasurementCount()),
+      config);
+  monitor->CalibrateThresholds(CorrelatedFrame(200, 32), 0.05);
+  return monitor;
+}
+
+// What a tenant must publish and save: a one-row Step loop over `rows`,
+// with its checkpoint bytes after every cadence row and at the end.
+struct StepOracle {
+  explicit StepOracle(const std::vector<SampleRow>& rows,
+                      std::size_t limit = SIZE_MAX)
+      : monitor(CalibratedMonitor()) {
+    for (std::size_t r = 0; r < rows.size() && r < limit; ++r) {
+      monitor->Step(rows[r].values, rows[r].time, last);
+      ++processed;
+      alarms_total += last.alarmed_pairs.size();
+      suppressed_total += last.suppressed_values;
+      if (processed % kCadence == 0) {
+        renders.push_back(CheckpointString(*monitor));
+      }
+    }
+  }
+
+  std::unique_ptr<SystemMonitor> monitor;
+  SystemSnapshot last;
+  std::uint64_t processed = 0;
+  std::uint64_t alarms_total = 0;
+  std::uint64_t suppressed_total = 0;
+  std::vector<std::string> renders;  // after each cadence row
+};
+
+TenantConfig CadenceTenant(const std::string& path, bool threaded,
+                           std::size_t rows) {
+  TenantConfig config;
+  config.name = "A";
+  config.threaded = threaded;
+  // Room for every row, below the high watermark: nothing sheds and no
+  // save is held, so each lands on its cadence row.
+  config.queue_budget = rows + 1;
+  config.backpressure_high = rows + 1;
+  config.checkpoint_path = path;
+  config.checkpoint_every = kCadence;
+  config.checkpoint.generations = 64;
+  return config;
+}
+
+void ExpectTenantMatchesOracle(const TenantRuntime& tenant,
+                               const StepOracle& want,
+                               const std::string& path) {
+  const auto published = tenant.Published();
+  ASSERT_TRUE(published->has_snapshot);
+  difftest::ExpectSnapshotsEqual(published->snapshot, want.last);
+  EXPECT_EQ(published->processed, want.processed);
+  EXPECT_EQ(tenant.Status().counters.processed, want.processed);
+  EXPECT_EQ(published->alarms_total, want.alarms_total);
+  EXPECT_EQ(published->suppressed_total, want.suppressed_total);
+  difftest::ExpectAggregatesEqual(tenant.Monitor(), *want.monitor);
+  // The seal at the end, then generation k holds the k-th newest
+  // cadence save.
+  EXPECT_EQ(ReadFile(path), CheckpointString(*want.monitor));
+  for (std::size_t k = 1; k <= want.renders.size(); ++k) {
+    EXPECT_EQ(ReadFile(path + ".g" + std::to_string(k)),
+              want.renders[want.renders.size() - k])
+        << "generation " << k;
+  }
+  EXPECT_FALSE(std::filesystem::exists(
+      path + ".g" + std::to_string(want.renders.size() + 1)));
+}
+
+TEST(ServeEqualsStep, AtEveryBatchWidth) {
+  const std::vector<SampleRow> rows = DegradedRows();
+  const StepOracle want(rows);
+  ASSERT_EQ(want.renders.size(), rows.size() / kCadence);
+  ASSERT_GT(want.alarms_total, 0u);
+  ASSERT_GT(want.suppressed_total, 0u);
+
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{3}, TenantRuntime::kBatchRows,
+        rows.size()}) {
+    SCOPED_TRACE("manual, Pump(" + std::to_string(k) + ")");
+    ScratchDir dir("pmcorr_serve_batch_manual");
+    const std::string path = dir.Path("a.ckpt");
+    TenantRuntime tenant(CadenceTenant(path, false, rows.size()),
+                         CalibratedMonitor());
+    for (const SampleRow& row : rows) ASSERT_TRUE(tenant.Submit(row).accepted);
+    std::size_t done = 0;
+    while (done < rows.size()) {
+      const std::size_t pumped = tenant.Pump(k);
+      ASSERT_EQ(pumped, std::min(k, rows.size() - done));
+      done += pumped;
+      EXPECT_EQ(tenant.Status().counters.checkpoints, done / kCadence);
+      EXPECT_EQ(tenant.Published()->processed, done);
+    }
+    tenant.Drain();
+    ExpectTenantMatchesOracle(tenant, want, path);
+  }
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threaded, engine threads " + std::to_string(threads));
+    ScratchDir dir("pmcorr_serve_batch_threaded");
+    const std::string path = dir.Path("a.ckpt");
+    TenantRuntime tenant(CadenceTenant(path, true, rows.size()),
+                         CalibratedMonitor(threads));
+    for (const SampleRow& row : rows) ASSERT_TRUE(tenant.Submit(row).accepted);
+    tenant.Drain();
+    EXPECT_EQ(tenant.Status().counters.backpressure_raises, 0u);
+    ExpectTenantMatchesOracle(tenant, want, path);
+  }
+}
+
+TEST(ServeEqualsStep, PumpOfKRowsDoesWhatKOneRowPumpsDo) {
+  // Under backpressure, with due saves held: watermark edges, held and
+  // cadence saves and every checkpoint generation land on the same rows
+  // whether the rows are pumped k at a time or one at a time.
+  const std::vector<SampleRow> rows = DegradedRows();
+  for (const std::size_t k : {std::size_t{3}, TenantRuntime::kBatchRows,
+                              std::size_t{40}}) {
+    SCOPED_TRACE("Pump(" + std::to_string(k) + ")");
+    ScratchDir dir("pmcorr_serve_batch_held");
+    const auto config = [&](const std::string& path) {
+      TenantConfig c = ManualTenant("A", 48);
+      c.backpressure_high = 36;
+      c.backpressure_low = 4;
+      c.checkpoint_path = path;
+      c.checkpoint_every = kCadence;
+      c.checkpoint.generations = 64;
+      return c;
+    };
+    TenantRuntime batched(config(dir.Path("k.ckpt")), CalibratedMonitor());
+    TenantRuntime single(config(dir.Path("1.ckpt")), CalibratedMonitor());
+    // Bursts that overrun the high watermark and shed at the budget,
+    // each pumped down to two queued rows: every cycle holds a due save
+    // until the queue is at the low watermark + 1, then clears.
+    std::size_t next = 0;
+    while (next < rows.size()) {
+      for (std::size_t i = 0; i < 50 && next < rows.size(); ++i, ++next) {
+        EXPECT_EQ(batched.Submit(rows[next]).accepted,
+                  single.Submit(rows[next]).accepted);
+      }
+      while (batched.Status().queue_rows > 2) {
+        const std::size_t pumped = batched.Pump(k);
+        std::size_t singles = 0;
+        while (singles < k && single.Pump(1) == 1) ++singles;
+        ASSERT_EQ(pumped, singles);
+        const TenantStatus a = batched.Status();
+        const TenantStatus b = single.Status();
+        EXPECT_EQ(a.counters.processed, b.counters.processed);
+        EXPECT_EQ(a.counters.checkpoints, b.counters.checkpoints);
+        EXPECT_EQ(a.counters.backpressure_raises,
+                  b.counters.backpressure_raises);
+        EXPECT_EQ(a.counters.backpressure_clears,
+                  b.counters.backpressure_clears);
+        EXPECT_EQ(a.backpressure, b.backpressure);
+        EXPECT_EQ(a.queue_rows, b.queue_rows);
+        difftest::ExpectSnapshotsEqual(batched.Published()->snapshot,
+                                       single.Published()->snapshot);
+      }
+    }
+    batched.Drain();
+    single.Drain();
+    const TenantStatus a = batched.Status();
+    EXPECT_GT(a.counters.backpressure_clears, 1u);
+    EXPECT_GT(a.counters.shed_ticks, 0u);
+    EXPECT_EQ(a.counters.checkpoints, single.Status().counters.checkpoints);
+    EXPECT_EQ(CheckpointString(batched.Monitor()),
+              CheckpointString(single.Monitor()));
+    for (std::size_t g = 0; g < a.counters.checkpoints; ++g) {
+      const std::string suffix = g == 0 ? "" : ".g" + std::to_string(g);
+      EXPECT_EQ(ReadFile(dir.Path("k.ckpt") + suffix),
+                ReadFile(dir.Path("1.ckpt") + suffix))
+          << "generation " << g;
+    }
+  }
+}
+
+TEST(ServeEqualsStep, ChaosThrowInsideABatchPoisonsAtThatRow) {
+  // Row 23 falls inside the batch of rows 20-29 (batches end at cadence
+  // rows): rows 20-22 are stepped and published, the save at row 20 is
+  // the last good one, and nothing of row 23 on is counted.
+  constexpr std::uint64_t kThrowAt = 23;
+  const std::vector<SampleRow> rows = DegradedRows();
+  const StepOracle want(rows, kThrowAt);
+  for (const bool threaded : {false, true}) {
+    for (const std::size_t k : {TenantRuntime::kBatchRows, rows.size()}) {
+      if (threaded && k != rows.size()) continue;
+      SCOPED_TRACE(threaded ? std::string("threaded")
+                            : "Pump(" + std::to_string(k) + ")");
+      ScratchDir dir("pmcorr_serve_batch_poison");
+      const std::string path = dir.Path("a.ckpt");
+      TenantConfig config = CadenceTenant(path, threaded, rows.size());
+      config.chaos_hook = [](std::uint64_t row) {
+        if (row == kThrowAt) throw std::runtime_error("engine blew up");
+      };
+      auto tenant =
+          std::make_unique<TenantRuntime>(config, CalibratedMonitor());
+      for (const SampleRow& row : rows) {
+        ASSERT_TRUE(tenant->Submit(row).accepted);
+      }
+      if (threaded) {
+        tenant->Drain();  // returns once the tenant is poisoned
+      } else {
+        while (tenant->State() != TenantState::kPoisoned &&
+               tenant->Pump(k) > 0) {
+        }
+      }
+      EXPECT_EQ(tenant->State(), TenantState::kPoisoned);
+      EXPECT_EQ(tenant->Status().counters.processed, kThrowAt);
+      // A manual pump returns after its writes land.
+      if (!threaded) {
+        EXPECT_EQ(tenant->Status().counters.checkpoints, kThrowAt / kCadence);
+      }
+      const auto published = tenant->Published();
+      EXPECT_EQ(published->processed, kThrowAt);
+      EXPECT_EQ(published->alarms_total, want.alarms_total);
+      EXPECT_EQ(published->suppressed_total, want.suppressed_total);
+      difftest::ExpectSnapshotsEqual(published->snapshot, want.last);
+      tenant->Drain();  // must not seal a poisoned tenant
+      // Destruction lands a write the worker already handed off, and
+      // writes nothing more.
+      tenant.reset();
+      EXPECT_EQ(ReadFile(path), want.renders.back());
+      EXPECT_EQ(ReadFile(path + ".g1"), want.renders.front());
+      EXPECT_FALSE(std::filesystem::exists(path + ".g2"));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -271,43 +271,80 @@ TEST(TransitionMatrix, EmptyMatrixQueriesAreGuarded) {
 }
 
 TEST(TransitionMatrix, ScoreTransitionMatchesSeparateQueriesBitwise) {
-  const Grid2D grid = Grid3x3();
-  const TriangularKernel kernel;
-  TransitionMatrix matrix = TransitionMatrix::Prior(grid, kernel);
-  matrix.ObserveTransition(4, 1, grid, kernel, 0.7, 0.95);
-  matrix.ObserveTransition(4, 4, grid, kernel);
-  matrix.ObserveTransition(2, 0, grid, kernel, 1.3, 0.9);
+  // Ties are the normal case: an unwritten row holds zero evidence, so
+  // the kernel's equal weights tie, and the Chebyshev kernel ties whole
+  // rings of cells. The shapes put ties before and after the target,
+  // inside its slice and in other slices, and at slice edges; 1x1 is
+  // one cell, 1x7 one slice, 7x1 one cell per slice.
+  const TriangularKernel triangular;
+  const ExponentialKernel chebyshev(2.0, CellMetric::kChebyshev);
+  struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+  };
+  for (const DecayKernel* kernel :
+       {static_cast<const DecayKernel*>(&triangular),
+        static_cast<const DecayKernel*>(&chebyshev)}) {
+    for (const Shape shape : {Shape{3, 3}, Shape{1, 1}, Shape{1, 7},
+                              Shape{7, 1}, Shape{11, 11}}) {
+      SCOPED_TRACE(kernel->Describe() + " " + std::to_string(shape.rows) +
+                   "x" + std::to_string(shape.cols));
+      const Grid2D grid(
+          IntervalList::Uniform(0.0, static_cast<double>(shape.rows),
+                                shape.rows),
+          IntervalList::Uniform(0.0, static_cast<double>(shape.cols),
+                                shape.cols));
+      TransitionMatrix matrix = TransitionMatrix::Prior(grid, *kernel);
+      const std::size_t s = matrix.CellCount();
+      // On 3x3: 4 -> 1, 4 -> 4 and 2 -> 0.
+      matrix.ObserveTransition(s / 2, s / 9, grid, *kernel, 0.7, 0.95);
+      matrix.ObserveTransition(s / 2, s / 2, grid, *kernel);
+      matrix.ObserveTransition(s / 4, 0, grid, *kernel, 1.3, 0.9);
+      // Every read of a copy of this matrix is the first read of its row
+      // since the last write: a cold scan.
+      const TransitionMatrix written = matrix;
 
-  for (std::size_t from = 0; from < matrix.CellCount(); ++from) {
-    for (std::size_t to = 0; to < matrix.CellCount(); ++to) {
-      const OracleScore expect = Oracle(matrix, from, to);
-      // First score after the writes: the cold fused pass.
-      const TransitionScore cold = matrix.ScoreTransition(from, to);
-      EXPECT_TRUE(BitEqual(cold.probability, expect.probability))
-          << from << "->" << to;
-      EXPECT_EQ(cold.rank, expect.rank) << from << "->" << to;
-      // Repeated scores: cached stats, then the sorted rank cache (the
-      // prior's rows are full of exact ties, exercising the tie-break).
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        const TransitionScore warm = matrix.ScoreTransition(from, to);
-        EXPECT_TRUE(BitEqual(warm.probability, expect.probability))
-            << from << "->" << to << " repeat " << repeat;
-        EXPECT_EQ(warm.rank, expect.rank)
-            << from << "->" << to << " repeat " << repeat;
+      for (std::size_t from = 0; from < s; ++from) {
+        for (std::size_t to = 0; to < s; ++to) {
+          const OracleScore expect = Oracle(matrix, from, to);
+          {
+            TransitionMatrix cold = written;
+            EXPECT_EQ(cold.ScoreTransition(from, to, ScoreMode::kRankOnly).rank,
+                      expect.rank)
+                << "cold rank-only " << from << "->" << to;
+          }
+          {
+            TransitionMatrix cold = written;
+            const TransitionScore fused = cold.ScoreTransition(from, to);
+            EXPECT_TRUE(BitEqual(fused.probability, expect.probability))
+                << "cold fused " << from << "->" << to;
+            EXPECT_EQ(fused.rank, expect.rank)
+                << "cold fused " << from << "->" << to;
+          }
+          // Repeated scores of one matrix: cached stats, then the sorted
+          // rank cache, whose tie-break must agree.
+          for (int repeat = 0; repeat < 3; ++repeat) {
+            const TransitionScore warm = matrix.ScoreTransition(from, to);
+            EXPECT_TRUE(BitEqual(warm.probability, expect.probability))
+                << from << "->" << to << " repeat " << repeat;
+            EXPECT_EQ(warm.rank, expect.rank)
+                << from << "->" << to << " repeat " << repeat;
+          }
+          // The unfused queries agree too.
+          EXPECT_TRUE(BitEqual(matrix.Probability(from, to),
+                               expect.probability));
+          EXPECT_EQ(matrix.RankOf(from, to), expect.rank);
+        }
       }
-      // The unfused queries agree too.
-      EXPECT_TRUE(BitEqual(matrix.Probability(from, to),
-                           expect.probability));
-      EXPECT_EQ(matrix.RankOf(from, to), expect.rank);
+
+      // A write invalidates the row's caches.
+      matrix.ObserveTransition(s / 2, 0, grid, *kernel, 0.7, 0.95);
+      const OracleScore expect = Oracle(matrix, s / 2, 0);
+      const TransitionScore after = matrix.ScoreTransition(s / 2, 0);
+      EXPECT_TRUE(BitEqual(after.probability, expect.probability));
+      EXPECT_EQ(after.rank, expect.rank);
     }
   }
-
-  // A write invalidates the row's caches.
-  matrix.ObserveTransition(4, 0, grid, kernel, 0.7, 0.95);
-  const OracleScore expect = Oracle(matrix, 4, 0);
-  const TransitionScore after = matrix.ScoreTransition(4, 0);
-  EXPECT_TRUE(BitEqual(after.probability, expect.probability));
-  EXPECT_EQ(after.rank, expect.rank);
 }
 
 TEST(TransitionMatrix, PriorAndStencilTrackGridExtension) {

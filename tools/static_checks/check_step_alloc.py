@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """No allocation tokens in the steady-state Step/Run hot path.
 
-The out-param SystemMonitor::Step is proven malloc-free after warmup,
-on clean and on guard-suppressed rows, with a counting allocator
+The out-param SystemMonitor::Step calls (one row, and multi-row at
+every width up to the serve tenant's batch cap) are proven malloc-free
+after warmup, on clean and on guard-suppressed rows, with a counting
+allocator
 (tests/test_alloc_audit.cpp). That proof is dynamic — it only sees the
 paths the audit trace exercises. This check is the static backstop: the
 function bodies on the per-sample hot path (Step, the engine core
@@ -40,6 +42,9 @@ import pmcorr_ast
 # calibration/setup paths allocate by design.
 HOT_FUNCTIONS = {
     "src/engine/monitor.cpp": [
+        # All three overloads: the value-returning and out-param one-row
+        # calls and the multi-row call a serve tenant steps its batches
+        # through.
         "SystemMonitor::Step",
         "SystemMonitor::Advance",
         "SystemMonitor::FilterRows",
@@ -55,6 +60,14 @@ HOT_FUNCTIONS = {
         "TransitionMatrix::RankInRow",
         "TransitionMatrix::WritableRow",
         "TransitionMatrix::BumpCount",
+    ],
+    # The serve tenant's per-batch path up to the engine call: the
+    # transpose of queued rows into column scratch, and the bind-and-step.
+    # The per-batch publish (Publish: a make_shared and a snapshot copy)
+    # is not on this list.
+    "src/serve/tenant.cpp": [
+        "TenantRuntime::TakeBatchLocked",
+        "TenantRuntime::StepBatch",
     ],
 }
 
