@@ -2,9 +2,9 @@
 // whether the per-sample cost stays linear in pair count (the tentpole
 // claim of the scaling work — see docs/scaling.md). The bench builds a
 // full-mesh pair graph over a generated telemetry trace, runs the
-// batched engine, and records per-phase timings (sweep, alarm merge,
-// snapshot assembly), delta-stream sizes against the full snapshot
-// form, and peak RSS.
+// batched engine, and records per-phase timings (sweep, snapshot
+// assembly), delta-stream sizes against the full snapshot form, and
+// peak RSS.
 //
 // Environment overrides (CI smoke runs a reduced config):
 //   PMCORR_LARGE_GRAPH_PAIRS         target pair count (default 10000)
@@ -178,8 +178,7 @@ int main() {
   std::cout << "per-pair cost ratio (large / reference): "
             << FormatDouble(cost_ratio, 3) << "  (scale-linear <= 1.5)\n";
   std::cout << "large-graph phases: sweep "
-            << FormatDouble(large.stats.sweep_seconds, 3) << " s, alarm merge "
-            << FormatDouble(large.stats.alarm_merge_seconds, 4)
+            << FormatDouble(large.stats.sweep_seconds, 3)
             << " s, snapshot assembly "
             << FormatDouble(large.stats.assemble_seconds, 3) << " s across "
             << large.stats.batches << " batches\n";
@@ -262,7 +261,6 @@ int main() {
   json.Set("ref_per_pair_us_per_sample", ref.per_pair_us);
   json.Set("per_pair_cost_ratio", cost_ratio);
   json.Set("sweep_s", large.stats.sweep_seconds);
-  json.Set("alarm_merge_s", large.stats.alarm_merge_seconds);
   json.Set("assemble_s", large.stats.assemble_seconds);
   json.Set("batches", static_cast<std::int64_t>(large.stats.batches));
   json.Set("delta_run_s", delta_run_s);
@@ -276,9 +274,9 @@ int main() {
   const std::string json_path = json.Write();
   if (!json_path.empty()) std::cout << "wrote " << json_path << "\n";
 
-  std::cout << "\nThe post-sweep phase (alarm merge + snapshot assembly) is"
-               " sharded and\nallocation-free on the steady path; the delta"
-               " form keeps a quiet tick O(1)\nbytes no matter how many pairs"
-               " the fleet carries.\n";
+  std::cout << "\nThe post-sweep phase (snapshot assembly) is sharded and"
+               "\nallocation-free on the steady path; the delta form keeps a"
+               " quiet tick O(1)\nbytes no matter how many pairs the fleet"
+               " carries.\n";
   return 0;
 }

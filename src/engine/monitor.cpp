@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -26,15 +25,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// Bitwise double equality — delta change detection distinguishes NaN
-// payloads and signed zeros, so reconstruction is exact, not within-eps.
-bool SameBits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
 }
 
 // Dispatches a stack lambda through the pool's allocation-free region
@@ -188,6 +178,42 @@ void SystemMonitor::ComputeAggregates(SystemSnapshot& snap) const {
   snap.system_score = AggregateScores(snap.measurement_scores);
 }
 
+void SystemMonitor::AssembleRow(std::size_t t0, std::size_t width,
+                                std::size_t off, std::size_t base_sample,
+                                TimePoint time, SystemSnapshot& snap) const {
+  const std::size_t pairs = graph_.PairCount();
+  const std::size_t m = infos_.size();
+  const std::size_t t = t0 + off;
+  const GuardPrepass& guard = guard_pass_;
+  snap.sample = base_sample + off;
+  snap.time = time;
+  snap.pair_scores.assign(pairs, std::nullopt);
+  snap.alarmed_pairs.clear();
+  snap.outlier_pairs = 0;
+  snap.extended_pairs = 0;
+  snap.quarantined_pairs = 0;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const SweepCell& cell = run_cells_[i * width + off];
+    if (cell.has_score) snap.pair_scores[i] = cell.fitness;
+    if (cell.alarm) snap.alarmed_pairs.push_back(i);
+    if (cell.outlier) ++snap.outlier_pairs;
+    if (cell.extended) ++snap.extended_pairs;
+    if (cell.skipped) ++snap.quarantined_pairs;
+  }
+  snap.stream_event = StreamEvent::kNone;
+  snap.suppressed_values = 0;
+  snap.measurement_health.clear();
+  if (guard_.Enabled()) {
+    snap.stream_event = guard.reports[t].event;
+    snap.suppressed_values = guard.reports[t].suppressed;
+    snap.measurement_health.assign(
+        guard.health_timeline.begin() + static_cast<std::ptrdiff_t>(t * m),
+        guard.health_timeline.begin() +
+            static_cast<std::ptrdiff_t>((t + 1) * m));
+  }
+  ComputeAggregates(snap);
+}
+
 SystemSnapshot SystemMonitor::Step(std::span<const double> values,
                                    TimePoint tp) {
   SystemSnapshot snap;
@@ -331,10 +357,6 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
   const GuardPrepass& guard = guard_pass_;
 
   const std::size_t batch = BatchSamples(pairs);
-  const std::size_t shard_count = pool_.ShardCountFor(pairs);
-  run_shard_logs_.resize(shard_count);
-  for (AlarmLog& log : run_shard_logs_) log.Clear();
-
   for (std::size_t t0 = 0; t0 < samples; t0 += batch) {
     const std::size_t t1 = std::min(samples, t0 + batch);
     const std::size_t width = t1 - t0;
@@ -345,15 +367,12 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
 
     // Pair-major sweep: each worker advances every model of its shard
     // through the whole batch in one pass. Pair state is private to the
-    // pair (including its quarantine slot), so shards never contend;
-    // alarms go to a shard-local log, sorted by the worker itself so the
-    // sort cost parallelizes too. Steps are rank-only: the snapshot reads
-    // the rank-based fitness and the alarm, never the probability, so a
-    // SweepCell keeps none.
+    // pair (including its quarantine slot), so shards never contend.
+    // Steps are rank-only: the snapshot reads the rank-based fitness and
+    // the alarm, never the probability, so a SweepCell keeps none.
     const auto sweep_start = std::chrono::steady_clock::now();
     run_cells_.assign(pairs * width, SweepCell{});
     auto sweep_worker = [&](const ShardRange& shard) {
-      AlarmLog& log = run_shard_logs_[shard.index];
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
         PairModel& model = models_[i];
         // Adopt a finished rebuild at the batch boundary — a sample
@@ -405,9 +424,6 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
             cell.alarm = out.alarm;
             cell.outlier = out.outlier;
             cell.extended = out.extended_grid;
-            if (out.alarm) {
-              log.Record({times[t], i, out.fitness, out.outlier});
-            }
           } catch (const std::exception& e) {
             if (!quarantine_.Enabled()) throw;
             quarantine_.RecordFailure(i, s, e.what());
@@ -415,241 +431,71 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
           }
         }
       }
-      log.SortForMerge();
     };
-    try {
-      RunShards(pool_, pairs, sweep_worker);
-    } catch (...) {
-      // A throw with the quarantine disabled abandons the call; drop any
-      // shard-local records so a later call's merge starts clean.
-      for (AlarmLog& log : run_shard_logs_) log.Clear();
-      throw;
-    }
+    RunShards(pool_, pairs, sweep_worker);
     run_stats_.sweep_seconds += SecondsSince(sweep_start);
 
-    const auto merge_start = std::chrono::steady_clock::now();
-    alarm_log_.AppendMerged(std::span<AlarmLog>(run_shard_logs_),
-                            run_merge_cursors_);
-    run_stats_.alarm_merge_seconds += SecondsSince(merge_start);
-
-    // Assembly phase: per-sample outputs are pure functions of the cell
-    // arena and the guard pre-pass, so they build in parallel; only the
+    // Assembly phase: a row's output is a pure function of the cell arena
+    // and the guard pre-pass, so rows assemble in parallel; only the
     // lifetime-averager updates run serially, in time order —
     // floating-point accumulation order is part of the bitwise contract.
     const auto assemble_start = std::chrono::steady_clock::now();
     if (deltas == nullptr) {
-      // Every field of the caller-owned slot is overwritten: Step reuses
-      // one snapshot across calls.
       auto assemble_worker = [&](const ShardRange& shard) {
         for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          const std::size_t t = t0 + off;
-          SystemSnapshot& snap = snapshots[t];
-          snap.sample = base_sample + off;
-          snap.time = times[t];
-          snap.pair_scores.assign(pairs, std::nullopt);
-          snap.alarmed_pairs.clear();
-          snap.outlier_pairs = 0;
-          snap.extended_pairs = 0;
-          snap.quarantined_pairs = 0;
-          for (std::size_t i = 0; i < pairs; ++i) {
-            const SweepCell& cell = run_cells_[i * width + off];
-            if (cell.has_score) snap.pair_scores[i] = cell.fitness;
-            if (cell.alarm) snap.alarmed_pairs.push_back(i);
-            if (cell.outlier) ++snap.outlier_pairs;
-            if (cell.extended) ++snap.extended_pairs;
-            if (cell.skipped) ++snap.quarantined_pairs;
-          }
-          snap.stream_event = StreamEvent::kNone;
-          snap.suppressed_values = 0;
-          snap.measurement_health.clear();
-          if (guard_.Enabled()) {
-            snap.stream_event = guard.reports[t].event;
-            snap.suppressed_values = guard.reports[t].suppressed;
-            snap.measurement_health.assign(
-                guard.health_timeline.begin() +
-                    static_cast<std::ptrdiff_t>(t * m),
-                guard.health_timeline.begin() +
-                    static_cast<std::ptrdiff_t>((t + 1) * m));
-          }
-          ComputeAggregates(snap);
+          AssembleRow(t0, width, off, base_sample, times[t0 + off],
+                      snapshots[t0 + off]);
         }
       };
       RunShards(pool_, width, assemble_worker);
-
-      for (std::size_t t = t0; t < t1; ++t) {
-        const SystemSnapshot& snap = snapshots[t];
-        for (std::size_t a = 0; a < m; ++a) {
-          if (snap.measurement_scores[a]) {
-            measurement_avg_[a].Add(*snap.measurement_scores[a]);
-          }
-        }
-        system_avg_.Add(snap.system_score);
-        ++steps_;
-      }
     } else {
-      run_qa_.assign(width * m, std::nullopt);
-
-      // Stage A: per-tick scalars, pair diffs, health diffs and this
-      // tick's Q^a column. The previous tick's pair state comes from the
-      // cell arena (off > 0) or the cross-batch tracking arrays
-      // (off == 0); a baseline diffs against the implicit
-      // all-disengaged start.
+      // Each shard assembles its rows into its own two slots and diffs
+      // every row against the row before it: its other slot; for a shard
+      // that starts mid-batch, the row before its first, re-assembled
+      // here; for the batch's first row, the last emitted tick — or
+      // nothing (a baseline) when tracking did not survive.
+      run_qa_.resize(width * m);
+      const std::size_t shards = pool_.ShardCountFor(width);
+      delta_slots_.resize(std::max(delta_slots_.size(), 2 * shards));
+      const bool baseline = !tracking_valid && t0 == 0;
       auto delta_worker = [&](const ShardRange& shard) {
+        SystemSnapshot* slots = delta_slots_.data() + 2 * shard.index;
+        const SystemSnapshot* prev = nullptr;
+        if (shard.begin > 0) {
+          const std::size_t off = shard.begin - 1;
+          AssembleRow(t0, width, off, base_sample, times[t0 + off],
+                      slots[off % 2]);
+          prev = &slots[off % 2];
+        } else if (!baseline) {
+          prev = &delta_last_;
+        }
         for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          const std::size_t t = t0 + off;
-          SystemDelta& d = deltas[t];
-          d.sample = base_sample + off;
-          d.time = times[t];
-          d.baseline = !tracking_valid && t == 0;
-          d.pair_count = static_cast<std::uint32_t>(pairs);
-          d.measurement_count = static_cast<std::uint32_t>(m);
-          d.pair_changes.clear();
-          d.pair_disengaged.clear();
-          d.measurement_changes.clear();
-          d.measurement_disengaged.clear();
-          d.alarmed_pairs.clear();
-          d.outlier_pairs = 0;
-          d.extended_pairs = 0;
-          d.stream_event = StreamEvent::kNone;
-          d.suppressed_values = 0;
-          d.quarantined_pairs = 0;
-          d.has_health = guard_.Enabled();
-          d.health_changes.clear();
-
-          for (std::size_t i = 0; i < pairs; ++i) {
-            const SweepCell& cell = run_cells_[i * width + off];
-            if (cell.alarm) d.alarmed_pairs.push_back(i);
-            if (cell.outlier) ++d.outlier_pairs;
-            if (cell.extended) ++d.extended_pairs;
-            if (cell.skipped) ++d.quarantined_pairs;
-            bool prev_engaged = false;
-            double prev_score = 0.0;
-            if (d.baseline) {
-              // implicit all-disengaged start
-            } else if (off == 0) {
-              prev_engaged = delta_pair_engaged_[i] != 0;
-              prev_score = delta_pair_score_[i];
-            } else {
-              const SweepCell& prev = run_cells_[i * width + off - 1];
-              prev_engaged = prev.has_score;
-              prev_score = prev.fitness;
-            }
-            if (cell.has_score) {
-              if (!prev_engaged || !SameBits(prev_score, cell.fitness)) {
-                d.pair_changes.push_back(
-                    {static_cast<std::uint32_t>(i), cell.fitness});
-              }
-            } else if (prev_engaged) {
-              d.pair_disengaged.push_back(static_cast<std::uint32_t>(i));
-            }
-          }
-
-          std::optional<double>* qa = run_qa_.data() + off * m;
-          for (std::size_t a = 0; a < m; ++a) {
-            double sum = 0.0;
-            std::size_t n = 0;
-            for (std::size_t pi :
-                 graph_.PairsOf(MeasurementId(static_cast<std::int32_t>(a)))) {
-              const SweepCell& cell = run_cells_[pi * width + off];
-              if (cell.has_score) {
-                sum += cell.fitness;
-                ++n;
-              }
-            }
-            if (n > 0) qa[a] = sum / static_cast<double>(n);
-          }
-          d.system_score = AggregateScores(
-              std::span<const std::optional<double>>(qa, m));
-
-          if (guard_.Enabled()) {
-            d.stream_event = guard.reports[t].event;
-            d.suppressed_values = guard.reports[t].suppressed;
-            const MeasurementHealth* cur =
-                guard.health_timeline.data() + t * m;
-            for (std::size_t a = 0; a < m; ++a) {
-              MeasurementHealth prev = MeasurementHealth::kHealthy;
-              if (d.baseline) {
-                // implicit all-healthy start
-              } else if (t == 0) {
-                prev = delta_health_[a];
-              } else {
-                prev = guard.health_timeline[(t - 1) * m + a];
-              }
-              if (cur[a] != prev) {
-                d.health_changes.push_back(
-                    {static_cast<std::uint32_t>(a), cur[a]});
-              }
-            }
-          }
+          SystemSnapshot& cur = slots[off % 2];
+          AssembleRow(t0, width, off, base_sample, times[t0 + off], cur);
+          DiffSnapshots(prev, cur, deltas[t0 + off]);
+          std::copy(cur.measurement_scores.begin(),
+                    cur.measurement_scores.end(),
+                    run_qa_.begin() + static_cast<std::ptrdiff_t>(off * m));
+          prev = &cur;
         }
       };
       RunShards(pool_, width, delta_worker);
+      // The batch's last row is in the last shard's slot; it is what the
+      // next batch's, or the next call's, first delta diffs against.
+      std::swap(delta_last_,
+                delta_slots_[2 * (shards - 1) + (width - 1) % 2]);
+    }
 
-      // Stage A2, a separate fork/join: Q^a diffs read the arena column
-      // off - 1 that stage A was still writing.
-      auto qa_diff_worker = [&](const ShardRange& shard) {
-        for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          SystemDelta& d = deltas[t0 + off];
-          const std::optional<double>* qa = run_qa_.data() + off * m;
-          for (std::size_t a = 0; a < m; ++a) {
-            bool prev_engaged = false;
-            double prev_score = 0.0;
-            if (d.baseline) {
-              // implicit all-disengaged start
-            } else if (off == 0) {
-              prev_engaged = delta_qa_[a].has_value();
-              if (prev_engaged) prev_score = *delta_qa_[a];
-            } else {
-              const std::optional<double>& prev = run_qa_[(off - 1) * m + a];
-              prev_engaged = prev.has_value();
-              if (prev_engaged) prev_score = *prev;
-            }
-            if (qa[a]) {
-              if (!prev_engaged || !SameBits(prev_score, *qa[a])) {
-                d.measurement_changes.push_back(
-                    {static_cast<std::uint32_t>(a), *qa[a]});
-              }
-            } else if (prev_engaged) {
-              d.measurement_disengaged.push_back(
-                  static_cast<std::uint32_t>(a));
-            }
-          }
-        }
-      };
-      RunShards(pool_, width, qa_diff_worker);
-
-      // Serial lifetime-averager pass, identical to the snapshot one.
-      for (std::size_t off = 0; off < width; ++off) {
-        const std::optional<double>* qa = run_qa_.data() + off * m;
-        for (std::size_t a = 0; a < m; ++a) {
-          if (qa[a]) measurement_avg_[a].Add(*qa[a]);
-        }
-        system_avg_.Add(deltas[t0 + off].system_score);
-        ++steps_;
+    for (std::size_t off = 0; off < width; ++off) {
+      const std::optional<double>* qa =
+          deltas == nullptr ? snapshots[t0 + off].measurement_scores.data()
+                            : run_qa_.data() + off * m;
+      for (std::size_t a = 0; a < m; ++a) {
+        if (qa[a]) measurement_avg_[a].Add(*qa[a]);
       }
-
-      // Cross-batch tracking update: the last tick's state is what the
-      // next batch's off == 0 diffs against.
-      const std::size_t last = width - 1;
-      delta_pair_engaged_.resize(pairs);
-      delta_pair_score_.resize(pairs);
-      for (std::size_t i = 0; i < pairs; ++i) {
-        const SweepCell& cell = run_cells_[i * width + last];
-        delta_pair_engaged_[i] = cell.has_score ? 1 : 0;
-        delta_pair_score_[i] = cell.fitness;
-      }
-      delta_qa_.assign(run_qa_.begin() + static_cast<std::ptrdiff_t>(last * m),
-                       run_qa_.begin() +
-                           static_cast<std::ptrdiff_t>((last + 1) * m));
-      if (guard_.Enabled()) {
-        delta_health_.assign(
-            guard.health_timeline.begin() +
-                static_cast<std::ptrdiff_t>((t1 - 1) * m),
-            guard.health_timeline.begin() +
-                static_cast<std::ptrdiff_t>(t1 * m));
-      } else {
-        delta_health_.clear();
-      }
+      system_avg_.Add(deltas == nullptr ? snapshots[t0 + off].system_score
+                                        : deltas[t0 + off].system_score);
+      ++steps_;
     }
     run_stats_.assemble_seconds += SecondsSince(assemble_start);
   }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -13,7 +12,6 @@
 
 #include "core/calibration.h"
 #include "core/config.h"
-#include "engine/alarm.h"
 #include "core/fitness.h"
 #include "core/model.h"
 #include "engine/health.h"
@@ -50,8 +48,8 @@ struct MonitorConfig {
   /// (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Samples per pair-major batch in Run(): each worker sweeps its shard
-  /// of pairs across this many samples between merge phases. 0 sizes the
-  /// batch automatically so the per-batch outcome buffer stays around
+  /// of pairs across this many samples between assembly phases. 0 sizes
+  /// the batch automatically so the per-batch outcome buffer stays around
   /// 32 MiB; 1 degenerates to sample-major stepping. Any value produces
   /// the identical snapshot/alarm stream — this is purely a
   /// memory/latency knob.
@@ -69,11 +67,15 @@ struct MonitorConfig {
 };
 
 /// Phase timings of the last Step/Run/RunDelta call, for scale
-/// benchmarks: the pair-major model sweep (parallel), the alarm-log k-way
-/// merge, and snapshot/delta assembly (parallel per-sample work plus the
-/// serial lifetime-averager pass).
+/// benchmarks: the pair-major model sweep (parallel) and snapshot/delta
+/// assembly (parallel per-sample work plus the serial lifetime-averager
+/// pass).
 struct RunStats {
   double sweep_seconds = 0.0;
+  /// Always 0: the engine keeps no alarm log, so nothing is merged. Its
+  /// only reader is perfbench's `engine.run_alarm_merge_s`, and perfbench/
+  /// changes only together with the benchmark definition, so the field
+  /// stays until that metric goes.
   double alarm_merge_seconds = 0.0;
   double assemble_seconds = 0.0;
   std::size_t batches = 0;
@@ -123,12 +125,9 @@ class SystemMonitor {
   /// so within one call only at its first row at the widths a tenant
   /// uses; with retrain off the split is invisible. The rows run
   /// pair-major, so each pair's model stays in cache across them and the
-  /// guard pre-pass, fork/join and alarm merge are paid once per call.
-  /// The one-row Step is this call over one row. After a warm call at the
-  /// widest width, calls at that width or narrower allocate nothing.
-  /// Alarms() orders a call's alarms by (time, pair): the guard turns a
-  /// duplicate or out-of-order row into NaN, which raises none, so with
-  /// the guard disabled give one call's rows increasing timestamps.
+  /// guard pre-pass and fork/joins are paid once per call. The one-row
+  /// Step is this call over one row. After a warm call at the widest
+  /// width, calls at that width or narrower allocate nothing.
   void Step(std::span<const std::span<const double>> cols,
             std::span<const TimePoint> times, std::span<SystemSnapshot> out);
 
@@ -143,11 +142,10 @@ class SystemMonitor {
   /// a whole batch of samples for its shard in one pass — per-pair state
   /// (previous cell, grid extensions, alarm bounds, quarantine slot) is
   /// private to the pair, so the sweep is embarrassingly parallel. The
-  /// post-sweep phase is sharded too: workers sort shard-local alarm
-  /// logs (merged by a deterministic k-way merge) and assemble the pure
-  /// per-sample snapshot fields in parallel; only the lifetime-averager
-  /// updates stay serial, in time order, because floating-point
-  /// accumulation order is part of the bitwise contract. Apart from the
+  /// post-sweep phase is sharded too: workers assemble each row's
+  /// snapshot in parallel; only the lifetime-averager updates stay
+  /// serial, in time order, because floating-point accumulation order is
+  /// part of the bitwise contract. Apart from the
   /// guard reset, the stream is bitwise identical to calling Step once
   /// per sample, at any thread count and batch width (proven against a
   /// test-only reference stepper by tests/test_differential.cpp).
@@ -158,11 +156,15 @@ class SystemMonitor {
   /// invalidated by Step/Run/AddPair/RetirePair/calibration) is a
   /// baseline restating the engaged state; every other tick carries
   /// only pairs/measurements whose score changed bits since the
-  /// previous tick, so a quiet tick is O(changes), not O(pairs). The
-  /// engine state advances exactly as Run would (same models, averages,
-  /// alarms — ReconstructSnapshots(deltas) is bitwise identical to
-  /// Run's snapshots, proven by tests/test_delta.cpp). An empty frame
-  /// emits nothing and leaves tracking valid.
+  /// previous tick, so a quiet tick is O(changes), not O(pairs). Each
+  /// row is assembled as Run assembles it and diffed against the
+  /// previous row (DiffSnapshots), so the engine state advances exactly
+  /// as Run would (same models and averages) and ReconstructSnapshots(
+  /// deltas) is Run's snapshots bitwise (tests/test_delta.cpp, and the
+  /// differential harness against the reference stepper). Memory stays
+  /// flat: each worker shard assembles into two reused snapshots, not a
+  /// batch of them. An empty frame emits nothing and leaves tracking
+  /// valid.
   std::vector<SystemDelta> RunDelta(const MeasurementFrame& test);
 
   /// Phase timings of the last call that advanced the monitor — Step,
@@ -226,10 +228,6 @@ class SystemMonitor {
 
   /// Samples processed so far.
   std::size_t StepCount() const { return steps_; }
-
-  /// Every pair alarm raised so far (time, pair index, fitness,
-  /// outlier flag) — feeds drill-down and noisy-pair reports.
-  const AlarmLog& Alarms() const { return alarm_log_; }
 
   /// The ingest guard's current view of every measurement feed.
   const IngestGuard& Health() const { return guard_; }
@@ -296,13 +294,24 @@ class SystemMonitor {
   /// snapshot assembly.
   void ComputeAggregates(SystemSnapshot& snap) const;
 
+  /// Assembles row `off` of the batch that starts at call row t0 and
+  /// engine sample `base_sample` into `snap`, from the sweep-cell arena
+  /// (`width` rows per pair) and the guard pre-pass. Overwrites every
+  /// field and reuses the vectors' capacity: Step reuses one snapshot
+  /// across calls, and RunDelta re-assembles into two slots per shard.
+  /// Pure per-row work, run by the worker shards in parallel.
+  void AssembleRow(std::size_t t0, std::size_t width, std::size_t off,
+                   std::size_t base_sample, TimePoint time,
+                   SystemSnapshot& snap) const;
+
   /// The one engine path. Advances the monitor over rows
   /// [0, times.size()) — cols[a][t] is measurement a's value at row t —
   /// and writes row t's output into the caller-owned slot snapshots[t],
   /// or deltas[t] when `deltas` is set: guard pre-pass, pair-major
-  /// batched sweep with the quarantine and retrain hooks, alarm merge,
-  /// sharded assembly, serial lifetime aggregates. Does not reset the
-  /// guard clock; Run/RunDelta do that before calling it, Step does not.
+  /// batched sweep with the quarantine and retrain hooks, sharded row
+  /// assembly (diffed into deltas on the delta path), serial lifetime
+  /// aggregates. Does not reset the guard clock; Run/RunDelta do that
+  /// before calling it, Step does not.
   void Advance(std::span<const std::span<const double>> cols,
                std::span<const TimePoint> times, SystemSnapshot* snapshots,
                SystemDelta* deltas);
@@ -336,7 +345,6 @@ class SystemMonitor {
 
   std::vector<ScoreAverager> measurement_avg_;
   ScoreAverager system_avg_;
-  AlarmLog alarm_log_;
   std::size_t steps_ = 0;
 
   /// Degraded-mode machinery.
@@ -349,28 +357,25 @@ class SystemMonitor {
 
   /// Core scratch, persisted across batches and calls so the steady-state
   /// loop allocates nothing: the bound input columns and frame
-  /// timestamps, the sweep-cell arena (pairs x batch), per-shard alarm
-  /// logs + merge cursors, the per-batch Q^a arena, and the guard
-  /// pre-pass.
+  /// timestamps, the sweep-cell arena (pairs x batch) and the guard
+  /// pre-pass. The delta path adds the per-batch Q^a arena the serial
+  /// averager pass reads (batch x m) and two assembly slots per worker
+  /// shard (row off lands in slot off % 2, so a row and the row before
+  /// it are never in the same slot).
   RunStats run_stats_;
   std::vector<std::span<const double>> in_cols_;
   std::vector<TimePoint> in_times_;
   std::vector<SweepCell> run_cells_;
-  std::vector<AlarmLog> run_shard_logs_;
-  std::vector<std::size_t> run_merge_cursors_;
-  std::vector<std::optional<double>> run_qa_;  // batch x m, per-sample Q^a
   GuardPrepass guard_pass_;
+  std::vector<std::optional<double>> run_qa_;
+  std::vector<SystemSnapshot> delta_slots_;
 
-  /// Dirty-pair tracking for RunDelta: the engaged state, score bits,
-  /// Q^a and feed health of the last emitted tick. Valid only while no
-  /// other state-advancing call interleaves (Step, full Run, topology
-  /// or calibration changes invalidate it — the next RunDelta re-emits
-  /// a baseline).
+  /// RunDelta's last emitted tick, the `prev` of the next batch's or the
+  /// next call's first delta. Valid only while no other state-advancing
+  /// call interleaves (Step, full Run, topology or calibration changes
+  /// invalidate it — the next RunDelta re-emits a baseline).
   bool delta_valid_ = false;
-  std::vector<std::uint8_t> delta_pair_engaged_;
-  std::vector<double> delta_pair_score_;
-  std::vector<std::optional<double>> delta_qa_;
-  std::vector<MeasurementHealth> delta_health_;
+  SystemSnapshot delta_last_;
 };
 
 }  // namespace pmcorr

@@ -1,10 +1,44 @@
 #include "engine/snapshot.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "common/check.h"
+
 namespace pmcorr {
 namespace {
+
+// Bitwise double equality — delta change detection distinguishes NaN
+// payloads and signed zeros, so reconstruction is exact, not within-eps.
+bool SameBits(double a, double b) {
+  std::uint64_t ua = 0, ub = 0;
+  std::memcpy(&ua, &a, sizeof(ua));
+  std::memcpy(&ub, &b, sizeof(ub));
+  return ua == ub;
+}
+
+// Lists in `changes` every index whose score is engaged in `cur` and was
+// disengaged or other bits in `prev`, and in `disengaged` every index
+// engaged only in `prev`. A null `prev` is all-disengaged.
+void DiffScores(const std::vector<std::optional<double>>* prev,
+                const std::vector<std::optional<double>>& cur,
+                std::vector<ScoreChange>& changes,
+                std::vector<std::uint32_t>& disengaged) {
+  changes.clear();
+  disengaged.clear();
+  for (std::size_t i = 0; i < cur.size(); ++i) {
+    const std::optional<double> before =
+        prev != nullptr ? (*prev)[i] : std::nullopt;
+    if (cur[i]) {
+      if (!before || !SameBits(*before, *cur[i])) {
+        changes.push_back({static_cast<std::uint32_t>(i), *cur[i]});
+      }
+    } else if (before) {
+      disengaged.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+}
 
 [[noreturn]] void Fail(const std::string& what) {
   throw std::runtime_error("DeltaReconstructor: " + what);
@@ -26,6 +60,47 @@ void CheckAscending(const std::vector<T>& entries, Index index_of,
 }
 
 }  // namespace
+
+void DiffSnapshots(const SystemSnapshot* prev, const SystemSnapshot& cur,
+                   SystemDelta& delta) {
+  PMCORR_DASSERT(prev == nullptr ||
+                     (prev->pair_scores.size() == cur.pair_scores.size() &&
+                      prev->measurement_scores.size() ==
+                          cur.measurement_scores.size() &&
+                      prev->measurement_health.size() ==
+                          cur.measurement_health.size()),
+                 "DiffSnapshots: widths differ");
+  delta.sample = cur.sample;
+  delta.time = cur.time;
+  delta.baseline = prev == nullptr;
+  delta.pair_count = static_cast<std::uint32_t>(cur.pair_scores.size());
+  delta.measurement_count =
+      static_cast<std::uint32_t>(cur.measurement_scores.size());
+  delta.system_score = cur.system_score;
+  DiffScores(prev != nullptr ? &prev->pair_scores : nullptr, cur.pair_scores,
+             delta.pair_changes, delta.pair_disengaged);
+  DiffScores(prev != nullptr ? &prev->measurement_scores : nullptr,
+             cur.measurement_scores, delta.measurement_changes,
+             delta.measurement_disengaged);
+  delta.alarmed_pairs.assign(cur.alarmed_pairs.begin(),
+                             cur.alarmed_pairs.end());
+  delta.outlier_pairs = cur.outlier_pairs;
+  delta.extended_pairs = cur.extended_pairs;
+  delta.stream_event = cur.stream_event;
+  delta.suppressed_values = cur.suppressed_values;
+  delta.quarantined_pairs = cur.quarantined_pairs;
+  delta.has_health = !cur.measurement_health.empty();
+  delta.health_changes.clear();
+  for (std::size_t a = 0; a < cur.measurement_health.size(); ++a) {
+    const MeasurementHealth before = prev != nullptr
+                                         ? prev->measurement_health[a]
+                                         : MeasurementHealth::kHealthy;
+    if (cur.measurement_health[a] != before) {
+      delta.health_changes.push_back(
+          {static_cast<std::uint32_t>(a), cur.measurement_health[a]});
+    }
+  }
+}
 
 const SystemSnapshot& DeltaReconstructor::Apply(const SystemDelta& delta) {
   if (!has_state_ && !delta.baseline) {

@@ -7,9 +7,11 @@
 // stretches. A SystemDelta carries only what changed since the previous
 // tick (changed pair scores, newly disengaged pairs, changed Q^a and
 // feed health) plus the per-tick scalars, so a quiet tick is a few
-// hundred bytes regardless of pair count. DeltaReconstructor folds a
-// delta stream back into full snapshots — the differential suite proves
-// the reconstruction bitwise-identical to SystemMonitor::Run.
+// hundred bytes regardless of pair count. Both directions of the format
+// live here: DiffSnapshots encodes a snapshot as a delta against the one
+// before it, and DeltaReconstructor folds a delta stream back into full
+// snapshots — the differential suite proves the reconstruction
+// bitwise-identical to SystemMonitor::Run.
 #pragma once
 
 #include <cstddef>
@@ -117,6 +119,15 @@ struct SystemDelta {
   /// Feeds whose health changed (baseline: every non-kHealthy feed).
   std::vector<HealthChange> health_changes;
 };
+
+/// Encodes `cur` as the delta that turns `prev` into it, overwriting every
+/// field of `delta` and reusing its vectors' capacity. A null `prev`
+/// makes a baseline: the diff runs against the implicit all-disengaged,
+/// all-healthy start. Scores compare bitwise (NaN payloads and signed
+/// zeros count as changes), so DeltaReconstructor::Apply of the result on
+/// top of `prev` gives `cur` exactly. `prev` must have `cur`'s widths.
+void DiffSnapshots(const SystemSnapshot* prev, const SystemSnapshot& cur,
+                   SystemDelta& delta);
 
 /// Folds a SystemDelta stream back into full SystemSnapshots. Stateful:
 /// feed deltas in emission order, starting at a baseline. Throws

@@ -5,12 +5,13 @@
 // The engine runs Step, Run and RunDelta through one pair-major core,
 // so the contract is deliberately brutal: for the same scenario the
 // value-returning Step loop, the out-param Step loop that reuses one
-// snapshot, the multi-row Step at several call widths, and Run at every
-// thread count and batch width must each
-// produce the reference's snapshot stream bitwise (every pair score,
-// Q^a, Q, alarm list, counter and health flag), its alarm log, its
-// lifetime aggregates and its checkpoint bytes — after calibration,
-// under scripted engine faults, and across ResetSequences boundaries.
+// snapshot, the multi-row Step at several call widths, and Run and
+// RunDelta (its deltas folded back by one DeltaReconstructor) at every
+// thread count and batch width must each produce the reference's
+// snapshot stream bitwise (every pair score, Q^a, Q, alarm list,
+// counter and health flag), its lifetime aggregates and its checkpoint
+// bytes — after calibration, under scripted engine faults, and across
+// ResetSequences boundaries.
 // After every row the reference fed row by row steps, and on the models
 // of a reloaded checkpoint, each pair model must also encode to the
 // bytes of the dense reference encoder (dense_reference.h).
@@ -29,6 +30,7 @@
 #include "dense_reference.h"
 #include "engine/fault_plan.h"
 #include "engine/monitor.h"
+#include "engine/snapshot.h"
 #include "io/monitor_io.h"
 #include "reference_stepper.h"
 
@@ -192,17 +194,6 @@ inline void ExpectStreamsEqual(const std::vector<SystemSnapshot>& a,
   }
 }
 
-inline void ExpectAlarmLogsEqual(const AlarmLog& a, const AlarmLog& b) {
-  ASSERT_EQ(a.Count(), b.Count());
-  for (std::size_t i = 0; i < a.Count(); ++i) {
-    SCOPED_TRACE("alarm record " + std::to_string(i));
-    EXPECT_EQ(a.Records()[i].time, b.Records()[i].time);
-    EXPECT_EQ(a.Records()[i].pair_index, b.Records()[i].pair_index);
-    EXPECT_EQ(a.Records()[i].fitness, b.Records()[i].fitness);
-    EXPECT_EQ(a.Records()[i].outlier, b.Records()[i].outlier);
-  }
-}
-
 /// Lifetime aggregates: per-measurement and system averagers (bitwise on
 /// the running sums) and the step counter, of two monitors or of a
 /// monitor and a ReferenceStepper.
@@ -236,8 +227,8 @@ struct DifferentialCase {
   MonitorConfig config;
   /// Scripted engine faults (non-owning), installed after calibration.
   const EngineFaultPlan* fault_plan = nullptr;
-  /// Batch sizes exercised for Run, besides the default. Small odd
-  /// widths force mid-frame merge boundaries.
+  /// Batch sizes exercised for Run and RunDelta, besides the default.
+  /// Small odd widths force mid-frame batch boundaries.
   std::vector<std::size_t> batch_sizes = {0, 7};
   /// When true, the test frame is fed in two halves with ResetSequences
   /// between them — on every path.
@@ -262,19 +253,17 @@ std::vector<SystemSnapshot> FeedCase(Engine& engine, const DifferentialCase& c,
 /// The reference stepper's outputs for one way of feeding the case.
 struct ReferenceRun {
   std::vector<SystemSnapshot> snapshots;
-  AlarmLog alarms;
   std::string checkpoint;
 };
 
 /// Asserts `monitor` ended where `reference` did after producing `want`:
-/// snapshots, alarm log, lifetime aggregates, checkpoint bytes, and each
-/// pair's previous cell (the sequence state a checkpoint does not carry).
+/// snapshots, lifetime aggregates, checkpoint bytes, and each pair's
+/// previous cell (the sequence state a checkpoint does not carry).
 inline void ExpectMatchesReference(const ReferenceRun& want,
                                    const ReferenceStepper& reference,
                                    const SystemMonitor& monitor,
                                    const std::vector<SystemSnapshot>& got) {
   ExpectStreamsEqual(want.snapshots, got);
-  ExpectAlarmLogsEqual(want.alarms, monitor.Alarms());
   ExpectAggregatesEqual(reference, monitor);
   EXPECT_EQ(CheckpointString(monitor), want.checkpoint)
       << "checkpoint diverged from the reference stepper";
@@ -294,12 +283,14 @@ inline constexpr std::size_t kStepCallWidths[] = {2, 7, 32, 0};
 /// Runs the scenario through the reference stepper and, at every
 /// requested thread count, through (a) the value-returning Step loop,
 /// (b) the out-param Step loop reusing one snapshot, (c) the multi-row
-/// Step in calls of every kStepCallWidths width and (d) Run at every
-/// batch width, asserting each matches the reference's snapshot stream,
-/// alarm log, lifetime aggregates and checkpoint bytes exactly. Step, at
-/// any width, is held to a reference fed row by row (the guard clock
-/// carries across calls), Run to one fed frame by frame — they differ
-/// only in where the guard clock resets.
+/// Step in calls of every kStepCallWidths width, (d) Run at every batch
+/// width and (e) RunDelta at every batch width, its deltas folded back
+/// by one DeltaReconstructor that carries across a mid-stream reset,
+/// asserting each matches the reference's snapshot stream, lifetime
+/// aggregates and checkpoint bytes exactly. Step, at any width, is held
+/// to a reference fed row by row (the guard clock carries across calls),
+/// Run and RunDelta to one fed frame by frame — they differ only in
+/// where the guard clock resets.
 inline void ExpectEngineMatchesReference(
     const DifferentialCase& c,
     std::vector<std::size_t> thread_counts = {1, 2, 8}) {
@@ -328,12 +319,10 @@ inline void ExpectEngineMatchesReference(
       FeedCase(step_reference, c, [pairs](auto& e, const auto& f) {
         return StepLoopCheckingFrames(e, f, pairs);
       });
-  by_row.alarms = step_reference.Alarms();
   by_row.checkpoint = step_reference.CheckpointString();
   ReferenceRun by_frame;
   by_frame.snapshots = FeedCase(
       run_reference, c, [](auto& e, const auto& f) { return e.Run(f); });
-  by_frame.alarms = run_reference.Alarms();
   by_frame.checkpoint = run_reference.CheckpointString();
 
   // The checkpoint must itself round-trip losslessly, or checkpoint
@@ -379,6 +368,20 @@ inline void ExpectEngineMatchesReference(
       const auto monitor = make(threads, batch);
       const auto snaps = FeedCase(
           *monitor, c, [](auto& e, const auto& f) { return e.Run(f); });
+      ExpectMatchesReference(by_frame, run_reference, *monitor, snaps);
+    }
+    for (std::size_t batch : c.batch_sizes) {
+      SCOPED_TRACE("RunDelta, " + at + " batch=" + std::to_string(batch));
+      const auto monitor = make(threads, batch);
+      DeltaReconstructor reconstructor;
+      const auto snaps =
+          FeedCase(*monitor, c, [&reconstructor](auto& e, const auto& f) {
+            std::vector<SystemSnapshot> out;
+            for (const SystemDelta& d : e.RunDelta(f)) {
+              out.push_back(reconstructor.Apply(d));
+            }
+            return out;
+          });
       ExpectMatchesReference(by_frame, run_reference, *monitor, snaps);
     }
   }

@@ -28,7 +28,6 @@
 
 #include "core/fitness.h"
 #include "core/model.h"
-#include "engine/alarm.h"
 #include "engine/fault_plan.h"
 #include "engine/health.h"
 #include "engine/measurement_graph.h"
@@ -44,13 +43,12 @@ namespace difftest {
 class ReferenceStepper {
  public:
   /// Copies `start`'s state: graph, measurement infos, pair models,
-  /// ingest guard, quarantine, alarm log and lifetime aggregates.
+  /// ingest guard, quarantine and lifetime aggregates.
   explicit ReferenceStepper(const SystemMonitor& start)
       : graph_(start.Graph()),
         infos_(start.Infos()),
         guard_(start.Health()),
         quarantine_(start.Quarantine()),
-        alarms_(start.Alarms()),
         measurement_avg_(start.MeasurementAverages()),
         system_avg_(start.SystemAverage()),
         steps_(start.StepCount()) {
@@ -99,10 +97,7 @@ class ReferenceStepper {
                             row[static_cast<std::size_t>(pair.b.value)]);
         quarantine_.RecordSuccess(i, steps_, out.outlier);
         if (out.has_score) snap.pair_scores[i] = out.fitness;
-        if (out.alarm) {
-          snap.alarmed_pairs.push_back(i);
-          alarms_.Record({tp, i, out.fitness, out.outlier});
-        }
+        if (out.alarm) snap.alarmed_pairs.push_back(i);
         if (out.outlier) ++snap.outlier_pairs;
         if (out.extended_grid) ++snap.extended_pairs;
       } catch (const std::exception& e) {
@@ -168,7 +163,6 @@ class ReferenceStepper {
 
   std::size_t PairCount() const { return models_.size(); }
   const PairModel& Model(std::size_t i) const { return models_.at(i); }
-  const AlarmLog& Alarms() const { return alarms_; }
   std::size_t StepCount() const { return steps_; }
   const std::vector<ScoreAverager>& MeasurementAverages() const {
     return measurement_avg_;
@@ -193,7 +187,6 @@ class ReferenceStepper {
   std::vector<PairModel> models_;
   IngestGuard guard_;
   PairQuarantine quarantine_;
-  AlarmLog alarms_;
   std::vector<ScoreAverager> measurement_avg_;
   ScoreAverager system_avg_;
   std::size_t steps_ = 0;

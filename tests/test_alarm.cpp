@@ -1,4 +1,4 @@
-// Tests for alarm-window extraction and the alarm log.
+// Tests for alarm-window extraction.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -67,21 +67,6 @@ TEST(AnyWindowOverlaps, HalfOpenSemantics) {
   EXPECT_FALSE(AnyWindowOverlaps({w}, 200, 300));  // touching, no overlap
   EXPECT_FALSE(AnyWindowOverlaps({w}, 0, 100));
   EXPECT_FALSE(AnyWindowOverlaps({}, 0, 1000));
-}
-
-TEST(AlarmLog, CountsAndRanksPairs) {
-  AlarmLog log;
-  for (int i = 0; i < 5; ++i) log.Record({100 + i, 2, 0.1, false});
-  for (int i = 0; i < 3; ++i) log.Record({200 + i, 7, 0.0, true});
-  log.Record({300, 1, 0.2, false});
-  EXPECT_EQ(log.Count(), 9u);
-  EXPECT_EQ(log.CountForPair(2), 5u);
-  EXPECT_EQ(log.CountForPair(7), 3u);
-  EXPECT_EQ(log.CountForPair(99), 0u);
-  const auto noisy = log.NoisiestPairs(2);
-  ASSERT_EQ(noisy.size(), 2u);
-  EXPECT_EQ(noisy[0], 2u);
-  EXPECT_EQ(noisy[1], 7u);
 }
 
 }  // namespace

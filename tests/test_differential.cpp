@@ -1,10 +1,10 @@
 // Engine-vs-reference equivalence for the monitoring engine.
 //
 // Every case runs the same scenario through the test-only reference
-// stepper and, at 1, 2 and 8 threads, through both Step overloads and
-// through Run at several batch widths, asserting bitwise-identical
-// snapshot streams, alarm logs, lifetime aggregates and checkpoints —
-// see differential_util.h.
+// stepper and, at 1, 2 and 8 threads, through every Step overload and
+// through Run and RunDelta at several batch widths, asserting
+// bitwise-identical snapshot streams, lifetime aggregates and
+// checkpoints — see differential_util.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,7 +110,7 @@ TEST(Differential, BrokenCorrelationWithCalibratedAlarms) {
     c.history = CorrelatedFrame(1600, seed);
     c.holdout = CorrelatedFrame(400, seed + 1);
     // Decoupled second half: alarms, outliers and grid extensions all
-    // flow through the merge phase.
+    // flow through the assembly phase.
     c.test = CorrelatedFrame(400, seed + 2, true);
     c.graph = MeasurementGraph::FullMesh(4);
     c.config = SmallConfig();
@@ -125,7 +125,7 @@ TEST(Differential, MissingDataGaps) {
   // Knock out collector gaps in two measurements: missing samples break
   // transition sequences, which must re-engage identically on every path
   // (including across batch boundaries — batch width 7 guarantees gaps
-  // straddle merges).
+  // straddle them).
   MeasurementFrame test = CorrelatedFrame(360, 45, true);
   {
     MeasurementFrame holed(test.StartTime(), test.Period());
@@ -160,7 +160,7 @@ TEST(Differential, ResetSequencesMidStream) {
   c.graph = MeasurementGraph::FullMesh(4);
   c.config = SmallConfig();
   c.reset_mid_stream = true;
-  // Batch width 1 degenerates Run to sample-major stepping — the merge
+  // Batch width 1 degenerates Run to sample-major stepping — the assembly
   // phase must be exact even then.
   c.batch_sizes = {0, 7, 1};
   ExpectEngineMatchesReference(c);
@@ -196,7 +196,6 @@ TEST(Differential, DegradedArrivalsThroughStep) {
   want.snapshots = feed(reference, [](auto& e, const ArrivingRow& row) {
     return e.Step(row.values, row.time);
   });
-  want.alarms = reference.Alarms();
   want.checkpoint = reference.CheckpointString();
 
   for (std::size_t threads : {1u, 2u, 8u}) {

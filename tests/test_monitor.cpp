@@ -179,21 +179,20 @@ TEST(SystemMonitor, CalibrateThresholdsArmsPairAlarms) {
   monitor.ResetSequences();
   const MeasurementFrame broken = SystemFrame(400, 23, true);
   std::size_t broken_alarms = 0;
+  std::vector<std::size_t> per_pair(monitor.Graph().PairCount(), 0);
   for (const auto& snap : monitor.Run(broken)) {
     broken_alarms += snap.alarmed_pairs.size();
+    for (const std::size_t i : snap.alarmed_pairs) ++per_pair[i];
   }
   EXPECT_GT(broken_alarms, clean_alarms);
 
-  // The alarm log recorded every pair alarm from both runs (plus the
-  // unarmed probe run, which raised none).
-  EXPECT_EQ(monitor.Alarms().Count(), clean_alarms + broken_alarms);
-  if (broken_alarms > 0) {
-    const auto noisy = monitor.Alarms().NoisiestPairs(3);
-    EXPECT_FALSE(noisy.empty());
-    // The noisiest pair touches the broken measurement (index 3).
-    const PairId& pair = monitor.Graph().Pair(noisy.front());
-    EXPECT_TRUE(pair.a.value == 3 || pair.b.value == 3);
-  }
+  // The broken run's noisiest pair (the lowest index on a tie) touches
+  // the broken measurement (index 3).
+  const std::size_t noisiest = static_cast<std::size_t>(
+      std::max_element(per_pair.begin(), per_pair.end()) - per_pair.begin());
+  ASSERT_GT(per_pair[noisiest], 0u);
+  const PairId& pair = monitor.Graph().Pair(noisiest);
+  EXPECT_TRUE(pair.a.value == 3 || pair.b.value == 3);
 }
 
 TEST(SystemMonitor, ResetSequencesDisengagesNextSample) {

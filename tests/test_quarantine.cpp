@@ -244,25 +244,16 @@ TEST(MonitorQuarantine, FaultyPairsAreContainedBitwise) {
     }
   }
 
-  // Alarm containment: the faulty run's log is exactly the baseline log
-  // minus the faulted pairs' post-fault records.
-  std::vector<AlarmRecord> expected;
-  for (const AlarmRecord& r : baseline.Alarms().Records()) {
-    const std::size_t start = r.pair_index == 1 ? 10 : 25;
-    if ((r.pair_index == 1 || r.pair_index == 4) &&
-        static_cast<std::size_t>(r.time / kPaperSamplePeriod) >= start) {
-      continue;
+  // Alarm containment: at every sample the faulty run alarms exactly the
+  // baseline's pairs, minus the faulted pairs from their first fault on.
+  for (std::size_t t = 0; t < clean_snaps.size(); ++t) {
+    SCOPED_TRACE("alarms at sample " + std::to_string(t));
+    std::vector<std::size_t> expected;
+    for (const std::size_t i : clean_snaps[t].alarmed_pairs) {
+      if ((i == 1 && t >= 10) || (i == 4 && t >= 25)) continue;
+      expected.push_back(i);
     }
-    expected.push_back(r);
-  }
-  const auto& actual = faulty.Alarms().Records();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    SCOPED_TRACE("alarm " + std::to_string(i));
-    EXPECT_EQ(actual[i].time, expected[i].time);
-    EXPECT_EQ(actual[i].pair_index, expected[i].pair_index);
-    EXPECT_EQ(actual[i].fitness, expected[i].fitness);
-    EXPECT_EQ(actual[i].outlier, expected[i].outlier);
+    EXPECT_EQ(fault_snaps[t].alarmed_pairs, expected);
   }
 
   // Both faulted pairs burned through their retry budgets or are still

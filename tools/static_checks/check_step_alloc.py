@@ -9,7 +9,8 @@ allocator
 paths the audit trace exercises. This check is the static backstop: the
 function bodies on the per-sample hot path (Step, the engine core
 Advance that every Step and Run goes through, its guard pre-pass
-FilterRows, and the kernels they call, the sparse matrix's first-write
+FilterRows, its row assembly AssembleRow, and the kernels they call,
+the sparse matrix's first-write
 and count-insert kernels included) must not contain a token that
 *unconditionally* allocates. Capacity-
 reusing calls (assign/clear/push_back into a warmed buffer) are fine and
@@ -48,6 +49,9 @@ HOT_FUNCTIONS = {
         "SystemMonitor::Step",
         "SystemMonitor::Advance",
         "SystemMonitor::FilterRows",
+        # Every Step assembles its rows through it. DiffSnapshots is not
+        # listed: only RunDelta calls it, and its delta vectors grow.
+        "SystemMonitor::AssembleRow",
         "SystemMonitor::ComputeAggregates",
     ],
     "src/core/model.cpp": [
