@@ -252,6 +252,8 @@ StepOutcome PairModel::Step(double x, double y, ScoreMode mode) {
     }
   }
 
+  const bool alarm_armed =
+      config_.delta > 0.0 || config_.fitness_alarm_threshold > 0.0;
   if (!cell) {
     // Outlier: transition probability 0, fitness 0, no model update, and
     // the next observation has no valid source cell.
@@ -261,16 +263,26 @@ StepOutcome PairModel::Step(double x, double y, ScoreMode mode) {
       out.has_score = true;
       ++stats_.scored;
     }
-    const bool alarm_configured =
-        config_.delta > 0.0 || config_.fitness_alarm_threshold > 0.0;
-    out.alarm = alarm_configured;
+    out.alarm = alarm_armed;
     if (out.alarm) ++stats_.alarms;
     prev_cell_.reset();
     return out;
   }
 
   out.cell = cell;
-  if (prev_cell_) {
+  if (prev_cell_ && config_.adaptive && !alarm_armed &&
+      mode == ScoreMode::kRankOnly) {
+    // No alarm can veto the update, so the rank is counted and the row
+    // updated in one walk: the rank and the model state of the two-call
+    // path below.
+    out.has_score = true;
+    ++stats_.scored;
+    out.rank = matrix_.ScoreAndObserve(*prev_cell_, *cell,
+                                       config_.likelihood_weight,
+                                       config_.forgetting);
+    out.fitness = RankFitness(out.rank, matrix_.CellCount());
+    ++stats_.matrix_updates;
+  } else if (prev_cell_) {
     out.has_score = true;
     ++stats_.scored;
     // One fused row scan (probability + rank together) instead of the

@@ -100,8 +100,10 @@ class PairModel {
   /// just outside and the model is adaptive), scores the transition,
   /// raises alarms, and — when adaptive and not alarmed — updates V.
   /// ScoreMode::kRankOnly skips the row normalizer unless delta > 0
-  /// needs the probability; every other field of the outcome, and the
-  /// model state, are the same bits as under kFull.
+  /// needs the probability, and on an adaptive model with no alarm bound
+  /// armed scores and updates the row in one walk
+  /// (TransitionMatrix::ScoreAndObserve); every other field of the
+  /// outcome, and the model state, are the same bits as under kFull.
   StepOutcome Step(double x, double y, ScoreMode mode = ScoreMode::kFull);
 
   /// Forgets the previous observation so the next Step starts a fresh

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "common/check.h"
 
 // Arithmetic-order contract (docs/kernels.md): every routine here must
@@ -92,6 +96,206 @@ void TransitionMatrix::ForEachPriorSlice(std::size_t center, Fn&& fn) const {
   }
 }
 
+namespace {
+
+// The row kernel (RowWalk). Each body is one template instantiated per
+// kind of walk — count only (the cold rank-only scan), update only
+// (ObserveTransition), or both (ScoreAndObserve) — and per update form,
+// so no walk pays a branch per entry for work it does not do. Every
+// entry sees the scalar code's operations on the same doubles: the
+// count's one add and one exact comparison, the update's multiplies and
+// add, so the bodies give the same bits at any vector width (this
+// translation unit builds with -ffp-contract=off, see CMakeLists.txt).
+
+// Picks the walk's instantiation of Body::WalkRow once, at its top.
+template <typename Body>
+std::size_t DispatchWalk(const RowWalk& w, double* e) {
+  PMCORR_DASSERT(w.score_prior != nullptr || w.update_prior != nullptr);
+  if (w.update_prior == nullptr) {
+    return Body::template WalkRow<true, false, true>(w, e);
+  }
+  const bool plain = w.weight == 1.0 && w.forgetting == 1.0;
+  if (w.score_prior == nullptr) {
+    return plain ? Body::template WalkRow<false, true, true>(w, e)
+                 : Body::template WalkRow<false, true, false>(w, e);
+  }
+  return plain ? Body::template WalkRow<true, true, true>(w, e)
+               : Body::template WalkRow<true, true, false>(w, e);
+}
+
+struct ScalarBody {
+  // The count splits its tie rule at `to`: `>=` over the entries before
+  // it, `>` from it on. The comparisons are exact and NaN fails both
+  // forms, so the count is the per-entry rule's (w > target, or
+  // w == target before `to`) without its per-entry branch logic.
+  template <bool kCount, bool kUpdate, bool kPlain>
+  static std::size_t WalkRow(const RowWalk& w, double* e) {
+    std::size_t count = 0;
+    const double* sp = w.score_prior;
+    const double* up = w.update_prior;
+    const auto update = [&](std::size_t c) {
+      if constexpr (kPlain) {
+        e[c] += up[c];
+      } else {
+        e[c] = e[c] * w.forgetting + w.weight * up[c];
+      }
+    };
+    for (std::size_t r = 0; r < w.rows; ++r) {
+      if constexpr (kCount) {
+        const std::size_t j0 = r * w.cols;
+        const std::size_t split = std::clamp(w.to, j0, j0 + w.cols) - j0;
+        for (std::size_t c = 0; c < split; ++c) {
+          count += static_cast<std::size_t>(sp[c] + e[c] >= w.target);
+          if constexpr (kUpdate) update(c);
+        }
+        for (std::size_t c = split; c < w.cols; ++c) {
+          count += static_cast<std::size_t>(sp[c] + e[c] > w.target);
+          if constexpr (kUpdate) update(c);
+        }
+        sp += w.stride;
+      } else {
+        for (std::size_t c = 0; c < w.cols; ++c) update(c);
+      }
+      if constexpr (kUpdate) up += w.stride;
+      e += w.cols;
+    }
+    return count;
+  }
+};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// Lanes [0, n) of an 8-lane mask.
+inline __mmask8 FirstLanes(std::size_t n) {
+  return static_cast<__mmask8>(n >= 8 ? 0xFFu : (1u << n) - 1u);
+}
+
+struct Avx512Body {
+  // The scalar walk, eight entries at a time. A slice is walked in whole
+  // 8-lane vectors; when its width is not a multiple of 8 it ends in a
+  // tail vector anchored at the slice's end, whose lanes shared with the
+  // last whole vector are masked off on load and store. So no store
+  // reaches past its slice, and the last whole vector and the tail are
+  // both loaded before either is stored: no load of the walk overlaps an
+  // earlier store. A slice narrower than 8 is one masked vector. The
+  // count's lanes before `to` compare `>=` and the rest `>`, and a
+  // per-lane counter adds one for each hit; its lanes are summed once,
+  // after the row.
+  template <bool kCount, bool kUpdate, bool kPlain>
+  __attribute__((target("avx512f"))) static std::size_t WalkRow(
+      const RowWalk& w, double* e) {
+    const std::size_t cols = w.cols;
+    const std::size_t whole = cols / 8 * 8;
+    const auto tail = static_cast<__mmask8>(~FirstLanes(8 - (cols - whole)));
+    __m512i count = _mm512_setzero_si512();
+    const double* sp = w.score_prior;
+    const double* up = w.update_prior;
+    for (std::size_t r = 0; r < w.rows; ++r) {
+      const std::size_t j0 = r * cols;
+      if (cols < 8) {
+        const __mmask8 valid = FirstLanes(cols);
+        Lanes<kCount, kUpdate, kPlain>(w, _mm512_maskz_loadu_pd(valid, e), e,
+                                       sp, up, 0, valid, j0, count);
+      } else {
+        // The whole vectors walked alone: all of them, or all but the
+        // last when a tail shares its lanes.
+        const std::size_t alone = whole == cols ? whole : whole - 8;
+        for (std::size_t c = 0; c < alone; c += 8) {
+          Lanes<kCount, kUpdate, kPlain>(w, _mm512_loadu_pd(e + c), e, sp, up,
+                                         c, 0xFF, j0, count);
+        }
+        if (alone != whole) {
+          const std::size_t t = cols - 8;  // the tail's first column
+          const __m512d last_ev = _mm512_loadu_pd(e + alone);
+          const __m512d tail_ev = _mm512_maskz_loadu_pd(tail, e + t);
+          Lanes<kCount, kUpdate, kPlain>(w, last_ev, e, sp, up, alone, 0xFF,
+                                         j0, count);
+          Lanes<kCount, kUpdate, kPlain>(w, tail_ev, e, sp, up, t, tail, j0,
+                                         count);
+        }
+      }
+      if constexpr (kCount) sp += w.stride;
+      if constexpr (kUpdate) up += w.stride;
+      e += cols;
+    }
+    std::uint64_t lanes[8];
+    _mm512_storeu_si512(lanes, count);
+    std::uint64_t total = 0;
+    for (const std::uint64_t lane : lanes) total += lane;
+    return static_cast<std::size_t>(total);
+  }
+
+  // Lanes `valid` of the vector at column c of a slice whose evidence
+  // starts at `e` (row entry j0) and whose prior slices start at `sp` and
+  // `up`; `ev` holds its evidence, already loaded. Counts the lanes' hits
+  // and stores their Eq. (2) update.
+  template <bool kCount, bool kUpdate, bool kPlain>
+  __attribute__((target("avx512f"), always_inline)) static inline void Lanes(
+      const RowWalk& w, __m512d ev, double* e, const double* sp,
+      const double* up, std::size_t c, __mmask8 valid, std::size_t j0,
+      __m512i& count) {
+    if constexpr (kCount) {
+      const __m512d target = _mm512_set1_pd(w.target);
+      const std::size_t j = j0 + c;
+      const __mmask8 below = FirstLanes(w.to > j ? w.to - j : 0);
+      const __m512d wv =
+          _mm512_add_pd(_mm512_maskz_loadu_pd(valid, sp + c), ev);
+      const __mmask8 hit = static_cast<__mmask8>(
+          _mm512_mask_cmp_pd_mask(static_cast<__mmask8>(valid & below), wv,
+                                  target, _CMP_GE_OQ) |
+          _mm512_mask_cmp_pd_mask(static_cast<__mmask8>(valid & ~below), wv,
+                                  target, _CMP_GT_OQ));
+      count = _mm512_mask_add_epi64(count, hit, count, _mm512_set1_epi64(1));
+    }
+    if constexpr (kUpdate) {
+      const __m512d lw = _mm512_maskz_loadu_pd(valid, up + c);
+      __m512d next;
+      if constexpr (kPlain) {
+        next = _mm512_add_pd(ev, lw);
+      } else {
+        next = _mm512_add_pd(_mm512_mul_pd(ev, _mm512_set1_pd(w.forgetting)),
+                             _mm512_mul_pd(_mm512_set1_pd(w.weight), lw));
+      }
+      _mm512_mask_storeu_pd(e + c, valid, next);
+    }
+  }
+};
+
+bool ProbeAvx512() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+#else
+bool ProbeAvx512() { return false; }
+#endif
+
+}  // namespace
+
+std::size_t RowWalkScalar(const RowWalk& walk, double* evidence) {
+  return DispatchWalk<ScalarBody>(walk, evidence);
+}
+
+std::size_t RowWalkAvx512(const RowWalk& walk, double* evidence) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return DispatchWalk<Avx512Body>(walk, evidence);
+#else
+  return RowWalkScalar(walk, evidence);
+#endif
+}
+
+bool RowWalkAvx512Supported() {
+  static const bool supported = ProbeAvx512();
+  return supported;
+}
+
+namespace {
+
+using RowWalkFn = std::size_t (*)(const RowWalk&, double*);
+
+const RowWalkFn kRowWalkFn =
+    RowWalkAvx512Supported() ? RowWalkAvx512 : RowWalkScalar;
+
+}  // namespace
+
 // The row scans below start the max at entry 0 and then visit every
 // entry, entry 0 included: std::max(m, m) returns m, so the result is
 // the bits of the scan that starts at entry 1.
@@ -158,25 +362,12 @@ std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
     }
     return rank;
   }
-  // Cold scan. The tie rule (w > target, or w == target before `to`)
-  // splits at `to`: destinations below it count w >= target, the rest
-  // w > target. The comparisons are exact and NaN fails both forms, so
-  // the count is the per-entry rule's, without its per-entry branch
-  // logic — two add-compare-count loops per slice.
-  const double* ev = Row(from);
-  const std::size_t cols = cols_;
-  std::size_t rank = 1;
-  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-    const double* e = ev + j0;
-    const std::size_t split = std::clamp(to, j0, j0 + cols) - j0;
-    for (std::size_t c = 0; c < split; ++c) {
-      rank += static_cast<std::size_t>(lw[c] + e[c] >= target);
-    }
-    for (std::size_t c = split; c < cols; ++c) {
-      rank += static_cast<std::size_t>(lw[c] + e[c] > target);
-    }
-  });
-  return rank;
+  // Cold scan: the kernel's count-only walk, which only reads the row.
+  RowWalk walk = ShapeWalk();
+  walk.score_prior = PriorRow(from);
+  walk.to = to;
+  walk.target = target;
+  return 1 + kRowWalkFn(walk, const_cast<double*>(Row(from)));
 }
 
 double TransitionMatrix::Probability(std::size_t from, std::size_t to) const {
@@ -262,33 +453,15 @@ std::vector<double> TransitionMatrix::RowDistribution(std::size_t from) const {
 }
 
 // The Eq. (2) update of one evidence row by the kernel centered at
-// `observed`, read slice by slice. The weight/forgetting == 1.0
-// specializations drop the respective multiply; x * 1.0 == x and
-// 1.0 * y == y exactly in IEEE arithmetic, so every branch produces
-// identical bits (the golden traces pin that).
+// `observed`: the row kernel's update-only walk.
 void TransitionMatrix::UpdateRowEvidence(std::size_t from,
                                          std::size_t observed, double weight,
                                          double forgetting) {
-  double* e = WritableRow(from);
-  const std::size_t cols = cols_;
-  if (forgetting == 1.0 && weight == 1.0) {
-    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
-      double* ej = e + j0;
-      for (std::size_t c = 0; c < cols; ++c) ej[c] += lw[c];
-    });
-  } else if (forgetting == 1.0) {
-    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
-      double* ej = e + j0;
-      for (std::size_t c = 0; c < cols; ++c) ej[c] += weight * lw[c];
-    });
-  } else {
-    ForEachPriorSlice(observed, [&](const double* lw, std::size_t j0) {
-      double* ej = e + j0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        ej[c] = ej[c] * forgetting + weight * lw[c];
-      }
-    });
-  }
+  RowWalk walk = ShapeWalk();
+  walk.update_prior = PriorRow(observed);
+  walk.weight = weight;
+  walk.forgetting = forgetting;
+  kRowWalkFn(walk, WritableRow(from));
   BumpCount(from, observed);
 }
 
@@ -305,6 +478,39 @@ void TransitionMatrix::ObserveTransition(std::size_t from,
   UpdateRowEvidence(from, observed, weight, forgetting);
   ++observed_;
   InvalidateRow(from);
+}
+
+std::size_t TransitionMatrix::ScoreAndObserve(std::size_t from,
+                                              std::size_t to, double weight,
+                                              double forgetting) {
+  PMCORR_DASSERT(from < cells_ && to < cells_);
+  const RowCache& rc = cache_[from];
+  std::size_t rank = 0;
+  if (rc.scored || rc.stats_valid) {
+    // Warm row (scored since its last write, e.g. while an alarm bound
+    // was armed and vetoed the update): the rank comes from the sorted
+    // cache, as ScoreTransition serves it.
+    rank = ScoreTransition(from, to, ScoreMode::kRankOnly).rank;
+    UpdateRowEvidence(from, to, weight, forgetting);
+  } else {
+    RowWalk walk = ShapeWalk();
+    walk.score_prior = PriorRow(from);
+    walk.to = to;
+    walk.target = PosteriorLogW(from, to);
+    walk.update_prior = PriorRow(to);
+    walk.weight = weight;
+    walk.forgetting = forgetting;
+    rank = 1 + kRowWalkFn(walk, WritableRow(from));
+    BumpCount(from, to);
+  }
+  ++observed_;
+  InvalidateRow(from);
+  // Row `to` is the source row of the pair's next step.
+  const auto* next = reinterpret_cast<const char*>(Row(to));
+  for (std::size_t b = 0; b < cells_ * sizeof(double); b += 64) {
+    __builtin_prefetch(next + b);
+  }
+  return rank;
 }
 
 void TransitionMatrix::ObserveTransitionStencil(std::size_t from,

@@ -39,10 +39,19 @@
 //    The sparsity is the paper's locality finding: most transitions stay
 //    in-cell or go to a neighbouring cell.
 //  * The Eq. (2) likelihood vector for an observed destination d is the
-//    kernel centered at d, i.e. prior row d: ObserveTransition sweeps it
-//    slice by slice. The batch ReplayTransitions gathers the prior rows
-//    of the destinations it replays into a per-call scratch table once,
-//    then updates each source row with flat s-element sweeps.
+//    kernel centered at d, i.e. prior row d. The batch ReplayTransitions
+//    gathers the prior rows of the destinations it replays into a
+//    per-call scratch table once, then updates each source row with
+//    flat s-element sweeps.
+//  * One row kernel (RowWalk) serves the online step: a walk over one
+//    evidence row and the stencil slices of two prior rows that counts
+//    the rank of a destination, applies the Eq. (2) update, or both in
+//    the same pass. ScoreAndObserve is the fused form the engine's
+//    unalarmable step takes; the cold rank-only scan and
+//    ObserveTransition are its count-only and update-only forms. The
+//    kernel has a portable scalar body and an AVX-512F body whose slice
+//    tails are masked loads and stores, picked once per process by a CPU
+//    probe; both give the same bits.
 //  * Scoring reads are served by per-row caches (row max, sum of
 //    exponentials, and lazily a sorted copy for rank queries),
 //    invalidated whenever the row's evidence changes. The cached values
@@ -116,6 +125,45 @@ struct MatrixBytes {
   std::size_t Total() const { return stencil + evidence + counts + caches; }
 };
 
+/// One walk of the row kernel under ScoreAndObserve, the cold rank-only
+/// scan and ObserveTransition (docs/kernels.md "The row kernel"). The
+/// walked evidence row holds rows * cols entries; a prior row is read as
+/// `rows` stencil slices of `cols` log weights, `stride` doubles apart
+/// (a KernelStencil's width, 2 * cols - 1). Entry j of the row lives at
+/// slice j / cols, column j % cols. The walk does either or both of:
+///  * count, when `score_prior` is set: the entries j with
+///    w_j = score_prior(j) + evidence[j] >= target for j < to, and
+///    w_j > target for j >= to, read before any update. With target the
+///    posterior log weight of `to` itself, that count is its rank minus
+///    one under the (desc weight, asc index) tie rule;
+///  * update, when `update_prior` is set: Eq. (2),
+///    evidence[j] = evidence[j] * forgetting + weight * update_prior(j).
+///    With weight and forgetting both 1 the multiplies are dropped,
+///    which changes no bits (x * 1.0 == x exactly).
+struct RowWalk {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t stride = 0;
+  const double* score_prior = nullptr;  // first slice; null: no count
+  std::size_t to = 0;
+  double target = 0.0;
+  const double* update_prior = nullptr;  // first slice; null: no update
+  double weight = 1.0;
+  double forgetting = 1.0;
+};
+
+/// The bodies of the row kernel, callable directly so tests cover both
+/// on a CPU with AVX-512F and the fallback everywhere. RowWalkScalar is
+/// the portable body: the fallback, and the reference the tests hold the
+/// other to. RowWalkAvx512 walks each slice in 8-lane vectors and ends
+/// it in a tail vector anchored at the slice's end, masked on load and
+/// store; call it only when RowWalkAvx512Supported(). Both return the
+/// count (0 when the walk does not count) and leave the same bits in
+/// `evidence`, which a walk without `update_prior` only reads.
+std::size_t RowWalkScalar(const RowWalk& walk, double* evidence);
+std::size_t RowWalkAvx512(const RowWalk& walk, double* evidence);
+bool RowWalkAvx512Supported();
+
 /// What a scoring read computes. kFull fills both fields of
 /// TransitionScore. kRankOnly fills only the rank — all the paper's
 /// fitness score Q = 1 - (rank - 1) / s needs — and leaves probability
@@ -162,6 +210,16 @@ class TransitionMatrix {
   void ObserveTransition(std::size_t from, std::size_t observed,
                          const Grid2D& grid, const DecayKernel& kernel,
                          double weight = 1.0, double forgetting = 1.0);
+
+  /// ScoreTransition(from, to, ScoreMode::kRankOnly).rank followed by
+  /// ObserveTransition(from, to, ..., weight, forgetting), as one walk
+  /// over row `from`: the rank counts the row as it stands before the
+  /// update, and every evidence entry is read and written once. Returns
+  /// that rank; the evidence, counts, ObservedCount() and row caches
+  /// end exactly as the two calls leave them. For callers whose update
+  /// no score can veto (PairModel::Step with no alarm bound armed).
+  std::size_t ScoreAndObserve(std::size_t from, std::size_t to,
+                              double weight = 1.0, double forgetting = 1.0);
 
   /// The pre-replay-pipeline form of ObserveTransition, retained
   /// verbatim: walks the kernel stencil one grid-row slice at a time and
@@ -346,13 +404,27 @@ class TransitionMatrix {
 
   /// Calls fn(lw, j0) once per grid row of destinations, in ascending
   /// order: lw[c] is prior row `center`'s log weight for destination
-  /// j0 + c, c in [0, cols_) — one contiguous stencil slice. Every row
-  /// kernel reads the prior through this walk.
+  /// j0 + c, c in [0, cols_) — one contiguous stencil slice. The scans
+  /// the row kernel does not serve read the prior through this walk.
   template <typename Fn>
   void ForEachPriorSlice(std::size_t center, Fn&& fn) const;
 
-  /// The shared Eq. (2) row update (evidence sweep + count bump) of
-  /// ObserveTransition; does not touch observed_ or the row cache.
+  /// A RowWalk over this matrix's shape that neither counts nor updates
+  /// until its caller sets score_prior or update_prior to PriorRow().
+  RowWalk ShapeWalk() const {
+    return RowWalk{.rows = rows_, .cols = cols_, .stride = 2 * cols_ - 1};
+  }
+
+  /// The first stencil slice of prior row `center`, as a RowWalk reads
+  /// it: slice r of the row is `stride` doubles further on.
+  const double* PriorRow(std::size_t center) const {
+    return stencil_.RowSlice(-static_cast<int>(center / cols_),
+                             center % cols_);
+  }
+
+  /// The shared Eq. (2) row update (the kernel's update-only walk + count
+  /// bump) of ObserveTransition; does not touch observed_ or the row
+  /// cache.
   void UpdateRowEvidence(std::size_t from, std::size_t observed,
                          double weight, double forgetting);
 
@@ -364,7 +436,7 @@ class TransitionMatrix {
   void BuildSorted(std::size_t from) const;
 
   /// Rank of `to` in row `from` given the target log weight, via the
-  /// sorted cache when valid, else a linear scan.
+  /// sorted cache when valid, else the kernel's count-only walk.
   std::size_t RankInRow(std::size_t from, std::size_t to,
                         double target) const;
 

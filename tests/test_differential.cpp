@@ -118,6 +118,23 @@ TEST(Differential, BrokenCorrelationWithCalibratedAlarms) {
   }
 }
 
+// An uncalibrated monitor arms no alarm bound, so the engine's rank-only
+// steps score and update each row in one walk; the reference stepper
+// reads in full and takes the two calls. Forgetting and a likelihood
+// weight put that walk on the general Eq. (2) update, not the plain add.
+TEST(Differential, UncalibratedForgettingAndLikelihoodWeight) {
+  DifferentialCase c;
+  c.history = CorrelatedFrame(1200, 67);
+  // Decoupled second half, as in the calibrated case above.
+  c.test = CorrelatedFrame(300, 68, true);
+  c.graph = MeasurementGraph::FullMesh(4);
+  c.config = SmallConfig();
+  c.config.model.forgetting = 0.995;
+  c.config.model.likelihood_weight = 0.7;
+  c.batch_sizes = {0, 7, 1};
+  ExpectEngineMatchesReference(c);
+}
+
 TEST(Differential, MissingDataGaps) {
   DifferentialCase c;
   c.history = CorrelatedFrame(1400, 43);

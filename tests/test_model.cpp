@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -306,6 +308,47 @@ TEST(PairModel, RankOnlyStepMatchesFullStepButForProbability) {
   EXPECT_GT(alarms, 0u);
   EXPECT_EQ(full.Stats().extensions, 1u);
   ExpectSameModelState(full, rank_only);
+}
+
+// With no alarm bound armed, nothing can veto an update, so a rank-only
+// step scores and updates the row in one walk
+// (TransitionMatrix::ScoreAndObserve); a full step keeps the two calls.
+// Under the plain update and under forgetting with a likelihood weight.
+TEST(PairModel, RankOnlyStepWithNoAlarmBoundMatchesFullStep) {
+  for (const auto& [weight, forgetting] :
+       {std::pair{1.0, 1.0}, std::pair{0.7, 0.995}}) {
+    SCOPED_TRACE("weight " + std::to_string(weight) + ", forgetting " +
+                 std::to_string(forgetting));
+    std::vector<double> xs, ys;
+    MakeHistory(2000, 37, &xs, &ys);
+    ModelConfig config = DefaultConfig();
+    config.likelihood_weight = weight;
+    config.forgetting = forgetting;
+    PairModel full = PairModel::Learn(xs, ys, config);
+    PairModel rank_only = full;
+    std::vector<double> tx, ty;
+    MakeProbeStream(full, &tx, &ty);
+
+    std::size_t scored = 0, outliers = 0, gaps = 0;
+    for (std::size_t t = 0; t < tx.size(); ++t) {
+      const StepOutcome want = full.Step(tx[t], ty[t]);
+      const StepOutcome got =
+          rank_only.Step(tx[t], ty[t], ScoreMode::kRankOnly);
+      ExpectSameOutcomeButProbability(want, got, t);
+      EXPECT_FALSE(got.alarm) << "sample " << t;
+      if (want.has_score && !want.outlier) ++scored;
+      if (want.outlier) ++outliers;
+      if (want.missing) ++gaps;
+    }
+    EXPECT_GT(scored, 500u);
+    EXPECT_GT(outliers, 0u);
+    EXPECT_GT(gaps, 0u);
+    EXPECT_EQ(full.Stats().extensions, 1u);
+    EXPECT_EQ(rank_only.Stats().matrix_updates, scored);
+    ExpectSameModelState(full, rank_only);
+    EXPECT_EQ(full.Matrix().ObservedCount(),
+              rank_only.Matrix().ObservedCount());
+  }
 }
 
 TEST(PairModel, RankOnlyStepComputesProbabilityWhenDeltaNeedsIt) {

@@ -3,12 +3,17 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/transition_matrix.h"
 #include "dense_reference.h"
 #include "grid/grid.h"
@@ -34,6 +39,21 @@ struct OracleScore {
   std::size_t rank = 0;
 };
 
+// The per-entry rank rule: 1 + the destinations j with w_j > w_to, or
+// w_j == w_to and j < to.
+std::size_t OracleRank(const TransitionMatrix& m, std::size_t from,
+                       std::size_t to) {
+  const auto w = [&](std::size_t j) {
+    return m.PriorLogW(from, j) + m.EvidenceRow(from)[j];
+  };
+  const double target = w(to);
+  std::size_t rank = 1;
+  for (std::size_t j = 0; j < m.CellCount(); ++j) {
+    if (w(j) > target || (w(j) == target && j < to)) ++rank;
+  }
+  return rank;
+}
+
 OracleScore Oracle(const TransitionMatrix& m, std::size_t from,
                    std::size_t to) {
   const std::size_t s = m.CellCount();
@@ -46,12 +66,26 @@ OracleScore Oracle(const TransitionMatrix& m, std::size_t from,
   for (std::size_t j = 0; j < s; ++j) total += std::exp(w(j) - max_logw);
   OracleScore out;
   out.probability = std::exp(w(to) - max_logw) / total;
-  const double target = w(to);
-  out.rank = 1;
-  for (std::size_t j = 0; j < s; ++j) {
-    if (w(j) > target || (w(j) == target && j < to)) ++out.rank;
+  out.rank = OracleRank(m, from, to);
+  return out;
+}
+
+// Row `from` after the Eq. (2) update by `to`, entry by entry, in the
+// unspecialized form ObserveTransitionStencil applies.
+std::vector<double> OracleUpdate(const TransitionMatrix& m, std::size_t from,
+                                 std::size_t to, double weight,
+                                 double forgetting) {
+  const std::span<const double> row = m.EvidenceRow(from);
+  std::vector<double> out(row.begin(), row.end());
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = out[j] * forgetting + weight * m.PriorLogW(to, j);
   }
   return out;
+}
+
+bool SameRowBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 // The full 9x9 matrix printed in Figure 5 of the paper (percent).
@@ -343,6 +377,252 @@ TEST(TransitionMatrix, ScoreTransitionMatchesSeparateQueriesBitwise) {
       const TransitionScore after = matrix.ScoreTransition(s / 2, 0);
       EXPECT_TRUE(BitEqual(after.probability, expect.probability));
       EXPECT_EQ(after.rank, expect.rank);
+    }
+  }
+}
+
+// The row kernel's fixtures. The shapes put the split at `to` and the
+// slice tails at the lane positions the 8-lane body masks: 1x1, 1x7 and
+// 3x3 are one masked vector per slice, 7x1 one entry per slice, 8x8 and
+// 3x16 whole vectors alone, 9x9 and 5x17 a one-entry tail after one and
+// two whole vectors, 6x11 and 2x15 a three- and a seven-entry tail, and
+// 24x27 a three-entry tail after three whole vectors over 648 cells.
+struct WalkShape {
+  std::size_t rows;
+  std::size_t cols;
+};
+constexpr WalkShape kWalkShapes[] = {{1, 1}, {1, 7},  {7, 1},  {3, 3},
+                                     {8, 8}, {3, 16}, {9, 9},  {5, 17},
+                                     {6, 11}, {2, 15}, {24, 27}};
+
+// (weight, forgetting): the plain update and each multiply.
+constexpr std::pair<double, double> kWalkSettings[] = {
+    {1.0, 1.0}, {1.0, 0.95}, {0.7, 1.0}, {0.7, 0.95}};
+
+Grid2D UniformGrid(WalkShape shape) {
+  return Grid2D(
+      IntervalList::Uniform(0.0, static_cast<double>(shape.rows), shape.rows),
+      IntervalList::Uniform(0.0, static_cast<double>(shape.cols), shape.cols));
+}
+
+// The two states the kernel walks: a fresh prior, whose rows all read
+// the shared zero row and so tie on the symmetric kernel, and one after
+// a random history under every setting, whose upper half of rows stays
+// unwritten.
+std::vector<TransitionMatrix> WalkStates(const Grid2D& grid,
+                                         const DecayKernel& kernel) {
+  TransitionMatrix history = TransitionMatrix::Prior(grid, kernel);
+  const auto s = static_cast<std::int64_t>(history.CellCount());
+  Rng rng(41 + static_cast<std::uint64_t>(s));
+  for (std::int64_t k = 0; k < 3 * s; ++k) {
+    const auto from = static_cast<std::size_t>(rng.UniformInt(0, (s - 1) / 2));
+    const auto to = static_cast<std::size_t>(rng.UniformInt(0, s - 1));
+    const auto [weight, forgetting] = kWalkSettings[k % 4];
+    history.ObserveTransition(from, to, grid, kernel, weight, forgetting);
+  }
+  return {TransitionMatrix::Prior(grid, kernel), std::move(history)};
+}
+
+// Every destination on grids up to 100 cells; on larger ones the
+// neighbours of `from`, both ends of the row and two random cells.
+std::vector<std::size_t> WalkDestinations(std::size_t s, std::size_t cols,
+                                          std::size_t from, Rng& rng) {
+  std::vector<std::size_t> to;
+  if (s <= 100) {
+    for (std::size_t j = 0; j < s; ++j) to.push_back(j);
+    return to;
+  }
+  for (const std::size_t d : {std::size_t{0}, std::size_t{1}, cols - 1, cols,
+                              cols + 1}) {
+    if (from >= d) to.push_back(from - d);
+    if (from + d < s) to.push_back(from + d);
+  }
+  to.push_back(0);
+  to.push_back(s - 1);
+  for (int k = 0; k < 2; ++k) {
+    to.push_back(static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(s) - 1)));
+  }
+  std::sort(to.begin(), to.end());
+  to.erase(std::unique(to.begin(), to.end()), to.end());
+  return to;
+}
+
+using RowWalkBody = std::size_t (*)(const RowWalk&, double*);
+
+// One (from, to) pair through `body`'s three walks — count only, update
+// only, and both — under every setting, against the per-entry oracles.
+testing::AssertionResult WalksMatchOracles(RowWalkBody body,
+                                           const TransitionMatrix& m,
+                                           std::size_t from, std::size_t to) {
+  const std::size_t cols = m.GridCols();
+  const auto prior_row = [&](std::size_t center) {
+    return m.Stencil().RowSlice(-static_cast<int>(center / cols),
+                                center % cols);
+  };
+  const std::span<const double> before = m.EvidenceRow(from);
+  const std::size_t rank = OracleRank(m, from, to);
+  RowWalk count{.rows = m.GridRows(), .cols = cols, .stride = 2 * cols - 1};
+  count.score_prior = prior_row(from);
+  count.to = to;
+  count.target = m.PriorLogW(from, to) + before[to];
+  std::vector<double> row(before.begin(), before.end());
+  const std::size_t counted = body(count, row.data()) + 1;
+  if (counted != rank || !SameRowBits(row, before)) {
+    return testing::AssertionFailure()
+           << "count-only walk " << from << "->" << to << " ranked "
+           << counted << ", oracle " << rank
+           << (SameRowBits(row, before) ? "" : "; it wrote the row");
+  }
+  for (const auto& [weight, forgetting] : kWalkSettings) {
+    const std::vector<double> want =
+        OracleUpdate(m, from, to, weight, forgetting);
+    RowWalk update{.rows = m.GridRows(), .cols = cols, .stride = 2 * cols - 1};
+    update.update_prior = prior_row(to);
+    update.weight = weight;
+    update.forgetting = forgetting;
+    row.assign(before.begin(), before.end());
+    const std::size_t update_count = body(update, row.data());
+    if (update_count != 0 || !SameRowBits(row, want)) {
+      return testing::AssertionFailure()
+             << "update-only walk " << from << "->" << to << " (weight "
+             << weight << ", forgetting " << forgetting << ") counted "
+             << update_count << (SameRowBits(row, want) ? "" : "; row differs");
+    }
+    RowWalk both = update;
+    both.score_prior = count.score_prior;
+    both.to = to;
+    both.target = count.target;
+    row.assign(before.begin(), before.end());
+    const std::size_t fused = body(both, row.data()) + 1;
+    if (fused != rank || !SameRowBits(row, want)) {
+      return testing::AssertionFailure()
+             << "fused walk " << from << "->" << to << " (weight " << weight
+             << ", forgetting " << forgetting << ") ranked " << fused
+             << ", oracle " << rank
+             << (SameRowBits(row, want) ? "" : "; row differs");
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+void ExpectBodyMatchesOracles(RowWalkBody body) {
+  const TriangularKernel triangular;
+  const ExponentialKernel chebyshev(2.0, CellMetric::kChebyshev);
+  for (const DecayKernel* kernel :
+       {static_cast<const DecayKernel*>(&triangular),
+        static_cast<const DecayKernel*>(&chebyshev)}) {
+    for (const WalkShape shape : kWalkShapes) {
+      const Grid2D grid = UniformGrid(shape);
+      const std::vector<TransitionMatrix> states = WalkStates(grid, *kernel);
+      for (std::size_t st = 0; st < states.size(); ++st) {
+        SCOPED_TRACE(kernel->Describe() + " " + std::to_string(shape.rows) +
+                     "x" + std::to_string(shape.cols) +
+                     (st == 0 ? " fresh" : " after a history"));
+        const TransitionMatrix& m = states[st];
+        Rng rng(3);
+        for (std::size_t from = 0; from < m.CellCount(); ++from) {
+          for (const std::size_t to :
+               WalkDestinations(m.CellCount(), shape.cols, from, rng)) {
+            ASSERT_TRUE(WalksMatchOracles(body, m, from, to));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each body of the row kernel, driven directly: the scalar body on
+// every CPU, the AVX-512F body where the probe finds it.
+TEST(TransitionMatrix, RowWalkScalarMatchesTheOracles) {
+  ExpectBodyMatchesOracles(RowWalkScalar);
+}
+
+TEST(TransitionMatrix, RowWalkAvx512MatchesTheOracles) {
+  if (!RowWalkAvx512Supported()) GTEST_SKIP() << "no AVX-512F on this CPU";
+  ExpectBodyMatchesOracles(RowWalkAvx512);
+}
+
+// The fused call, through whichever body the probe picked, against
+// ScoreTransition(kRankOnly) then ObserveTransition on a copy: the rank,
+// the evidence, the counts, ObservedCount() and the row caches, from a
+// cold row and from one a full read left warm. The settings and the
+// warm/cold start cycle over the pairs.
+TEST(TransitionMatrix, ScoreAndObserveMatchesScoreThenObserve) {
+  const TriangularKernel triangular;
+  const ExponentialKernel chebyshev(2.0, CellMetric::kChebyshev);
+  for (const DecayKernel* kernel :
+       {static_cast<const DecayKernel*>(&triangular),
+        static_cast<const DecayKernel*>(&chebyshev)}) {
+    for (const WalkShape shape : kWalkShapes) {
+      const Grid2D grid = UniformGrid(shape);
+      const std::vector<TransitionMatrix> states = WalkStates(grid, *kernel);
+      for (std::size_t st = 0; st < states.size(); ++st) {
+        SCOPED_TRACE(kernel->Describe() + " " + std::to_string(shape.rows) +
+                     "x" + std::to_string(shape.cols) +
+                     (st == 0 ? " fresh" : " after a history"));
+        const TransitionMatrix& m = states[st];
+        const std::size_t s = m.CellCount();
+        Rng rng(5);
+        // Every pair on the small grids; on 24x27, 64 random ones.
+        const std::size_t pairs = s <= 100 ? s * s : 64;
+        for (std::size_t p = 0; p < pairs; ++p) {
+          const std::size_t from =
+              s <= 100 ? p / s
+                       : static_cast<std::size_t>(rng.UniformInt(
+                             0, static_cast<std::int64_t>(s) - 1));
+          const std::size_t to =
+              s <= 100 ? p % s
+                       : static_cast<std::size_t>(rng.UniformInt(
+                             0, static_cast<std::int64_t>(s) - 1));
+          const auto [weight, forgetting] = kWalkSettings[p % 4];
+          const bool warm = (p / 4) % 2 == 1;
+          TransitionMatrix fused = m;
+          TransitionMatrix twin = m;
+          if (warm) {
+            fused.ScoreTransition(from, 0);
+            twin.ScoreTransition(from, 0);
+          }
+          const std::size_t rank =
+              fused.ScoreAndObserve(from, to, weight, forgetting);
+          ASSERT_EQ(rank,
+                    twin.ScoreTransition(from, to, ScoreMode::kRankOnly).rank)
+              << from << "->" << to << (warm ? " warm" : " cold");
+          twin.ObserveTransition(from, to, grid, *kernel, weight, forgetting);
+          ASSERT_TRUE(
+              SameRowBits(fused.EvidenceRow(from), twin.EvidenceRow(from)))
+              << from << "->" << to;
+          ASSERT_TRUE(fused.RowWritten(from));
+          ASSERT_TRUE(std::ranges::equal(fused.CountRow(from),
+                                         twin.CountRow(from)))
+              << from << "->" << to;
+          ASSERT_EQ(fused.ObservedCount(), twin.ObservedCount());
+          // The write invalidated the row's caches: a full read recomputes
+          // the stats from the new evidence, as it does on the twin.
+          const TransitionScore after = fused.ScoreTransition(from, to);
+          const TransitionScore twin_after = twin.ScoreTransition(from, to);
+          ASSERT_TRUE(BitEqual(after.probability, twin_after.probability))
+              << from << "->" << to << (warm ? " warm" : " cold");
+          ASSERT_EQ(after.rank, twin_after.rank);
+        }
+        // The whole matrix, once per state: every row, written flags and
+        // counts alike, and the invariants (cache coherence included).
+        TransitionMatrix fused = m;
+        TransitionMatrix twin = m;
+        for (std::size_t from = 0; from < s; from += 1 + s / 16) {
+          const std::size_t to = (from * 7 + 3) % s;
+          fused.ScoreAndObserve(from, to, 0.7, 0.95);
+          twin.ScoreTransition(from, to, ScoreMode::kRankOnly);
+          twin.ObserveTransition(from, to, grid, *kernel, 0.7, 0.95);
+        }
+        EXPECT_TRUE(difftest::SameBits(difftest::DenseEvidence(fused),
+                                       difftest::DenseEvidence(twin)));
+        EXPECT_EQ(difftest::DenseCounts(fused), difftest::DenseCounts(twin));
+        for (std::size_t row = 0; row < s; ++row) {
+          EXPECT_EQ(fused.RowWritten(row), twin.RowWritten(row)) << row;
+        }
+        EXPECT_NO_THROW(fused.CheckInvariants());
+      }
     }
   }
 }

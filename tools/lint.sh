@@ -6,8 +6,10 @@
 #     contracts go through common/check.h (PMCORR_ASSERT /
 #     PMCORR_DASSERT / PMCORR_AUDIT) so failures carry formatted
 #     messages and a testable handler. static_assert stays.
-#  2. Every AVX-512 translation unit compiles with -ffp-contract=off or
-#     is explicitly allowlisted here with the reason it needs no flag.
+#  2. Every AVX-512 translation unit (a target("avx512...") attribute, a
+#     `#pragma GCC target` naming avx512, or an _mm512_ intrinsic)
+#     compiles with -ffp-contract=off or is explicitly allowlisted here
+#     with the reason it needs no flag.
 #     Rationale: the x86-64 baseline has no FMA so contraction never
 #     materializes, but avx512f function clones DO embed FMA and a
 #     silently fused e*f + w*p changes the bitwise results the golden
@@ -54,7 +56,11 @@ fi
 # --- 2: -ffp-contract=off on AVX-512 TUs ------------------------------
 # TUs whose avx512 clones provably cannot contract (no FMA in the
 # target set) are allowlisted; everything else must carry the flag in
-# its directory's CMakeLists.
+# its directory's CMakeLists. A TU is AVX-512 when it clones a function
+# for an avx512 target, switches a region to one with a pragma, or calls
+# the 512-bit intrinsics (a hand-written kernel: GCC contracts a
+# _mm512_mul_pd feeding a _mm512_add_pd like any other multiply-add).
+avx512_pattern='target\("avx512|^[[:space:]]*#[[:space:]]*pragma[[:space:]]+GCC[[:space:]]+target.*avx512|_mm512_'
 ffp_allowlist='src/common/stats.cpp'  # avx512f-only targets: no FMA emitted
 # A stale allowlist entry is itself a failure: if the TU was deleted or
 # no longer defines AVX-512 clones, the entry silently shields whatever
@@ -63,7 +69,7 @@ ffp_allowlist='src/common/stats.cpp'  # avx512f-only targets: no FMA emitted
 for entry in $ffp_allowlist; do
   if [ ! -e "$entry" ]; then
     fail "ffp_allowlist entry $entry does not exist — drop it from tools/lint.sh"
-  elif ! grep -q 'target("avx512' "$entry"; then
+  elif ! grep -qE "$avx512_pattern" "$entry"; then
     fail "ffp_allowlist entry $entry no longer defines AVX-512 kernels — drop it from tools/lint.sh"
   fi
 done
@@ -77,7 +83,7 @@ while IFS= read -r tu; do
     fail "$tu defines AVX-512 kernels but $cml does not set\
  -ffp-contract=off for it (or allowlist it in tools/lint.sh with a reason)"
   fi
-done < <(grep -rl 'target("avx512' src --include='*.cpp' || true)
+done < <(grep -rlE "$avx512_pattern" src --include='*.cpp' || true)
 
 # --- 3: bench JSON schema ---------------------------------------------
 if command -v python3 >/dev/null 2>&1; then

@@ -10,7 +10,7 @@ paths the audit trace exercises. This check is the static backstop: the
 function bodies on the per-sample hot path (Step, the engine core
 Advance that every Step and Run goes through, its guard pre-pass
 FilterRows, its row assembly AssembleRow, and the kernels they call,
-the sparse matrix's first-write
+the row kernel and the sparse matrix's first-write
 and count-insert kernels included) must not contain a token that
 *unconditionally* allocates. Capacity-
 reusing calls (assign/clear/push_back into a warmed buffer) are fine and
@@ -59,6 +59,13 @@ HOT_FUNCTIONS = {
     ],
     "src/core/transition_matrix.cpp": [
         "TransitionMatrix::ScoreTransition",
+        "TransitionMatrix::ScoreAndObserve",
+        # The row kernel: its two entry points, the dispatch and both
+        # bodies (ScalarBody::WalkRow and Avx512Body::WalkRow).
+        "RowWalkScalar",
+        "RowWalkAvx512",
+        "DispatchWalk",
+        "WalkRow",
         "TransitionMatrix::ObserveTransition",
         "TransitionMatrix::UpdateRowEvidence",
         "TransitionMatrix::RankInRow",
