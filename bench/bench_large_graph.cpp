@@ -137,35 +137,6 @@ int main() {
   std::cout << "graph: " << graph.PairCount() << " pairs over the first "
             << used_measurements << " measurements\n";
 
-  // Reference scale: a 193-pair mesh (the seed repo's fleet size) over
-  // the same trace and config. Scale-linearity = the per-pair per-sample
-  // cost at 10k pairs staying close to this. One reference run takes
-  // 4-13 ms, so a single run would make the ratio mostly timer noise:
-  // the reference is the run of median time among kRefRuns, each
-  // on a monitor restored from one checkpoint of the trained reference,
-  // so every run starts from the same models. They run before the
-  // large monitor is trained, so the checkpoint and its restored copies
-  // are freed before the large fleet's memory peaks.
-  constexpr std::size_t kRefRuns = 9;
-  std::size_t ref_measurements = 0;
-  const MeasurementGraph ref_graph =
-      MeshOfPairs(frame.MeasurementCount(), 193, &ref_measurements);
-  std::vector<RunCost> ref_runs;
-  {
-    std::string checkpoint;
-    EncodeSystemMonitor(SystemMonitor(train, ref_graph, engine), checkpoint);
-    for (std::size_t k = 0; k < kRefRuns; ++k) {
-      std::istringstream in(checkpoint);
-      const auto ref_monitor = LoadSystemMonitor(in, engine.threads);
-      ref_runs.push_back(TimeRun(*ref_monitor, test, ref_graph.PairCount()));
-    }
-  }
-  std::sort(ref_runs.begin(), ref_runs.end(),
-            [](const RunCost& a, const RunCost& b) {
-              return a.run_s < b.run_s;
-            });
-  const RunCost ref = ref_runs[kRefRuns / 2];
-
   clock.Reset();
   SystemMonitor monitor(train, graph, engine);
   const double train_s = clock.ElapsedSeconds();
@@ -177,6 +148,28 @@ int main() {
             << " ms/model)\n";
 
   const RunCost large = TimeRun(monitor, test, graph.PairCount());
+
+  // Reference scale: a 193-pair mesh (the seed repo's fleet size) over
+  // the same trace and config. Scale-linearity = the per-pair per-sample
+  // cost at 10k pairs staying close to this. One reference run takes
+  // 3.5-13 ms, so a single run would make the ratio mostly timer noise:
+  // the reference is the run of median time among kRefRuns. Each run is
+  // timed as the large one is, on a monitor trained in place just
+  // before it.
+  constexpr std::size_t kRefRuns = 9;
+  std::size_t ref_measurements = 0;
+  const MeasurementGraph ref_graph =
+      MeshOfPairs(frame.MeasurementCount(), 193, &ref_measurements);
+  std::vector<RunCost> ref_runs;
+  for (std::size_t k = 0; k < kRefRuns; ++k) {
+    SystemMonitor ref_monitor(train, ref_graph, engine);
+    ref_runs.push_back(TimeRun(ref_monitor, test, ref_graph.PairCount()));
+  }
+  std::sort(ref_runs.begin(), ref_runs.end(),
+            [](const RunCost& a, const RunCost& b) {
+              return a.run_s < b.run_s;
+            });
+  const RunCost ref = ref_runs[kRefRuns / 2];
   const double cost_ratio = large.per_pair_us / ref.per_pair_us;
 
   TextTable table;

@@ -484,25 +484,18 @@ std::size_t TransitionMatrix::ScoreAndObserve(std::size_t from,
                                               std::size_t to, double weight,
                                               double forgetting) {
   PMCORR_DASSERT(from < cells_ && to < cells_);
-  const RowCache& rc = cache_[from];
-  std::size_t rank = 0;
-  if (rc.scored || rc.stats_valid) {
-    // Warm row (scored since its last write, e.g. while an alarm bound
-    // was armed and vetoed the update): the rank comes from the sorted
-    // cache, as ScoreTransition serves it.
-    rank = ScoreTransition(from, to, ScoreMode::kRankOnly).rank;
-    UpdateRowEvidence(from, to, weight, forgetting);
-  } else {
-    RowWalk walk = ShapeWalk();
-    walk.score_prior = PriorRow(from);
-    walk.to = to;
-    walk.target = PosteriorLogW(from, to);
-    walk.update_prior = PriorRow(to);
-    walk.weight = weight;
-    walk.forgetting = forgetting;
-    rank = 1 + kRowWalkFn(walk, WritableRow(from));
-    BumpCount(from, to);
-  }
+  // The walk's count is the rank the sorted cache would give under the
+  // same tie rule, so a warm row takes the walk too: its caches are
+  // invalidated below either way.
+  RowWalk walk = ShapeWalk();
+  walk.score_prior = PriorRow(from);
+  walk.to = to;
+  walk.target = PosteriorLogW(from, to);
+  walk.update_prior = PriorRow(to);
+  walk.weight = weight;
+  walk.forgetting = forgetting;
+  const std::size_t rank = 1 + kRowWalkFn(walk, WritableRow(from));
+  BumpCount(from, to);
   ++observed_;
   InvalidateRow(from);
   // Row `to` is the source row of the pair's next step.
