@@ -50,9 +50,12 @@ const Dataset& SharedDataset() {
   return dataset;
 }
 
-// One adaptive online step (score + update), for a model trained on
-// `state.range(0)` days of history.
-void BM_AdaptiveStep(benchmark::State& state) {
+// One adaptive online step (score + update) under `mode`, for a model
+// trained on `state.range(0)` days of history. kFull also computes the
+// transition probability (the row normalizer); kRankOnly, with no alarm
+// bound armed, scores and updates the source row in one walk — the step
+// the engine takes for every uncalibrated pair.
+void AdaptiveStep(benchmark::State& state, ScoreMode mode) {
   const Dataset& d = SharedDataset();
   const auto train_days = static_cast<Duration>(state.range(0));
   const TimePoint start = PaperTraceStart();
@@ -67,20 +70,31 @@ void BM_AdaptiveStep(benchmark::State& state) {
   std::size_t t = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        model.Step(test.Value(d.x, t), test.Value(d.y, t)));
+        model.Step(test.Value(d.x, t), test.Value(d.y, t), mode));
     t = (t + 1) % test.SampleCount();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["grid_cells"] =
       static_cast<double>(model.Grid().CellCount());
 }
+
+void BM_AdaptiveStep(benchmark::State& state) {
+  AdaptiveStep(state, ScoreMode::kFull);
+}
 BENCHMARK(BM_AdaptiveStep)->Arg(1)->Arg(8)->Arg(15)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_AdaptiveStepRankOnly(benchmark::State& state) {
+  AdaptiveStep(state, ScoreMode::kRankOnly);
+}
+BENCHMARK(BM_AdaptiveStepRankOnly)->Arg(1)->Arg(8)->Arg(15)
     ->Unit(benchmark::kMicrosecond);
 
 // The full Figure 13(b) quantity: seconds to process an entire test set
 // of > 4000 points (13 days at 6-minute sampling = 3120; we also time the
-// 4320-point variant from 18 days to match "more than 4,000").
-void BM_ProcessTestSet(benchmark::State& state) {
+// 4320-point variant from 18 days to match "more than 4,000"), stepping
+// under `mode` as AdaptiveStep does.
+void ProcessTestSet(benchmark::State& state, ScoreMode mode) {
   const Dataset& d = SharedDataset();
   const auto train_days = static_cast<Duration>(state.range(0));
   const TimePoint start = PaperTraceStart();
@@ -100,7 +114,7 @@ void BM_ProcessTestSet(benchmark::State& state) {
     for (std::size_t i = 0; i < points; ++i) {
       const std::size_t t = i % test.SampleCount();
       benchmark::DoNotOptimize(
-          model.Step(test.Value(d.x, t), test.Value(d.y, t)));
+          model.Step(test.Value(d.x, t), test.Value(d.y, t), mode));
     }
   }
   // items_per_second's reciprocal is the per-sample updating time the
@@ -108,7 +122,17 @@ void BM_ProcessTestSet(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * points));
 }
+
+void BM_ProcessTestSet(benchmark::State& state) {
+  ProcessTestSet(state, ScoreMode::kFull);
+}
 BENCHMARK(BM_ProcessTestSet)->Arg(1)->Arg(8)->Arg(15)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ProcessTestSetRankOnly(benchmark::State& state) {
+  ProcessTestSet(state, ScoreMode::kRankOnly);
+}
+BENCHMARK(BM_ProcessTestSetRankOnly)->Arg(1)->Arg(8)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 // --- Whole-system engine: one Step per row vs pair-major batched Run. ---
@@ -126,6 +150,7 @@ BENCHMARK(BM_ProcessTestSet)->Arg(1)->Arg(8)->Arg(15)
 struct SystemDataset {
   MeasurementFrame train{0, kPaperSamplePeriod};
   MeasurementFrame test{0, kPaperSamplePeriod};
+  MeasurementFrame holdout{0, kPaperSamplePeriod};  // the day after test
   MeasurementGraph graph;
 };
 
@@ -141,6 +166,7 @@ const SystemDataset& SharedSystemDataset() {
     const TimePoint start = PaperTraceStart();
     d.train = frame.SliceByTime(start, start + 15 * kDay);
     d.test = frame.SliceByTime(start + 15 * kDay, start + 17 * kDay);
+    d.holdout = frame.SliceByTime(start + 17 * kDay, start + 18 * kDay);
     d.graph = MeasurementGraph::FullMesh(d.train.MeasurementCount());
     return d;
   }();
@@ -227,6 +253,28 @@ BENCHMARK(BM_MonitorBatchedRun)->Arg(1)->Arg(2)->Arg(8)
     ->UseRealTime()->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
+// Threshold calibration (SystemMonitor::CalibrateThresholds) over one
+// holdout day, at range(0) engine threads: every pair replays the day
+// through a frozen copy of its model, which never writes a row, so all
+// but a row's first read find it unchanged.
+void BM_CalibrateThresholds(benchmark::State& state) {
+  const SystemDataset& d = SharedSystemDataset();
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto monitor =
+        RestoreSystemMonitor(static_cast<std::size_t>(state.range(0)));
+    state.ResumeTiming();
+    monitor->CalibrateThresholds(d.holdout, 0.01);
+    benchmark::DoNotOptimize(monitor.get());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * d.holdout.SampleCount() * d.graph.PairCount()));
+  state.counters["pairs"] = static_cast<double>(d.graph.PairCount());
+}
+BENCHMARK(BM_CalibrateThresholds)->Arg(1)
+    ->UseRealTime()->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Model initialization (offline learning) cost for context.
 void BM_Learn(benchmark::State& state) {
   const Dataset& d = SharedDataset();
@@ -242,32 +290,50 @@ void BM_Learn(benchmark::State& state) {
 }
 BENCHMARK(BM_Learn)->Arg(1)->Arg(8)->Arg(15)->Unit(benchmark::kMillisecond);
 
-// The usual console output, plus a capture of every finished run into a
+// The display reporter the benchmark flags pick (--benchmark_format,
+// --benchmark_color), plus a capture of the finished runs into a
 // BenchJson so the perf trajectory lands in BENCH_updating_time.json at
-// the repo root (per-iteration times are recorded in nanoseconds
-// regardless of each benchmark's display unit).
-class ConsoleAndJsonReporter : public benchmark::ConsoleReporter {
+// the repo root (per-iteration times in nanoseconds regardless of each
+// benchmark's display unit). A single run records its own times and
+// iteration count; under --benchmark_repetitions the median aggregate is
+// recorded, with the repetition count.
+class DisplayAndJsonReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit ConsoleAndJsonReporter(BenchJson& json) : json_(json) {}
+  explicit DisplayAndJsonReporter(BenchJson& json)
+      : json_(json), display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      const std::string name = run.benchmark_name();
+      if (run.error_occurred) continue;
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      if (run.repetitions > 1 ? !median : run.run_type != Run::RT_Iteration) {
+        continue;
+      }
+      // The aggregate's times are rescaled so that dividing by its
+      // `iterations` (the repetition count) gives the per-iteration time.
+      const std::string name = run.run_name.str();
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       json_.Set(name + ".real_ns_per_iter",
                 run.real_accumulated_time / iters * 1e9);
       json_.Set(name + ".cpu_ns_per_iter",
                 run.cpu_accumulated_time / iters * 1e9);
-      json_.Set(name + ".iterations",
+      json_.Set(name + (median ? ".repetitions" : ".iterations"),
                 static_cast<std::int64_t>(run.iterations));
     }
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
  private:
   BenchJson& json_;
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
 };
 
 }  // namespace
@@ -276,13 +342,14 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   BenchJson json("updating_time");
-  ConsoleAndJsonReporter reporter(json);
+  DisplayAndJsonReporter reporter(json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const std::string path = json.Write();
+  // On stderr, so --benchmark_format=json leaves stdout parseable.
   if (path.empty()) {
     std::cerr << "warning: could not write BENCH_updating_time.json\n";
   } else {
-    std::cout << "wrote " << path << "\n";
+    std::cerr << "wrote " << path << "\n";
   }
   benchmark::Shutdown();
   return 0;

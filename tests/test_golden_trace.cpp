@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -22,7 +23,6 @@
 
 #include "common/rng.h"
 #include "engine/monitor.h"
-#include "io/atomic_file.h"
 #include "io/model_io.h"
 #include "io/monitor_io.h"
 
@@ -134,25 +134,39 @@ TEST(GoldenTrace, SnapshotStreamMatchesCheckedInTrace) {
   SUCCEED();
 }
 
+// FNV-1a, 64-bit, over every byte. A CRC-32 of a whole encoded file
+// cannot pin content: each frame ends in its own body's CRC, and a CRC
+// run over a message and its appended CRC ends in a fixed residue, so
+// the file's CRC depends only on the frame lengths.
+std::uint64_t Fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3u;
+  }
+  return hash;
+}
+
 // What the encoders write from the live scenario monitor, pinned by
-// size and CRC-32: the checkpoint and the model file of pair 5 (m2, m3;
-// m3 decouples, and the pair's grid extends) after Learn and
+// size and FNV-1a-64: the checkpoint and the model file of pair 5 (m2,
+// m3; m3 decouples, and the pair's grid extends) after Learn and
 // calibration, after the first 100 test rows, and after all 120. The
-// values were recorded with the dense transition-matrix layout, so any
-// storage change that alters one byte fails here.
+// monitor is calibrated, so its steps take the full reads; any change
+// to what the engine computes or how it is stored that alters one byte
+// fails here.
 TEST(GoldenTrace, EncodedBytesArePinned) {
   struct Pin {
     std::size_t rows;
     std::size_t checkpoint_bytes;
-    std::uint32_t checkpoint_crc;
+    std::uint64_t checkpoint_fnv;
     std::size_t model_bytes;
-    std::uint32_t model_crc;
+    std::uint64_t model_fnv;
   };
   constexpr std::size_t kPair = 5;
   const Pin pins[] = {
-      {0, 132348, 0x238ea888u, 26048, 0x83db7eb2u},
-      {100, 219452, 0x8fe45c32u, 55718, 0xa3dbb5a9u},
-      {120, 273126, 0xeb71b884u, 73208, 0xee4786c4u},
+      {0, 132348, 0x7317f8e278e1bb07u, 26048, 0x6fd8bf0c277bc22du},
+      {100, 219452, 0xa5dafb3833cc067bu, 55718, 0xccff3995c11b9af7u},
+      {120, 273126, 0x7dd71b805f526c01u, 73208, 0x74e8cf1cd5d3fdebu},
   };
   const MeasurementFrame test = GoldenFrame(120, 2010, true);
   std::size_t learned_cells = 0;
@@ -170,14 +184,14 @@ TEST(GoldenTrace, EncodedBytesArePinned) {
     std::ostringstream model;
     SavePairModel(monitor->Model(kPair), model);
     std::ostringstream got;
-    got << "checkpoint " << checkpoint.str().size() << " bytes crc 0x"
-        << std::hex << Crc32(checkpoint.str())
-        << ", model " << std::dec << model.str().size() << " bytes crc 0x"
-        << std::hex << Crc32(model.str());
+    got << "checkpoint " << checkpoint.str().size() << " bytes fnv 0x"
+        << std::hex << Fnv1a64(checkpoint.str())
+        << ", model " << std::dec << model.str().size() << " bytes fnv 0x"
+        << std::hex << Fnv1a64(model.str());
     EXPECT_EQ(checkpoint.str().size(), pin.checkpoint_bytes) << got.str();
-    EXPECT_EQ(Crc32(checkpoint.str()), pin.checkpoint_crc) << got.str();
+    EXPECT_EQ(Fnv1a64(checkpoint.str()), pin.checkpoint_fnv) << got.str();
     EXPECT_EQ(model.str().size(), pin.model_bytes) << got.str();
-    EXPECT_EQ(Crc32(model.str()), pin.model_crc) << got.str();
+    EXPECT_EQ(Fnv1a64(model.str()), pin.model_fnv) << got.str();
     if (pin.rows == 120) {
       EXPECT_GT(monitor->Model(kPair).Grid().CellCount(), learned_cells)
           << "the pinned pair's grid must extend";
