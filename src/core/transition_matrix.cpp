@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -15,8 +16,8 @@
 // same order as the pre-stencil scalar code — the golden traces in
 // tests/golden/ pin the results to 17 digits. The stencil table holds
 // bitwise the doubles DecayKernel::LogWeight returns, row sweeps add them
-// in ascending destination order, and the caches only memoize values the
-// uncached scans would recompute identically.
+// in ascending destination order, and the normalizer memo only holds
+// values the uncached scans would recompute identically.
 
 namespace pmcorr {
 
@@ -99,7 +100,7 @@ void TransitionMatrix::ForEachPriorSlice(std::size_t center, Fn&& fn) const {
 namespace {
 
 // The row kernel (RowWalk). Each body is one template instantiated per
-// kind of walk — count only (the cold rank-only scan), update only
+// kind of walk — count only (RankInRow), update only
 // (ObserveTransition), or both (ScoreAndObserve) — and per update form,
 // so no walk pays a branch per entry for work it does not do. Every
 // entry sees the scalar code's operations on the same doubles: the
@@ -300,69 +301,49 @@ const RowWalkFn kRowWalkFn =
 // entry, entry 0 included: std::max(m, m) returns m, so the result is
 // the bits of the scan that starts at entry 1.
 
-const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
-    std::size_t from) const {
-  RowCache& rc = cache_[from];
-  if (!rc.stats_valid) {
-    const double* ev = Row(from);
-    const std::size_t cols = cols_;
-    double max_logw = PosteriorLogW(from, 0);
-    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        max_logw = std::max(max_logw, lw[c] + ev[j0 + c]);
-      }
-    });
-    double total = 0.0;
-    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        total += std::exp(lw[c] + ev[j0 + c] - max_logw);
-      }
-    });
-    rc.max_logw = max_logw;
-    rc.sum_exp = total;
-    rc.stats_valid = true;
-  }
-  return rc;
-}
-
-void TransitionMatrix::BuildSorted(std::size_t from) const {
-  RowCache& rc = cache_[from];
+std::size_t TransitionMatrix::FillStats(std::size_t from, std::size_t to,
+                                        double target) const {
   const double* ev = Row(from);
   const std::size_t cols = cols_;
-  rc.sorted.resize(cells_);
+  double max_logw = PosteriorLogW(from, 0);
+  std::size_t rank = 1;
   ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      rc.sorted[j0 + c] = {lw[c] + ev[j0 + c],
-                           static_cast<std::uint32_t>(j0 + c)};
+    const double* e = ev + j0;
+    const std::size_t split = std::clamp(to, j0, j0 + cols) - j0;
+    for (std::size_t c = 0; c < split; ++c) {
+      const double w = lw[c] + e[c];
+      max_logw = std::max(max_logw, w);
+      rank += static_cast<std::size_t>(w >= target);
+    }
+    for (std::size_t c = split; c < cols; ++c) {
+      const double w = lw[c] + e[c];
+      max_logw = std::max(max_logw, w);
+      rank += static_cast<std::size_t>(w > target);
     }
   });
-  std::sort(rc.sorted.begin(), rc.sorted.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  rc.sorted_valid = true;
+  double total = 0.0;
+  ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      total += std::exp(lw[c] + ev[j0 + c] - max_logw);
+    }
+  });
+  RowCache& rc = cache_[from];
+  rc.max_logw = max_logw;
+  rc.sum_exp = total;
+  rc.stats_valid = true;
+  return rank;
+}
+
+const TransitionMatrix::RowCache& TransitionMatrix::RowStats(
+    std::size_t from) const {
+  // The rank FillStats counts on the way is not needed here.
+  if (!cache_[from].stats_valid) (void)FillStats(from, 0, 0.0);
+  return cache_[from];
 }
 
 std::size_t TransitionMatrix::RankInRow(std::size_t from, std::size_t to,
                                         double target) const {
-  const RowCache& rc = cache_[from];
-  if (rc.sorted_valid) {
-    // Entries strictly above `target` precede the partition point; ties
-    // break toward the lower cell index, exactly like the linear scan.
-    const auto it = std::lower_bound(
-        rc.sorted.begin(), rc.sorted.end(), target,
-        [](const std::pair<double, std::uint32_t>& entry, double t) {
-          return entry.first > t;
-        });
-    std::size_t rank =
-        1 + static_cast<std::size_t>(it - rc.sorted.begin());
-    for (auto eq = it; eq != rc.sorted.end() && eq->first == target; ++eq) {
-      if (eq->second < to) ++rank;
-    }
-    return rank;
-  }
-  // Cold scan: the kernel's count-only walk, which only reads the row.
+  // The kernel's count-only walk, which only reads the row.
   RowWalk walk = ShapeWalk();
   walk.score_prior = PriorRow(from);
   walk.to = to;
@@ -383,55 +364,17 @@ TransitionScore TransitionMatrix::ScoreTransition(std::size_t from,
   TransitionScore out;
   if (cells_ == 0) return out;
   PMCORR_DASSERT(from < cells_ && to < cells_);
-  RowCache& rc = cache_[from];
   const double target = PosteriorLogW(from, to);
-  if (rc.scored || rc.stats_valid) {
-    // Warm row (read again without a write in between — e.g. alarmed
-    // transitions, frozen calibration replays, non-adaptive monitors):
-    // rank goes through the sorted cache, built on this second touch
-    // and O(log s) afterwards.
-    if (!rc.sorted_valid) BuildSorted(from);
-    out.rank = RankInRow(from, to, target);
-  } else if (mode == ScoreMode::kRankOnly) {
-    // Cold row (just written), rank only: one comparison pass.
-    out.rank = RankInRow(from, to, target);
+  const RowCache& rc = cache_[from];
+  if (mode == ScoreMode::kFull && !rc.stats_valid) {
+    // The memo's max pass counts the rank too: one pass fewer than the
+    // count walk followed by the memo's two.
+    out.rank = FillStats(from, to, target);
   } else {
-    // Cold row, full read: one fused pass for max + rank, one for the
-    // exponential sum — versus the three passes of the unfused
-    // Probability + RankOf sequence.
-    const double* ev = Row(from);
-    const std::size_t cols = cols_;
-    double max_logw = PosteriorLogW(from, 0);
-    std::size_t rank = 1;
-    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-      const double* e = ev + j0;
-      const std::size_t split = std::clamp(to, j0, j0 + cols) - j0;
-      for (std::size_t c = 0; c < split; ++c) {
-        const double w = lw[c] + e[c];
-        max_logw = std::max(max_logw, w);
-        rank += static_cast<std::size_t>(w >= target);
-      }
-      for (std::size_t c = split; c < cols; ++c) {
-        const double w = lw[c] + e[c];
-        max_logw = std::max(max_logw, w);
-        rank += static_cast<std::size_t>(w > target);
-      }
-    });
-    double total = 0.0;
-    ForEachPriorSlice(from, [&](const double* lw, std::size_t j0) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        total += std::exp(lw[c] + ev[j0 + c] - max_logw);
-      }
-    });
-    rc.max_logw = max_logw;
-    rc.sum_exp = total;
-    rc.stats_valid = true;
-    out.rank = rank;
+    out.rank = RankInRow(from, to, target);
   }
-  rc.scored = true;
   if (mode == ScoreMode::kFull) {
-    const RowCache& stats = RowStats(from);
-    out.probability = std::exp(target - stats.max_logw) / stats.sum_exp;
+    out.probability = std::exp(target - rc.max_logw) / rc.sum_exp;
   }
   return out;
 }
@@ -484,9 +427,6 @@ std::size_t TransitionMatrix::ScoreAndObserve(std::size_t from,
                                               std::size_t to, double weight,
                                               double forgetting) {
   PMCORR_DASSERT(from < cells_ && to < cells_);
-  // The walk's count is the rank the sorted cache would give under the
-  // same tie rule, so a warm row takes the walk too: its caches are
-  // invalidated below either way.
   RowWalk walk = ShapeWalk();
   walk.score_prior = PriorRow(from);
   walk.to = to;
@@ -782,8 +722,6 @@ std::size_t TransitionMatrix::RankOf(std::size_t from, std::size_t to) const {
 std::size_t TransitionMatrix::ArgMax(std::size_t from) const {
   if (cells_ == 0) return 0;
   PMCORR_DASSERT(from < cells_);
-  const RowCache& rc = cache_[from];
-  if (rc.sorted_valid) return rc.sorted.front().second;
   const double* ev = Row(from);
   const std::size_t cols = cols_;
   std::size_t best = 0;
@@ -920,15 +858,13 @@ void TransitionMatrix::CheckInvariants() const {
                                      << rows_ << "x" << cols_);
 
   // Per-thread scratch, grown and never shrunk, so an audited Step stays
-  // allocation-free. `seen` is re-zeroed before each use.
+  // allocation-free.
   thread_local std::vector<std::uint8_t> seen;
   // Row i of the posterior, read entry by entry through PriorLogW — a
   // path independent of the slice walks the kernels use.
   thread_local std::vector<double> post;
   const std::size_t slots = arena_.size() / cells_;
-  if (seen.size() < std::max(cells_, slots)) {
-    seen.resize(std::max(cells_, slots));
-  }
+  if (seen.size() < slots) seen.resize(slots);
   if (post.size() < cells_) post.resize(cells_);
 
   // Sparse storage: slot 0 is the shared zero row, bitwise +0.0, and
@@ -976,7 +912,7 @@ void TransitionMatrix::CheckInvariants() const {
 
     // Row i of the posterior stays a probability distribution: the
     // normalized row sums to 1. Recomputed here without touching the
-    // row cache, in the cache's scan order.
+    // normalizer memo, in the memo's scan order.
     double max_logw = post[0];
     for (std::size_t j = 1; j < cells_; ++j) {
       max_logw = std::max(max_logw, post[j]);
@@ -997,8 +933,8 @@ void TransitionMatrix::CheckInvariants() const {
     PMCORR_ASSERT(std::abs(prob_sum - 1.0) <= 1e-9,
                   "row " << i << " sums to " << prob_sum);
 
-    // Cache coherence: memoized values must be exactly what the scans
-    // above produce — a stale-but-valid cache is silent corruption.
+    // Memo coherence: memoized values must be exactly what the scans
+    // above produce — a stale-but-valid memo is silent corruption.
     const RowCache& rc = cache_[i];
     if (rc.stats_valid) {
       PMCORR_ASSERT(rc.max_logw == max_logw,
@@ -1007,26 +943,6 @@ void TransitionMatrix::CheckInvariants() const {
       PMCORR_ASSERT(rc.sum_exp == sum_exp, "row " << i << " cached sum-exp "
                                                   << rc.sum_exp
                                                   << " != " << sum_exp);
-    }
-    if (rc.sorted_valid) {
-      PMCORR_ASSERT(rc.sorted.size() == cells_,
-                    "row " << i << " rank index size " << rc.sorted.size());
-      std::fill_n(seen.begin(), cells_, 0);
-      for (std::size_t k = 0; k < rc.sorted.size(); ++k) {
-        const auto& [w, j] = rc.sorted[k];
-        PMCORR_ASSERT(j < cells_ && !seen[j],
-                      "row " << i << " rank index entry " << k
-                             << " is not a permutation");
-        seen[j] = 1;
-        PMCORR_ASSERT(w == post[j], "row " << i
-                                           << " rank index weight for cell "
-                                           << j << " is stale");
-        if (k > 0) {
-          const auto& [pw_prev, pj] = rc.sorted[k - 1];
-          PMCORR_ASSERT(pw_prev > w || (pw_prev == w && pj < j),
-                        "row " << i << " rank index misordered at " << k);
-        }
-      }
     }
   }
   PMCORR_ASSERT(count_total == observed_, "counts sum to "
@@ -1060,9 +976,6 @@ MatrixBytes TransitionMatrix::Bytes() const {
   bytes.counts = count_pool_.capacity() * sizeof(CountEntry) +
                  count_begin_.capacity() * sizeof(std::uint32_t);
   bytes.caches = cache_.capacity() * sizeof(RowCache);
-  for (const RowCache& rc : cache_) {
-    bytes.caches += rc.sorted.capacity() * sizeof(rc.sorted[0]);
-  }
   return bytes;
 }
 

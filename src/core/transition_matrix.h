@@ -47,19 +47,19 @@
 //    evidence row and the stencil slices of two prior rows that counts
 //    the rank of a destination, applies the Eq. (2) update, or both in
 //    the same pass. ScoreAndObserve is the fused form the engine's
-//    unalarmable step takes; the cold rank-only scan and
-//    ObserveTransition are its count-only and update-only forms. The
+//    unalarmable step takes; RankInRow and ObserveTransition are its
+//    count-only and update-only forms. The
 //    kernel has a portable scalar body and an AVX-512F body whose slice
 //    tails are masked loads and stores, picked once per process by a CPU
 //    probe; both give the same bits.
-//  * Scoring reads are served by per-row caches (row max, sum of
-//    exponentials, and lazily a sorted copy for rank queries),
-//    invalidated whenever the row's evidence changes. The cached values
-//    are the *same* doubles the uncached scans produce, in the same
-//    order, so results are bitwise identical with or without the cache.
-//    A rank-only read (ScoreMode::kRankOnly, the paper's Q score) counts
-//    the rank in one pass and never computes the normalizer.
-//  * The caches make const query methods non-reentrant: a
+//  * A full read's normalizer (row max, sum of exponentials) is memoized
+//    per row and invalidated whenever the row's evidence changes; the
+//    read that fills it counts the rank in its max pass. The memo holds
+//    the *same* doubles the uncached scans produce, in the same order,
+//    so results are bitwise identical with or without it. A rank-only
+//    read (ScoreMode::kRankOnly, the paper's Q score) is the count walk
+//    alone and never computes the normalizer.
+//  * The memo makes const query methods non-reentrant: a
 //    TransitionMatrix must be confined to one thread at a time. The
 //    pair-sharded engine guarantees this (each pair model, and
 //    therefore each matrix, is owned by exactly one shard).
@@ -69,7 +69,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -97,9 +96,8 @@ struct Transition {
 using ParallelRunner =
     std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-/// Result of the fused scoring scan over one matrix row: the normalized
-/// transition probability and the paper's 1-based rank, computed in a
-/// single pass (plus cache reuse on repeated reads of an unchanged row).
+/// Result of scoring one transition against its matrix row: the
+/// normalized transition probability and the paper's 1-based rank.
 struct TransitionScore {
   double probability = 0.0;
   std::size_t rank = 0;
@@ -120,13 +118,13 @@ struct MatrixBytes {
   std::size_t stencil = 0;   // the prior's (2r-1) x (2c-1) log weights
   std::size_t evidence = 0;  // the arena (zero row, written rows), slot table
   std::size_t counts = 0;    // the count pool and its row offsets
-  std::size_t caches = 0;    // per-row caches and their sorted rank indexes
+  std::size_t caches = 0;    // the per-row normalizer memo
 
   std::size_t Total() const { return stencil + evidence + counts + caches; }
 };
 
-/// One walk of the row kernel under ScoreAndObserve, the cold rank-only
-/// scan and ObserveTransition (docs/kernels.md "The row kernel"). The
+/// One walk of the row kernel under ScoreAndObserve, RankInRow and
+/// ObserveTransition (docs/kernels.md "The row kernel"). The
 /// walked evidence row holds rows * cols entries; a prior row is read as
 /// `rows` stencil slices of `cols` log weights, `stride` doubles apart
 /// (a KernelStencil's width, 2 * cols - 1). Entry j of the row lives at
@@ -167,9 +165,9 @@ bool RowWalkAvx512Supported();
 /// What a scoring read computes. kFull fills both fields of
 /// TransitionScore. kRankOnly fills only the rank — all the paper's
 /// fitness score Q = 1 - (rank - 1) / s needs — and leaves probability
-/// at 0: on a freshly written row it is one comparison pass instead of
-/// a max pass, a rank pass and s exp() calls for the normalizer. The
-/// rank is the same either way.
+/// at 0: it is the count walk alone, without the max pass and the s
+/// exp() calls of a normalizer the row has not memoized. The rank is
+/// the same either way.
 enum class ScoreMode { kFull, kRankOnly };
 
 class TransitionMatrix {
@@ -187,15 +185,14 @@ class TransitionMatrix {
   /// Returns 0 on an empty (default-constructed) matrix.
   double Probability(std::size_t from, std::size_t to) const;
 
-  /// Probability and rank of (from, to) computed together — one fused
-  /// row scan instead of the separate Probability + RankOf passes, and
-  /// O(log s) from the second read of a row that has not been written
-  /// since (alarmed transitions never update the model, so hot rows are
-  /// rescored often). Bitwise identical to calling Probability() and
+  /// Probability and rank of (from, to). The probability is read off
+  /// the row's normalizer memo. The rank is the row kernel's count walk,
+  /// except on the first full read after a write, whose memo fill counts
+  /// it in the max pass. Bitwise identical to calling Probability() and
   /// RankOf() back-to-back. With ScoreMode::kRankOnly the probability is
-  /// not computed (left 0) and the row normalizer cache is not filled; a
-  /// later full read of the row still returns the same bits. Returns
-  /// {0, 0} on an empty matrix.
+  /// not computed (left 0) and the memo is not filled; a later full read
+  /// of the row still returns the same bits. Returns {0, 0} on an empty
+  /// matrix.
   TransitionScore ScoreTransition(std::size_t from, std::size_t to,
                                   ScoreMode mode = ScoreMode::kFull) const;
 
@@ -215,7 +212,7 @@ class TransitionMatrix {
   /// ObserveTransition(from, to, ..., weight, forgetting), as one walk
   /// over row `from`: the rank counts the row as it stands before the
   /// update, and every evidence entry is read and written once. Returns
-  /// that rank; the evidence, counts, ObservedCount() and row caches
+  /// that rank; the evidence, counts, ObservedCount() and normalizer memo
   /// end exactly as the two calls leave them. For callers whose update
   /// no score can veto (PairModel::Step with no alarm bound armed).
   std::size_t ScoreAndObserve(std::size_t from, std::size_t to,
@@ -339,10 +336,10 @@ class TransitionMatrix {
   /// prior (empty on a default-constructed matrix).
   const KernelStencil& Stencil() const { return stencil_; }
 
-  /// Audits the matrix invariants the paper's math and the row caches
-  /// rely on:
+  /// Audits the matrix invariants the paper's math and the normalizer
+  /// memo rely on:
   ///  * shape agreement — rows * cols == cells, one evidence slot and one
-  ///    cache per row, s + 1 count offsets, stencil built for exactly
+  ///    memo per row, s + 1 count offsets, stencil built for exactly
   ///    this shape and internally valid (it is the prior, so a drifted
   ///    entry fires here);
   ///  * sparse storage — the shared zero row holds only +0.0 bits, every
@@ -353,11 +350,8 @@ class TransitionMatrix {
   ///    weight * log-weights <= 0 under forgetting in (0, 1]);
   ///  * every row is a probability distribution — the normalized row
   ///    sums to 1 within 1e-9;
-  ///  * cache coherence — cached (max, sum-exp) row stats equal a
-  ///    recomputation in the original scan order bitwise; a sorted rank
-  ///    index (which a rank-only read may build without the stats) is a
-  ///    permutation of [0, s), ordered (desc weight, asc index), whose
-  ///    keys match the live posterior bitwise;
+  ///  * memo coherence — a memoized (max, sum-exp) equals a
+  ///    recomputation in the original scan order bitwise;
   ///  * the counts sum to ObservedCount().
   /// O(s^2) — called from audit-build boundaries and tests, not from
   /// production hot paths.
@@ -365,20 +359,12 @@ class TransitionMatrix {
 
  private:
   friend struct InvariantTestPeer;
-  // Per-row scoring cache. `max_logw`/`sum_exp` mirror the two scans of
-  // the normalization (filled by the first full read after a row write);
-  // `sorted` is the row's posterior log weights ordered (desc weight,
-  // asc index) for O(log s) rank queries, built lazily on the second
-  // score of an unchanged row — rows that are written every step never
-  // pay for the sort. `scored` marks that first score, full or
-  // rank-only.
+  // Per-row normalizer memo: `max_logw`/`sum_exp` are the two scans of
+  // the normalization, filled by the first full read after a row write.
   struct RowCache {
     bool stats_valid = false;
-    bool sorted_valid = false;
-    bool scored = false;
     double max_logw = 0.0;
     double sum_exp = 0.0;
-    std::vector<std::pair<double, std::uint32_t>> sorted;
   };
 
   /// Row `row`'s evidence: its arena slot, or the shared zero row.
@@ -423,29 +409,27 @@ class TransitionMatrix {
   }
 
   /// The shared Eq. (2) row update (the kernel's update-only walk + count
-  /// bump) of ObserveTransition; does not touch observed_ or the row
-  /// cache.
+  /// bump) of ObserveTransition; does not touch observed_ or the
+  /// normalizer memo.
   void UpdateRowEvidence(std::size_t from, std::size_t observed,
                          double weight, double forgetting);
 
-  /// Fills (if stale) and returns row `from`'s (max, sum-exp) cache,
-  /// scanning in exactly the order the uncached code used.
+  /// Fills row `from`'s (max, sum-exp) memo, scanning in exactly the
+  /// order the uncached code used: the max pass, which also counts the
+  /// rank of `to` against `target` under RowWalk's tie rule, then the
+  /// exponential sum. Returns that rank.
+  std::size_t FillStats(std::size_t from, std::size_t to,
+                        double target) const;
+
+  /// Fills (if stale) and returns row `from`'s (max, sum-exp) memo.
   const RowCache& RowStats(std::size_t from) const;
 
-  /// Builds row `from`'s sorted cache (needs no other cache).
-  void BuildSorted(std::size_t from) const;
-
-  /// Rank of `to` in row `from` given the target log weight, via the
-  /// sorted cache when valid, else the kernel's count-only walk.
+  /// Rank of `to` in row `from` given the target log weight: the
+  /// kernel's count-only walk.
   std::size_t RankInRow(std::size_t from, std::size_t to,
                         double target) const;
 
-  void InvalidateRow(std::size_t from) {
-    RowCache& rc = cache_[from];
-    rc.stats_valid = false;
-    rc.sorted_valid = false;
-    rc.scored = false;
-  }
+  void InvalidateRow(std::size_t from) { cache_[from].stats_valid = false; }
 
   std::size_t cells_ = 0;
   std::size_t rows_ = 0;               // grid rows (r)

@@ -122,9 +122,7 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(
 ///    "alarmed":[pair,...],"outliers":N,"extended":N}
 /// Scores are printed with 17 significant digits (round-trip exact for
 /// doubles), so the output is a byte-stable fingerprint of the engine's
-/// arithmetic — this is the format of the golden-trace regression tests,
-/// which is why it lives with the checkpoint code rather than the
-/// dashboard-oriented summaries of io/jsonl.h.
+/// arithmetic — this is the format of the golden-trace regression tests.
 void WriteSnapshotStreamJsonl(const std::vector<SystemSnapshot>& snapshots,
                               std::ostream& out);
 

@@ -57,7 +57,6 @@
 
 // Persistence.
 #include "io/csv.h"
-#include "io/jsonl.h"
 #include "io/model_io.h"
 #include "io/monitor_io.h"
 

@@ -355,8 +355,8 @@ TEST(TransitionMatrix, ScoreTransitionMatchesSeparateQueriesBitwise) {
             EXPECT_EQ(fused.rank, expect.rank)
                 << "cold fused " << from << "->" << to;
           }
-          // Repeated scores of one matrix: cached stats, then the sorted
-          // rank cache, whose tie-break must agree.
+          // Repeated scores of one matrix: the memoized normalizer must
+          // give the uncached bits.
           for (int repeat = 0; repeat < 3; ++repeat) {
             const TransitionScore warm = matrix.ScoreTransition(from, to);
             EXPECT_TRUE(BitEqual(warm.probability, expect.probability))
@@ -371,7 +371,7 @@ TEST(TransitionMatrix, ScoreTransitionMatchesSeparateQueriesBitwise) {
         }
       }
 
-      // A write invalidates the row's caches.
+      // A write invalidates the row's memo.
       matrix.ObserveTransition(s / 2, 0, grid, *kernel, 0.7, 0.95);
       const OracleScore expect = Oracle(matrix, s / 2, 0);
       const TransitionScore after = matrix.ScoreTransition(s / 2, 0);
