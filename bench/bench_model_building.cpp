@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "engine/measurement_graph.h"
-#include "engine/thread_pool.h"
 #include "telemetry/generator.h"
 #include "timeseries/summary.h"
 

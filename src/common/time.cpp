@@ -85,13 +85,6 @@ Duration SecondsIntoDay(TimePoint tp) {
   return s;
 }
 
-std::string FormatDate(const CivilDate& date) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", date.year, date.month,
-                date.day);
-  return buf;
-}
-
 std::string FormatTimePoint(TimePoint tp) {
   const CivilDate date = ToCivilDate(tp);
   const Duration s = SecondsIntoDay(tp);

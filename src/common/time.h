@@ -55,9 +55,6 @@ bool IsWeekend(TimePoint tp);
 /// Seconds elapsed since local midnight of the day containing `tp`.
 Duration SecondsIntoDay(TimePoint tp);
 
-/// Formats as "YYYY-MM-DD".
-std::string FormatDate(const CivilDate& date);
-
 /// Formats as "YYYY-MM-DD HH:MM".
 std::string FormatTimePoint(TimePoint tp);
 

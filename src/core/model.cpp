@@ -63,8 +63,7 @@ PairModel PairModel::InitFromHistory(std::span<const double> x,
 
 PairModel PairModel::Learn(std::span<const double> x,
                            std::span<const double> y,
-                           const ModelConfig& config,
-                           const ParallelRunner& runner) {
+                           const ModelConfig& config) {
   bool gap_free = false;
   PairModel model = InitFromHistory(x, y, config, gap_free);
   // Phase 1 — compile. Map the history to a cell-index transition
@@ -123,7 +122,7 @@ PairModel PairModel::Learn(std::span<const double> x,
   // Phase 2 — replay, bucketed by source row (Eq. 1: the posterior
   // after the snapshot is the model's initial V).
   model.matrix_.ReplayTransitions(transitions, config.likelihood_weight,
-                                  config.forgetting, runner);
+                                  config.forgetting);
   PMCORR_AUDIT_ONLY(model.CheckInvariants();)
   return model;
 }

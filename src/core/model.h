@@ -81,11 +81,9 @@ class PairModel {
   /// one pass maps the history to a cell-index transition sequence
   /// (hinted interval lookups exploit the paper's transition locality),
   /// then TransitionMatrix::ReplayTransitions replays the sequence
-  /// bucketed by source row — bitwise identical to LearnSequential, and
-  /// parallelizable within the pair via `runner` (empty = serial).
+  /// bucketed by source row — bitwise identical to LearnSequential.
   static PairModel Learn(std::span<const double> x, std::span<const double> y,
-                         const ModelConfig& config,
-                         const ParallelRunner& runner = {});
+                         const ModelConfig& config);
 
   /// The pre-pipeline reference implementation: walks the history and
   /// feeds ObserveTransition one sample at a time. Kept as the oracle

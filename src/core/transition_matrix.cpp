@@ -587,8 +587,8 @@ const ReplayRowFn kReplayRowFn = SelectReplayRowFn();
 }  // namespace
 
 void TransitionMatrix::ReplayTransitions(
-    std::span<const Transition> transitions, double weight, double forgetting,
-    const ParallelRunner& runner) {
+    std::span<const Transition> transitions, double weight,
+    double forgetting) {
   if (transitions.empty()) return;
   const std::size_t n = transitions.size();
 #if PMCORR_DASSERT_ENABLED
@@ -675,40 +675,29 @@ void TransitionMatrix::ReplayTransitions(
   count_pool_.assign(pool.begin(), pool.end());
   count_begin_ = std::move(begin);
 
-  std::vector<std::uint32_t> active;
-  active.reserve(cells_);
   std::size_t first_writes = 0;
   for (std::size_t row = 0; row < cells_; ++row) {
-    if (offsets[row] != offsets[row + 1]) {
-      active.push_back(static_cast<std::uint32_t>(row));
-      first_writes += evidence_slot_[row] == 0 ? 1 : 0;
+    if (offsets[row] != offsets[row + 1] && evidence_slot_[row] == 0) {
+      ++first_writes;
     }
   }
-  // Every active row takes its arena slot here, all in one resize,
-  // before the runner forks: the sweeps below then write disjoint slots
-  // of an arena nothing grows.
+  // One resize makes room for every row this replay writes first, so
+  // the sweeps below take their slots from an arena that never grows.
   ReserveRows(first_writes);
   auto next_slot = static_cast<std::uint32_t>(arena_.size() / cells_);
   arena_.resize(arena_.size() + first_writes * cells_, 0.0);
-  for (const std::uint32_t row : active) {
-    if (evidence_slot_[row] == 0) evidence_slot_[row] = next_slot++;
-  }
 
   // Replay each bucket in order. Buckets touch disjoint evidence rows,
-  // so any schedule over `active` — including a parallel one — produces
-  // the exact bits of the sequential ObserveTransition loop.
-  const auto replay_row = [&](std::size_t a) {
-    const std::size_t row = active[a];
+  // so replaying row by row produces the exact bits of the sequential
+  // ObserveTransition loop.
+  for (std::size_t row = 0; row < cells_; ++row) {
+    if (offsets[row] == offsets[row + 1]) continue;
+    if (evidence_slot_[row] == 0) evidence_slot_[row] = next_slot++;
     kReplayRowFn(arena_.data() + std::size_t{evidence_slot_[row]} * cells_,
                  prior.data(), cells_,
                  slots.data() + offsets[row], offsets[row + 1] - offsets[row],
                  weight, forgetting);
     InvalidateRow(row);
-  };
-  if (runner) {
-    runner(active.size(), replay_row);
-  } else {
-    for (std::size_t a = 0; a < active.size(); ++a) replay_row(a);
   }
   observed_ += n;
 }

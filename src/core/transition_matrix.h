@@ -67,7 +67,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -85,16 +84,6 @@ struct Transition {
 
   friend constexpr bool operator==(Transition, Transition) = default;
 };
-
-/// Optional fork/join hook for batch operations that decompose into
-/// independent tasks: invoked as runner(count, fn), it must call fn(i)
-/// exactly once for every i in [0, count) and return only after all
-/// calls completed (any schedule, any threads). An empty runner means a
-/// plain serial loop. ThreadPool::ParallelFor satisfies this contract —
-/// the engine wraps it in a lambda so core stays free of a thread-pool
-/// dependency.
-using ParallelRunner =
-    std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
 /// Result of scoring one transition against its matrix row: the
 /// normalized transition probability and the paper's 1-based rank.
@@ -236,14 +225,11 @@ class TransitionMatrix {
   /// first. Row updates touch disjoint evidence/count memory, so
   /// replaying each bucket in its original arrival order reproduces the
   /// sequential result exactly (the docs/kernels.md arithmetic-order
-  /// contract) while keeping each row cache-resident — and making the
-  /// buckets independently schedulable: pass `runner` (e.g. a
-  /// ThreadPool::ParallelFor wrapper) to replay rows in parallel. The
-  /// prior rows of the replayed destinations are gathered from the
-  /// stencil into a scratch table that lives for this call only.
+  /// contract) while keeping each row cache-resident. The prior rows of
+  /// the replayed destinations are gathered from the stencil into a
+  /// scratch table that lives for this call only.
   void ReplayTransitions(std::span<const Transition> transitions,
-                         double weight = 1.0, double forgetting = 1.0,
-                         const ParallelRunner& runner = {});
+                         double weight = 1.0, double forgetting = 1.0);
 
   /// The paper's ranking function π over row `from`: rank 1 is the most
   /// probable destination. Ties break toward the lower cell index, making
@@ -301,8 +287,8 @@ class TransitionMatrix {
 
   /// Makes arena room for `rows` more written rows, so the next `rows`
   /// first writes or restores take no allocation; when it must grow, it
-  /// adds an eighth as headroom. ReplayTransitions calls it before
-  /// forking; the model decoder before restoring.
+  /// adds an eighth as headroom. ReplayTransitions calls it before its
+  /// sweeps; the model decoder before restoring.
   void ReserveRows(std::size_t rows);
 
   /// The decoder's path into the sparse form, on a matrix fresh from

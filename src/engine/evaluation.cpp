@@ -22,16 +22,6 @@ std::vector<std::optional<double>> SystemScoreSeries(
   return scores;
 }
 
-std::vector<std::optional<double>> MeasurementScoreSeries(
-    const std::vector<SystemSnapshot>& snapshots, std::size_t measurement) {
-  std::vector<std::optional<double>> scores;
-  scores.reserve(snapshots.size());
-  for (const SystemSnapshot& snap : snapshots) {
-    scores.push_back(snap.measurement_scores.at(measurement));
-  }
-  return scores;
-}
-
 double DetectionOutcome::Precision() const {
   const std::size_t raised = detected + false_alarms;
   if (raised == 0) return alarm_windows == 0 ? 1.0 : 0.0;

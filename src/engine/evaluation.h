@@ -24,10 +24,6 @@ namespace pmcorr {
 std::vector<std::optional<double>> SystemScoreSeries(
     const std::vector<SystemSnapshot>& snapshots);
 
-/// One measurement's Q^a series from a snapshot stream.
-std::vector<std::optional<double>> MeasurementScoreSeries(
-    const std::vector<SystemSnapshot>& snapshots, std::size_t measurement);
-
 /// One ground-truth anomaly interval [start, end).
 struct LabeledWindow {
   TimePoint start = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "common/logging.h"
-
 namespace pmcorr {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -29,33 +27,13 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::WorkerLoop() {
   mutex_.Lock();
   while (true) {
-    while (!(stop_ || !tasks_.empty() ||
-             (region_.active && region_.next < region_.shards))) {
+    while (!(stop_ || (region_.active && region_.next < region_.shards))) {
       cv_.Wait(mutex_);
     }
-    // An active region with unclaimed shards takes priority over the
-    // queue: a fork/join caller is blocked on it right now.
-    if (region_.active && region_.next < region_.shards) {
-      RunRegionShards();
-      continue;
-    }
-    // Drain-on-stop: queued work still runs, so Post() never loses
-    // tasks to destruction.
-    if (stop_ && tasks_.empty()) {
-      mutex_.Unlock();
-      return;
-    }
-    {
-      // Inner scope so the task (and anything it captured) is destroyed
-      // before the lock is retaken, exactly as before the conversion to
-      // explicit Lock/Unlock.
-      std::function<void()> task = std::move(tasks_.front());
-      tasks_.pop();
-      mutex_.Unlock();
-      task();
-    }
-    mutex_.Lock();
+    if (stop_) break;
+    RunRegionShards();
   }
+  mutex_.Unlock();
 }
 
 ShardRange ThreadPool::RegionRange(std::size_t shard) const {
@@ -143,26 +121,6 @@ void ThreadPool::ParallelShardsStatic(std::size_t count, ShardTaskFn fn,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
-  {
-    const MutexLock lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  cv_.NotifyOne();
-}
-
-void ThreadPool::Post(std::function<void()> task) {
-  Enqueue([t = std::move(task)] {
-    try {
-      t();
-    } catch (const std::exception& e) {
-      PMCORR_LOG(kError) << "ThreadPool::Post task threw: " << e.what();
-    } catch (...) {
-      PMCORR_LOG(kError) << "ThreadPool::Post task threw a non-exception";
-    }
-  });
-}
-
 void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
@@ -188,17 +146,6 @@ std::size_t ThreadPool::ShardCountFor(std::size_t count,
   if (count == 0) return 0;
   const std::size_t limit = max_shards == 0 ? workers_.size() : max_shards;
   return std::min(count, std::max<std::size_t>(1, limit));
-}
-
-void ThreadPool::ParallelShards(
-    std::size_t count, const std::function<void(const ShardRange&)>& fn,
-    std::size_t max_shards) {
-  ParallelShardsStatic(
-      count,
-      [](void* ctx, const ShardRange& r) {
-        (*static_cast<const std::function<void(const ShardRange&)>*>(ctx))(r);
-      },
-      const_cast<void*>(static_cast<const void*>(&fn)), max_shards);
 }
 
 }  // namespace pmcorr

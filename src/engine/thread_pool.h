@@ -1,5 +1,5 @@
-// A small fixed-size worker pool with ParallelFor / ParallelShards
-// primitives.
+// A small fixed-size fork/join worker pool: ParallelFor and
+// ParallelShardsStatic.
 //
 // The monitoring engine runs hundreds of independent pair models; both
 // model initialization and online scoring parallelize trivially across
@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -19,8 +19,9 @@
 
 namespace pmcorr {
 
-/// One contiguous shard of an index range, as handed to a ParallelShards
-/// callback: indices [begin, end) of shard `index` out of `count` shards.
+/// One contiguous shard of an index range, as handed to a
+/// ParallelShardsStatic callback: indices [begin, end) of shard `index`
+/// out of `count` shards.
 struct ShardRange {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -30,9 +31,9 @@ struct ShardRange {
   std::size_t Size() const { return end - begin; }
 };
 
-/// Type-erased shard callback for the allocation-free dispatch path:
-/// fn(ctx, range) runs one shard. Plain function pointer + context so a
-/// dispatch never heap-allocates a closure.
+/// Type-erased shard callback: fn(ctx, range) runs one shard. Plain
+/// function pointer + context so a dispatch never heap-allocates a
+/// closure.
 using ShardTaskFn = void (*)(void* ctx, const ShardRange& range);
 
 class ThreadPool {
@@ -40,7 +41,7 @@ class ThreadPool {
   /// Spawns `threads` workers (0 = hardware concurrency, at least 1).
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Drains any queued Post() work, then joins the workers.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -58,47 +59,34 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& fn)
       PMCORR_EXCLUDES(mutex_);
 
-  /// Shard-major decomposition: splits [0, count) into
-  /// ShardCountFor(count, max_shards) contiguous shards covering every
-  /// index exactly once, and runs fn once per shard. Unlike ParallelFor,
-  /// the callback owns a whole range — it can keep shard-private
-  /// accumulators (per-shard logs, scratch buffers) and sweep long inner
-  /// loops without per-index dispatch. Exceptions propagate as in
-  /// ParallelFor (lowest shard index wins). The decomposition is a pure
-  /// function of (count, max_shards, ThreadCount()), so callers may
-  /// pre-size per-shard state via ShardCountFor.
-  void ParallelShards(std::size_t count,
-                      const std::function<void(const ShardRange&)>& fn,
-                      std::size_t max_shards = 0) PMCORR_EXCLUDES(mutex_);
-
-  /// Number of shards ParallelShards(count, fn, max_shards) will use:
-  /// min(count, max_shards == 0 ? ThreadCount() : max_shards), and 0 for
-  /// an empty range.
+  /// Number of shards ParallelShardsStatic(count, fn, ctx, max_shards)
+  /// will use: min(count, max_shards == 0 ? ThreadCount() : max_shards),
+  /// and 0 for an empty range.
   std::size_t ShardCountFor(std::size_t count,
                             std::size_t max_shards = 0) const;
 
-  /// Allocation-free ParallelShards: identical decomposition and
-  /// exception semantics, but the region is dispatched through a
-  /// preallocated control block instead of per-task queue nodes, so a
-  /// steady-state caller (the monitor's per-tick path) never touches the
-  /// heap to fork/join. Shards are claimed dynamically (a shared cursor,
-  /// not a fixed assignment), so passing max_shards > ThreadCount() also
-  /// yields load balancing. ParallelFor and ParallelShards are thin
-  /// wrappers over this. One region runs at a time; concurrent external
-  /// callers serialize on the control block.
+  /// Shard-major decomposition: splits [0, count) into
+  /// ShardCountFor(count, max_shards) contiguous shards covering every
+  /// index exactly once, and runs fn(ctx, range) once per shard. Unlike
+  /// ParallelFor, the callback owns a whole range — it can keep
+  /// shard-private state (scratch buffers, output slots) and sweep long
+  /// inner loops without per-index dispatch. Exceptions propagate as in
+  /// ParallelFor (lowest shard index wins). The decomposition is a pure
+  /// function of (count, max_shards, ThreadCount()), so callers may
+  /// pre-size per-shard state via ShardCountFor. The region is
+  /// dispatched through a preallocated control block, so a steady-state
+  /// caller (the monitor's per-tick path) never touches the heap to
+  /// fork/join. Shards are claimed dynamically (a shared cursor, not a
+  /// fixed assignment), so passing max_shards > ThreadCount() also
+  /// yields load balancing. ParallelFor is a thin wrapper over this.
+  /// One region runs at a time; concurrent external callers serialize
+  /// on the control block.
   void ParallelShardsStatic(std::size_t count, ShardTaskFn fn, void* ctx,
                             std::size_t max_shards = 0)
       PMCORR_EXCLUDES(mutex_);
 
-  /// Fire-and-forget: queues `task` for some worker and returns
-  /// immediately. Queued tasks are drained (run, not dropped) by the
-  /// destructor. Exceptions escaping `task` are logged and swallowed —
-  /// there is no caller left to rethrow to.
-  void Post(std::function<void()> task) PMCORR_EXCLUDES(mutex_);
-
  private:
   void WorkerLoop();
-  void Enqueue(std::function<void()> task) PMCORR_EXCLUDES(mutex_);
   /// Claims and runs region shards until the region drains. Entered and
   /// exited with mutex_ held; unlocked only around the user callback.
   void RunRegionShards() PMCORR_REQUIRES(mutex_);
@@ -107,7 +95,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar cv_;
-  std::queue<std::function<void()>> tasks_ PMCORR_GUARDED_BY(mutex_);
   bool stop_ PMCORR_GUARDED_BY(mutex_) = false;
 
   /// Fork/join region control block (all fields guarded by mutex_; the

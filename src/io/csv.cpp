@@ -116,8 +116,8 @@ MeasurementFrame ReadFrameCsv(std::istream& in) {
     }
     for (std::size_t i = 0; i < infos.size(); ++i) {
       double v = 0.0;
-      // NaN stays: it is the missing-sample marker the resampler
-      // gap-fills. Infinities have no producer and are rejected.
+      // NaN stays: it is the missing-sample marker the pair models
+      // skip. Infinities have no producer and are rejected.
       if (!ParseDouble(fields[i + 1], &v) || std::isinf(v)) {
         throw std::runtime_error("ReadFrameCsv: bad value '" + fields[i + 1] +
                                  "'");

@@ -22,8 +22,9 @@ void WriteFrameCsv(const MeasurementFrame& frame, const std::string& path);
 
 /// Reads a frame written by WriteFrameCsv; throws std::runtime_error on
 /// malformed input or I/O failure. NaN cells are kept (the missing-sample
-/// marker understood by the resampler); infinities are rejected, as are
-/// start/period combinations whose sample timestamps would overflow.
+/// marker: a pair model skips the sample and restarts its transition
+/// chain); infinities are rejected, as are start/period combinations
+/// whose sample timestamps would overflow.
 MeasurementFrame ReadFrameCsv(std::istream& in);
 MeasurementFrame ReadFrameCsv(const std::string& path);
 

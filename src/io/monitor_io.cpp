@@ -329,7 +329,7 @@ namespace {
 class LineCursor {
  public:
   LineCursor(std::string_view text, std::size_t line_no,
-             std::string_view context = "ReadSnapshotStreamJsonl")
+             std::string_view context)
       : text_(text), line_no_(line_no), context_(context) {}
 
   void Expect(std::string_view token) {
@@ -399,84 +399,6 @@ class LineCursor {
   std::size_t line_no_;
   std::string_view context_;
 };
-
-std::vector<std::optional<double>> ReadScoreArray(LineCursor& cursor) {
-  std::vector<std::optional<double>> scores;
-  cursor.Expect("[");
-  if (!cursor.TryExpect("]")) {
-    do {
-      scores.push_back(cursor.NumberOrNull());
-    } while (cursor.TryExpect(","));
-    cursor.Expect("]");
-  }
-  return scores;
-}
-
-}  // namespace
-
-std::vector<SystemSnapshot> ReadSnapshotStreamJsonl(std::istream& in) {
-  std::vector<SystemSnapshot> snapshots;
-  std::string line;
-  std::size_t line_no = 0;
-  // Array widths must agree across the stream; fixed by the first line.
-  std::size_t pair_count = 0;
-  std::size_t measurement_count = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    LineCursor cursor(line, line_no);
-    SystemSnapshot snap;
-
-    cursor.Expect("{\"sample\":");
-    snap.sample = static_cast<std::size_t>(cursor.UInt());
-    cursor.Expect(",\"t\":");
-    snap.time = cursor.Int();
-    cursor.Expect(",\"q\":");
-    snap.system_score = cursor.NumberOrNull();
-    cursor.Expect(",\"qa\":");
-    snap.measurement_scores = ReadScoreArray(cursor);
-    cursor.Expect(",\"pair_scores\":");
-    snap.pair_scores = ReadScoreArray(cursor);
-
-    cursor.Expect(",\"alarmed\":[");
-    if (cursor.Peek() != ']') {
-      do {
-        const std::uint64_t pair = cursor.UInt();
-        if (pair >= snap.pair_scores.size()) {
-          cursor.Fail("alarmed pair index out of range");
-        }
-        if (!snap.alarmed_pairs.empty() && pair <= snap.alarmed_pairs.back()) {
-          cursor.Fail("alarmed pair indices not strictly increasing");
-        }
-        snap.alarmed_pairs.push_back(static_cast<std::size_t>(pair));
-      } while (cursor.TryExpect(","));
-    }
-    cursor.Expect("]");
-
-    cursor.Expect(",\"outliers\":");
-    snap.outlier_pairs = static_cast<std::size_t>(cursor.UInt());
-    cursor.Expect(",\"extended\":");
-    snap.extended_pairs = static_cast<std::size_t>(cursor.UInt());
-    cursor.Expect("}");
-    cursor.ExpectEnd();
-
-    if (snap.outlier_pairs > snap.pair_scores.size() ||
-        snap.extended_pairs > snap.pair_scores.size()) {
-      cursor.Fail("outlier/extended counts exceed pair count");
-    }
-    if (snapshots.empty()) {
-      pair_count = snap.pair_scores.size();
-      measurement_count = snap.measurement_scores.size();
-    } else if (snap.pair_scores.size() != pair_count ||
-               snap.measurement_scores.size() != measurement_count) {
-      cursor.Fail("score array width changed mid-stream");
-    }
-    snapshots.push_back(std::move(snap));
-  }
-  return snapshots;
-}
-
-namespace {
 
 void WriteChangeArray(std::ostream& out,
                       const std::vector<ScoreChange>& changes) {

@@ -126,15 +126,6 @@ std::unique_ptr<SystemMonitor> LoadSystemMonitor(
 void WriteSnapshotStreamJsonl(const std::vector<SystemSnapshot>& snapshots,
                               std::ostream& out);
 
-/// Parses a stream written by WriteSnapshotStreamJsonl back into
-/// snapshots (measurement scores are part of the stream, so the
-/// round-trip is lossless and bit-exact). The parser is strict: it
-/// accepts exactly the schema above — keys in order, no whitespace
-/// padding — and throws std::runtime_error with a line number on any
-/// deviation, including non-finite scores, alarmed indices out of range
-/// or out of order, and score arrays whose width changes mid-stream.
-std::vector<SystemSnapshot> ReadSnapshotStreamJsonl(std::istream& in);
-
 /// Writes a SystemDelta stream as JSONL, one line per tick:
 ///   {"sample":N,"t":<unix>,"baseline":true|false,"pairs":P,
 ///    "measurements":M,"q":<Q|null>,"pair_changes":[[i,score],...],
@@ -150,8 +141,8 @@ std::vector<SystemSnapshot> ReadSnapshotStreamJsonl(std::istream& in);
 void WriteDeltaStreamJsonl(const std::vector<SystemDelta>& deltas,
                            std::ostream& out);
 
-/// Parses a stream written by WriteDeltaStreamJsonl. Strict like
-/// ReadSnapshotStreamJsonl: exact key order, no padding; throws
+/// Parses a stream written by WriteDeltaStreamJsonl. The parser is
+/// strict: exact key order, no whitespace padding; it throws
 /// std::runtime_error with a line number on any deviation, including
 /// non-finite scores, unknown event/health codes, or change indices
 /// outside the declared widths. Ordering/baseline discipline is the

@@ -34,7 +34,6 @@
 
 // Time series and traces.
 #include "timeseries/frame.h"
-#include "timeseries/resample.h"
 #include "timeseries/series.h"
 #include "timeseries/summary.h"
 

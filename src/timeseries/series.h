@@ -24,7 +24,6 @@ class TimeSeries {
   TimeSeries(TimePoint start, Duration period, std::vector<double> values);
 
   std::size_t Size() const { return values_.size(); }
-  bool Empty() const { return values_.empty(); }
 
   TimePoint Start() const { return start_; }
   Duration Period() const { return period_; }
@@ -48,9 +47,6 @@ class TimeSeries {
 
   /// Read-only view of the raw values.
   std::span<const double> Values() const { return values_; }
-
-  /// Mutable access for generators that post-process values in place.
-  std::vector<double>& MutableValues() { return values_; }
 
   /// Copy of the samples in [from, to) by index, re-based in time.
   TimeSeries SliceByIndex(std::size_t from, std::size_t to) const;

@@ -1,6 +1,7 @@
 // Seeded violation: calling a PMCORR_EXCLUDES(mu_) function while
 // holding mu_ — the re-entrancy self-deadlock the EXCLUDES contracts on
-// ThreadPool::ParallelShards and RetrainPool::Observe exist to prevent.
+// ThreadPool::ParallelShardsStatic and RetrainPool::Observe exist to
+// prevent.
 // Expected diagnostic:
 //   cannot call function 'Inner' while mutex 'mu_' is held
 #include "common/mutex.h"

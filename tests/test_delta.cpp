@@ -393,6 +393,26 @@ TEST(Delta, JsonlReaderRejectsMalformedLines) {
       "\"health_changes\":[[0,9]]}");
   // Trailing bytes.
   expect_throws(good + "x");
+  // Edits of the good line: non-finite score text (from_chars accepts
+  // "nan" and overflows "1e999" to inf), alarmed indices out of range or
+  // repeated, more outliers than pairs, and a renamed key.
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << "pattern not found: " << from;
+    if (pos != std::string::npos) text.replace(pos, from.size(), to);
+    return text;
+  };
+  expect_throws(edited("\"q\":null", "\"q\":1e999"));
+  expect_throws(edited("\"q\":null", "\"q\":nan"));
+  expect_throws(edited("\"alarmed\":[]", "\"alarmed\":[5]"));
+  expect_throws(edited("\"alarmed\":[]", "\"alarmed\":[1,1]"));
+  expect_throws(edited("\"outliers\":0", "\"outliers\":3"));
+  expect_throws(edited("\"sample\"", "\"Sample\""));
+  // Truncations.
+  for (std::size_t len = 1; len < good.size(); len += 7) {
+    expect_throws(good.substr(0, len));
+  }
 }
 
 }  // namespace

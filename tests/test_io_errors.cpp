@@ -499,100 +499,5 @@ TEST(CsvErrors, NegativeStartAndBadPeriodRejected) {
   EXPECT_THROW((void)ReadFrameCsv(b), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------
-// ReadSnapshotStreamJsonl.
-
-// Replaces the first occurrence of `from` in `text`.
-std::string Replace(std::string text, const std::string& from,
-                    const std::string& to) {
-  const std::size_t pos = text.find(from);
-  EXPECT_NE(pos, std::string::npos) << "pattern not found: " << from;
-  if (pos != std::string::npos) text.replace(pos, from.size(), to);
-  return text;
-}
-
-std::vector<SystemSnapshot> SampleSnapshots() {
-  std::vector<SystemSnapshot> snaps(3);
-  Rng rng(23);
-  for (std::size_t t = 0; t < snaps.size(); ++t) {
-    SystemSnapshot& snap = snaps[t];
-    snap.sample = t;
-    snap.time = 1700000000 + static_cast<TimePoint>(60 * t);
-    snap.pair_scores.resize(4);
-    snap.measurement_scores.resize(3);
-    for (auto& score : snap.pair_scores) {
-      if (rng.Uniform() < 0.8) score = rng.Uniform();
-    }
-    for (auto& score : snap.measurement_scores) {
-      if (rng.Uniform() < 0.8) score = rng.Uniform();
-    }
-    if (t > 0) snap.system_score = rng.Uniform();
-    if (t == 2) snap.alarmed_pairs = {1, 3};
-    snap.outlier_pairs = t;
-    snap.extended_pairs = 0;
-  }
-  return snaps;
-}
-
-TEST(JsonlErrors, StreamRoundTripsBitExactly) {
-  const std::vector<SystemSnapshot> original = SampleSnapshots();
-  std::stringstream stream;
-  WriteSnapshotStreamJsonl(original, stream);
-  const std::vector<SystemSnapshot> loaded =
-      ReadSnapshotStreamJsonl(stream);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t t = 0; t < original.size(); ++t) {
-    EXPECT_EQ(loaded[t].sample, original[t].sample);
-    EXPECT_EQ(loaded[t].time, original[t].time);
-    EXPECT_EQ(loaded[t].system_score, original[t].system_score);
-    EXPECT_EQ(loaded[t].pair_scores, original[t].pair_scores);
-    EXPECT_EQ(loaded[t].measurement_scores,
-              original[t].measurement_scores);
-    EXPECT_EQ(loaded[t].alarmed_pairs, original[t].alarmed_pairs);
-    EXPECT_EQ(loaded[t].outlier_pairs, original[t].outlier_pairs);
-    EXPECT_EQ(loaded[t].extended_pairs, original[t].extended_pairs);
-  }
-}
-
-void ExpectJsonlThrows(const std::string& text) {
-  std::istringstream in(text);
-  EXPECT_THROW((void)ReadSnapshotStreamJsonl(in), std::runtime_error)
-      << text;
-}
-
-TEST(JsonlErrors, MalformedLinesRejected) {
-  const std::string good =
-      "{\"sample\":0,\"t\":100,\"q\":null,\"qa\":[null],"
-      "\"pair_scores\":[0.5,null],\"alarmed\":[],\"outliers\":0,"
-      "\"extended\":0}\n";
-  {
-    std::istringstream in(good);
-    EXPECT_NO_THROW((void)ReadSnapshotStreamJsonl(in));
-  }
-  ExpectJsonlThrows("not json\n");
-  ExpectJsonlThrows(Replace(good, "\"q\":null", "\"q\":1e999"));  // inf
-  ExpectJsonlThrows(Replace(good, "\"q\":null", "\"q\":nan"));
-  ExpectJsonlThrows(Replace(good, "\"alarmed\":[]", "\"alarmed\":[5]"));
-  ExpectJsonlThrows(Replace(good, "\"alarmed\":[]", "\"alarmed\":[1,1]"));
-  ExpectJsonlThrows(Replace(good, "\"outliers\":0", "\"outliers\":3"));
-  ExpectJsonlThrows(Replace(good, "}\n", "}trailing\n"));
-  ExpectJsonlThrows(Replace(good, "\"sample\"", "\"Sample\""));
-  // Array width changing mid-stream.
-  ExpectJsonlThrows(good + Replace(good, "[0.5,null]", "[0.5]"));
-  // Truncations.
-  for (std::size_t len = 1; len + 1 < good.size(); len += 7) {
-    ExpectJsonlThrows(good.substr(0, len) + "\n");
-  }
-}
-
-TEST(JsonlErrors, NanScoreTextRejected) {
-  // from_chars accepts "nan"/"inf" spellings; the reader must still
-  // refuse them (JSON has no such numbers, and scores must be finite).
-  ExpectJsonlThrows(
-      "{\"sample\":0,\"t\":1,\"q\":null,\"qa\":[nan],"
-      "\"pair_scores\":[],\"alarmed\":[],\"outliers\":0,"
-      "\"extended\":0}\n");
-}
-
 }  // namespace
 }  // namespace pmcorr

@@ -1,8 +1,8 @@
 // Differential tests for the compile-then-replay Learn pipeline: the
 // row-bucketed replay path must produce models bitwise identical to the
 // sequential reference (LearnSequential / the ObserveTransition loop)
-// across kernels, grid sizes, gap patterns, update weights, forgetting
-// factors, and serial-vs-threaded replay schedules. The weight != 1 /
+// across kernels, grid sizes, gap patterns, update weights and
+// forgetting factors. The weight != 1 /
 // forgetting != 1 cases are load-bearing: they once caught the AVX-512
 // clones contracting e * f + w * p into a fused multiply-add (one
 // rounding instead of two) before -ffp-contract=off pinned it.
@@ -20,7 +20,6 @@
 #include "core/model.h"
 #include "core/transition_matrix.h"
 #include "dense_reference.h"
-#include "engine/thread_pool.h"
 #include "grid/grid.h"
 #include "grid/kernels.h"
 #include "io/model_io.h"
@@ -131,29 +130,9 @@ TEST(LearnReplay, MatchesSequentialAcrossWeightAndForgetting) {
   }
 }
 
-TEST(LearnReplay, ThreadedReplayMatchesSerialReplay) {
-  std::vector<double> xs, ys;
-  MakeHistory(3000, 41, &xs, &ys);
-  ModelConfig config = BaseConfig(60, 14);
-  config.likelihood_weight = 0.9;
-  ThreadPool pool(4);
-  const ParallelRunner runner =
-      [&pool](std::size_t count, const std::function<void(std::size_t)>& fn) {
-        pool.ParallelFor(count, fn);
-      };
-  const std::string serial = Serialize(PairModel::Learn(xs, ys, config));
-  const std::string threaded =
-      Serialize(PairModel::Learn(xs, ys, config, runner));
-  const std::string sequential =
-      Serialize(PairModel::LearnSequential(xs, ys, config));
-  EXPECT_EQ(serial, sequential);
-  EXPECT_EQ(threaded, sequential);
-}
-
 // ReplayTransitions against the one-at-a-time ObserveTransition loop on
 // a synthetic sequence with hot rows (repeated sources) and self-loops —
-// the bucketed replay must reproduce the loop's matrices bitwise, with
-// and without a parallel schedule.
+// the bucketed replay must reproduce the loop's matrices bitwise.
 TEST(LearnReplay, ReplayTransitionsMatchesObserveLoop) {
   const Grid2D grid(IntervalList::Uniform(0.0, 8.0, 8),
                     IntervalList::Uniform(0.0, 6.0, 6));
@@ -180,11 +159,6 @@ TEST(LearnReplay, ReplayTransitionsMatchesObserveLoop) {
     at = next;
   }
 
-  ThreadPool pool(4);
-  const ParallelRunner runner =
-      [&pool](std::size_t count, const std::function<void(std::size_t)>& fn) {
-        pool.ParallelFor(count, fn);
-      };
   for (const double weight : {1.0, 0.7}) {
     for (const double forgetting : {1.0, 0.95}) {
       TransitionMatrix loop = TransitionMatrix::Prior(grid, *kernel);
@@ -192,37 +166,21 @@ TEST(LearnReplay, ReplayTransitionsMatchesObserveLoop) {
         loop.ObserveTransition(t.from, t.to, grid, *kernel, weight,
                                forgetting);
       }
-      TransitionMatrix replay_serial = TransitionMatrix::Prior(grid, *kernel);
-      replay_serial.ReplayTransitions(seq, weight, forgetting);
-      TransitionMatrix replay_parallel = TransitionMatrix::Prior(grid, *kernel);
-      replay_parallel.ReplayTransitions(seq, weight, forgetting, runner);
+      TransitionMatrix replay = TransitionMatrix::Prior(grid, *kernel);
+      replay.ReplayTransitions(seq, weight, forgetting);
       const std::vector<double> want = difftest::DenseEvidence(loop);
-      const std::vector<double> serial = difftest::DenseEvidence(replay_serial);
-      const std::vector<double> parallel =
-          difftest::DenseEvidence(replay_parallel);
-      ASSERT_EQ(want.size(), serial.size());
+      const std::vector<double> got = difftest::DenseEvidence(replay);
+      ASSERT_EQ(want.size(), got.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
-                  std::bit_cast<std::uint64_t>(serial[i]))
-            << "serial evidence[" << i << "] w=" << weight
-            << " f=" << forgetting;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
-                  std::bit_cast<std::uint64_t>(parallel[i]))
-            << "parallel evidence[" << i << "] w=" << weight
-            << " f=" << forgetting;
+                  std::bit_cast<std::uint64_t>(got[i]))
+            << "evidence[" << i << "] w=" << weight << " f=" << forgetting;
       }
-      EXPECT_EQ(difftest::DenseCounts(loop),
-                difftest::DenseCounts(replay_serial));
-      EXPECT_EQ(difftest::DenseCounts(loop),
-                difftest::DenseCounts(replay_parallel));
+      EXPECT_EQ(difftest::DenseCounts(loop), difftest::DenseCounts(replay));
       for (std::size_t row = 0; row < grid.CellCount(); ++row) {
-        EXPECT_EQ(loop.RowWritten(row), replay_serial.RowWritten(row));
-        EXPECT_EQ(loop.RowWritten(row), replay_parallel.RowWritten(row));
+        EXPECT_EQ(loop.RowWritten(row), replay.RowWritten(row));
       }
-      EXPECT_EQ(loop.ObservedCount(),
-                replay_serial.ObservedCount());
-      EXPECT_EQ(loop.ObservedCount(),
-                replay_parallel.ObservedCount());
+      EXPECT_EQ(loop.ObservedCount(), replay.ObservedCount());
     }
   }
 }

@@ -1,21 +1,32 @@
-// Tests for the worker pool: ParallelFor/ParallelShards coverage,
-// exception propagation, destruction semantics, and contention stress.
+// Tests for the fork/join worker pool: ParallelFor/ParallelShardsStatic
+// coverage, exception propagation, and contention stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/mutex.h"
 #include "engine/thread_pool.h"
 
 namespace pmcorr {
 namespace {
+
+// Runs fn(range) once per shard through ParallelShardsStatic's
+// function-pointer dispatch, the way the monitor's sweeps call it.
+template <typename Fn>
+void RunShards(ThreadPool& pool, std::size_t count, Fn fn,
+               std::size_t max_shards = 0) {
+  pool.ParallelShardsStatic(
+      count,
+      [](void* ctx, const ShardRange& range) {
+        (*static_cast<Fn*>(ctx))(range);
+      },
+      &fn, max_shards);
+}
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -106,15 +117,15 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexedFailure) {
 
 TEST(ThreadPool, ParallelShardsPropagatesExceptions) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelShards(100,
-                                   [](const ShardRange& r) {
-                                     if (r.begin > 0) {
-                                       throw std::runtime_error("shard");
-                                     }
-                                   }),
+  EXPECT_THROW(RunShards(pool, 100,
+                         [](const ShardRange& r) {
+                           if (r.begin > 0) {
+                             throw std::runtime_error("shard");
+                           }
+                         }),
                std::runtime_error);
   std::atomic<int> sum{0};
-  pool.ParallelShards(100, [&](const ShardRange& r) {
+  RunShards(pool, 100, [&](const ShardRange& r) {
     sum += static_cast<int>(r.Size());
   });
   EXPECT_EQ(sum.load(), 100);
@@ -125,8 +136,8 @@ TEST(ThreadPool, ShardsCoverEveryIndexExactlyOnce) {
   for (std::size_t count : {1u, 2u, 3u, 4u, 5u, 100u, 101u, 4096u}) {
     for (std::size_t max_shards : {0u, 1u, 3u, 7u, 64u}) {
       std::vector<std::atomic<int>> hits(count);
-      pool.ParallelShards(
-          count,
+      RunShards(
+          pool, count,
           [&](const ShardRange& r) {
             for (std::size_t i = r.begin; i < r.end; ++i) ++hits[i];
           },
@@ -145,7 +156,7 @@ TEST(ThreadPool, ShardDecompositionIsDeterministicAndBalanced) {
 
   Mutex mutex;
   std::vector<ShardRange> shards;
-  pool.ParallelShards(103, [&](const ShardRange& r) {
+  RunShards(pool, 103, [&](const ShardRange& r) {
     const MutexLock lock(mutex);
     shards.push_back(r);
   });
@@ -180,7 +191,7 @@ TEST(ThreadPool, ShardsCoverEveryIndexUnderContention) {
   for (std::size_t caller = 0; caller < kCallers; ++caller) {
     callers.emplace_back([&, caller] {
       for (int round = 0; round < 10; ++round) {
-        pool.ParallelShards(kCount, [&](const ShardRange& r) {
+        RunShards(pool, kCount, [&](const ShardRange& r) {
           for (std::size_t i = r.begin; i < r.end; ++i) ++hits[caller][i];
         });
       }
@@ -192,42 +203,6 @@ TEST(ThreadPool, ShardsCoverEveryIndexUnderContention) {
   }
 }
 
-TEST(ThreadPool, DestructionDrainsQueuedWork) {
-  std::atomic<int> completed{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Post([&completed] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++completed;
-      });
-    }
-    // Destruction races the queue on purpose: it must neither hang nor
-    // drop the tasks that were accepted.
-  }
-  EXPECT_EQ(completed.load(), 64);
-}
-
-TEST(ThreadPool, PostedTaskExceptionDoesNotKillWorkers) {
-  // The swallowed exception is logged; keep the test output clean.
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kOff);
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  pool.Post([] { throw std::runtime_error("posted boom"); });
-  for (int i = 0; i < 32; ++i) {
-    pool.Post([&completed] { ++completed; });
-  }
-  // Synchronize on a fork/join region: by the time it returns, workers
-  // have demonstrably survived the throwing posted task.
-  pool.ParallelFor(64, [](std::size_t) {});
-  for (int waited = 0; completed.load() < 32 && waited < 2000; ++waited) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(completed.load(), 32);
-  SetLogLevel(saved);
-}
-
 TEST(ThreadPool, StressManySmallRegions) {
   ThreadPool pool(8);
   std::atomic<long> total{0};
@@ -235,7 +210,7 @@ TEST(ThreadPool, StressManySmallRegions) {
     pool.ParallelFor(97, [&](std::size_t i) {
       total += static_cast<long>(i);
     });
-    pool.ParallelShards(61, [&](const ShardRange& r) {
+    RunShards(pool, 61, [&](const ShardRange& r) {
       long local = 0;
       for (std::size_t i = r.begin; i < r.end; ++i) {
         local += static_cast<long>(i);

@@ -1,13 +1,11 @@
-// Tests for src/timeseries: series, frame, resample, summary.
+// Tests for src/timeseries: series, frame, summary.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "timeseries/frame.h"
-#include "timeseries/resample.h"
 #include "timeseries/series.h"
 #include "timeseries/summary.h"
 
@@ -136,74 +134,6 @@ TEST(MeasurementFrame, SelectMeasurementsReindexes) {
   EXPECT_EQ(sel.Info(MeasurementId(0)).name, "mem@m0");
   EXPECT_EQ(sel.Info(MeasurementId(0)).id.value, 0);
   EXPECT_DOUBLE_EQ(sel.Value(MeasurementId(1), 0), 1.0);
-}
-
-TEST(Regularize, AveragesSlotAndFills) {
-  std::vector<RawSample> raw = {
-      {0, 2.0}, {10, 4.0},  // slot 0 -> mean 3
-      {130, 7.0},           // slot 2
-  };
-  const TimeSeries s = Regularize(raw, 0, 60, 4, GapFill::kHold);
-  ASSERT_EQ(s.Size(), 4u);
-  EXPECT_DOUBLE_EQ(s.At(0), 3.0);
-  EXPECT_DOUBLE_EQ(s.At(1), 3.0);  // held
-  EXPECT_DOUBLE_EQ(s.At(2), 7.0);
-  EXPECT_DOUBLE_EQ(s.At(3), 7.0);  // held
-}
-
-TEST(Regularize, InterpolateFillsLinearly) {
-  std::vector<RawSample> raw = {{0, 1.0}, {180, 7.0}};
-  const TimeSeries s = Regularize(raw, 0, 60, 4, GapFill::kInterpolate);
-  ASSERT_EQ(s.Size(), 4u);
-  EXPECT_DOUBLE_EQ(s.At(1), 3.0);
-  EXPECT_DOUBLE_EQ(s.At(2), 5.0);
-}
-
-TEST(Regularize, NanModeLeavesGaps) {
-  std::vector<RawSample> raw = {{0, 1.0}};
-  const TimeSeries s = Regularize(raw, 0, 60, 3, GapFill::kNan);
-  EXPECT_TRUE(std::isnan(s.At(1)));
-  EXPECT_TRUE(std::isnan(s.At(2)));
-}
-
-TEST(Regularize, IgnoresOutOfRangeSamples) {
-  std::vector<RawSample> raw = {{-50, 9.0}, {0, 1.0}, {999, 9.0}};
-  const TimeSeries s = Regularize(raw, 0, 60, 2, GapFill::kHold);
-  EXPECT_DOUBLE_EQ(s.At(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.At(1), 1.0);
-}
-
-TEST(Downsample, AveragesBlocks) {
-  const TimeSeries s = MakeSeries({1, 2, 3, 4, 5});
-  const TimeSeries d = Downsample(s, 2);
-  ASSERT_EQ(d.Size(), 3u);
-  EXPECT_DOUBLE_EQ(d.At(0), 1.5);
-  EXPECT_DOUBLE_EQ(d.At(1), 3.5);
-  EXPECT_DOUBLE_EQ(d.At(2), 5.0);  // partial block
-  EXPECT_EQ(d.Period(), 120);
-}
-
-TEST(RepairNans, InterpolatesInterior) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  TimeSeries s = MakeSeries({1.0, nan, nan, 7.0});
-  EXPECT_EQ(RepairNans(s), 2u);
-  EXPECT_DOUBLE_EQ(s.At(1), 3.0);
-  EXPECT_DOUBLE_EQ(s.At(2), 5.0);
-}
-
-TEST(RepairNans, EdgesTakeNearestFinite) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  TimeSeries s = MakeSeries({nan, 2.0, nan});
-  EXPECT_EQ(RepairNans(s), 2u);
-  EXPECT_DOUBLE_EQ(s.At(0), 2.0);
-  EXPECT_DOUBLE_EQ(s.At(2), 2.0);
-}
-
-TEST(RepairNans, AllNanUntouched) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  TimeSeries s = MakeSeries({nan, nan});
-  EXPECT_EQ(RepairNans(s), 0u);
-  EXPECT_TRUE(std::isnan(s.At(0)));
 }
 
 MeasurementFrame CorrelatedFrame(std::size_t n = 400) {

@@ -14,12 +14,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "io/delta_binary.h"
 #include "pmcorr.h"
 #include "serve/daemon.h"
@@ -154,21 +152,9 @@ int CmdTrain(const Flags& flags) {
   config.partition.max_intervals =
       static_cast<std::size_t>(flags.GetInt("max-intervals", 14));
 
-  // --threads N > 1 replays the history's row buckets across a pool
-  // (identical model either way; see docs/model.md "Learn pipeline").
-  const auto threads = flags.GetInt("threads", 1);
-  std::unique_ptr<ThreadPool> pool;
-  ParallelRunner runner;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    runner = [&pool](std::size_t count,
-                     const std::function<void(std::size_t)>& fn) {
-      pool->ParallelFor(count, fn);
-    };
-  }
   const auto t0 = std::chrono::steady_clock::now();
   PairModel model = PairModel::Learn(train.Series(x).Values(),
-                                     train.Series(y).Values(), config, runner);
+                                     train.Series(y).Values(), config);
   const double learn_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -195,11 +181,9 @@ int CmdTrain(const Flags& flags) {
   std::printf("trained on %zu samples: %s -> %s\n", train.SampleCount(),
               model.Grid().Describe().c_str(), out.c_str());
   if (learn_s > 0.0) {
-    std::printf("model building: %.1f ms (%.1f pairs/s, %.3g samples/s,"
-                " %lld thread%s)\n",
+    std::printf("model building: %.1f ms (%.1f pairs/s, %.3g samples/s)\n",
                 learn_s * 1e3, 1.0 / learn_s,
-                static_cast<double>(train.SampleCount()) / learn_s,
-                threads > 1 ? threads : 1LL, threads > 1 ? "s" : "");
+                static_cast<double>(train.SampleCount()) / learn_s);
   }
   return 0;
 }
@@ -596,8 +580,7 @@ void Usage() {
       " [--seed N]\n"
       "  train    --trace FILE --x NAME --y NAME --out FILE"
       " [--train-days N]\n"
-      "           [--units N] [--max-intervals N] [--calibrate-fpr F]"
-      " [--threads N]\n"
+      "           [--units N] [--max-intervals N] [--calibrate-fpr F]\n"
       "  run      --model FILE --trace FILE --x NAME --y NAME\n"
       "           [--from-day N] [--threshold Q]\n"
       "  monitor  --trace FILE --train-days N [--graph"

@@ -11,10 +11,11 @@ longer matches anything — fails the check, so the lists cannot rot):
     analysis can see every lock in the engine (docs/analysis.md,
     "Concurrency contracts").
 
- 2. std::thread / std::jthread / std::async appear only in the two
-    sanctioned thread owners — ThreadPool and RetrainPool — plus
-    explicitly allowlisted test harnesses that need pool-*external*
-    threads (you cannot stress the pool with itself).
+ 2. std::thread / std::jthread / std::async appear only in the three
+    sanctioned thread owners — ThreadPool, RetrainPool and the serve
+    daemon's TenantRuntime — plus explicitly allowlisted test harnesses
+    that need pool-*external* threads (you cannot stress the pool with
+    itself).
 
  3. .detach() is banned outright: every thread in the engine is joined
     by an owner with a shutdown protocol; a detached thread outlives
@@ -79,8 +80,9 @@ def scan_file(path: Path, rel: str, violations: list, hits: set) -> None:
             if rel not in THREAD_ALLOWLIST:
                 violations.append(
                     f"{rel}:{lineno}: raw std::thread outside "
-                    f"ThreadPool/RetrainPool — route work through a pool, "
-                    f"or allowlist with a reason in check_raw_threading.py"
+                    f"ThreadPool/RetrainPool/TenantRuntime — route work "
+                    f"through a pool, or allowlist with a reason in "
+                    f"check_raw_threading.py"
                 )
         if DETACH.search(line):
             violations.append(
