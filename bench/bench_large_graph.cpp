@@ -202,15 +202,22 @@ int main() {
             << FormatDouble(large.stats.assemble_seconds, 3) << " s across "
             << large.stats.batches << " batches\n";
 
-  // Delta form vs full snapshots over the same test window. The monitor
-  // restarts its sequences so the delta run begins at a baseline.
+  // Delta form vs full snapshots over the same test window: a second
+  // run, timed with its diff into a delta stream that begins at a
+  // baseline.
   monitor.ResetSequences();
   clock.Reset();
-  const std::vector<SystemDelta> deltas = monitor.RunDelta(test);
+  std::vector<SystemSnapshot> snapshots = monitor.Run(test);
+  const std::vector<SystemDelta> deltas = DiffSnapshotStream(snapshots);
   const double delta_run_s = clock.ElapsedSeconds();
 
   std::ostringstream full_stream;
-  WriteSnapshotStreamJsonl(ReconstructSnapshots(deltas), full_stream);
+  WriteSnapshotStreamJsonl(snapshots, full_stream);
+  // Only the last snapshot is read from here on. Freeing the rest before
+  // the delta stream is built lowers the peak RSS below, though the
+  // allocator keeps most of their pages.
+  const SystemSnapshot last_snapshot = std::move(snapshots.back());
+  snapshots = {};
   const std::size_t full_bytes = full_stream.str().size();
   std::ostringstream delta_stream;
   WriteDeltaStreamJsonl(deltas, delta_stream);
@@ -220,8 +227,9 @@ int main() {
   // sub-cell wobble so the frozen-feed guard stays out of the way). Each
   // pair repeats the same cell transition, so its rank-quantized fitness
   // repeats bitwise and the delta carries nothing per pair — this is the
-  // "few hundred bytes regardless of pair count" claim. The delta run
-  // continues from the test window (no new baseline).
+  // "few hundred bytes regardless of pair count" claim. The quiet
+  // deltas continue the test window's stream from its last snapshot (no
+  // new baseline).
   MeasurementFrame quiet(test.TimeAt(test.SampleCount()), test.Period());
   for (const MeasurementInfo& info : test.Infos()) {
     const double last = test.Value(info.id, test.SampleCount() - 1);
@@ -232,7 +240,8 @@ int main() {
     quiet.Add(info, TimeSeries(quiet.StartTime(), quiet.Period(),
                                std::move(steady)));
   }
-  const std::vector<SystemDelta> quiet_deltas = monitor.RunDelta(quiet);
+  const std::vector<SystemDelta> quiet_deltas =
+      DiffSnapshotStream(monitor.Run(quiet), &last_snapshot);
   std::size_t quiet_bytes = full_bytes;
   for (std::size_t i = 0; i < quiet_deltas.size(); ++i) {
     if (quiet_deltas[i].baseline) continue;

@@ -253,25 +253,10 @@ void SystemMonitor::Step(std::span<const std::span<const double>> cols,
   }
   // No guard reset — the stream clock carries over between Step calls,
   // which is where degraded streams actually arrive.
-  Advance(cols, times, out.data(), nullptr);
+  Advance(cols, times, out.data());
 }
 
 std::vector<SystemSnapshot> SystemMonitor::Run(const MeasurementFrame& test) {
-  std::vector<SystemSnapshot> snapshots(test.SampleCount());
-  AdvanceFrame(test, snapshots.data(), nullptr);
-  return snapshots;
-}
-
-std::vector<SystemDelta> SystemMonitor::RunDelta(
-    const MeasurementFrame& test) {
-  std::vector<SystemDelta> deltas(test.SampleCount());
-  AdvanceFrame(test, nullptr, deltas.data());
-  return deltas;
-}
-
-void SystemMonitor::AdvanceFrame(const MeasurementFrame& test,
-                                 SystemSnapshot* snapshots,
-                                 SystemDelta* deltas) {
   if (test.MeasurementCount() != infos_.size()) {
     throw std::invalid_argument(
         "SystemMonitor::Run: test frame measurement count mismatch");
@@ -291,7 +276,9 @@ void SystemMonitor::AdvanceFrame(const MeasurementFrame& test,
   // stream clock resets here. Cross-call continuity checking is the
   // Step path's job — that is where degraded streams actually arrive.
   guard_.ResetTiming();
-  Advance(in_cols_, in_times_, snapshots, deltas);
+  std::vector<SystemSnapshot> snapshots(test.SampleCount());
+  Advance(in_cols_, in_times_, snapshots.data());
+  return snapshots;
 }
 
 std::size_t SystemMonitor::BatchSamples(std::size_t pair_count) const {
@@ -338,20 +325,12 @@ void SystemMonitor::FilterRows(std::span<const std::span<const double>> cols,
 
 void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
                             std::span<const TimePoint> times,
-                            SystemSnapshot* snapshots, SystemDelta* deltas) {
+                            SystemSnapshot* snapshots) {
   const std::size_t samples = times.size();
   const std::size_t pairs = graph_.PairCount();
   const std::size_t m = infos_.size();
   run_stats_ = RunStats{};
-  // An empty call emits and advances nothing: dirty-pair tracking from
-  // the last emitted tick stays valid.
   if (samples == 0) return;
-
-  // Whether dirty-pair tracking survives from the last emitted tick
-  // decides if the first delta of this call is a baseline. Snapshot
-  // output leaves tracking invalid (it emits no deltas to diff against).
-  const bool tracking_valid = delta_valid_;
-  delta_valid_ = false;
 
   FilterRows(cols, times);
   const GuardPrepass& guard = guard_pass_;
@@ -435,72 +414,32 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
     RunShards(pool_, pairs, sweep_worker);
     run_stats_.sweep_seconds += SecondsSince(sweep_start);
 
-    // Assembly phase: a row's output is a pure function of the cell arena
-    // and the guard pre-pass, so rows assemble in parallel; only the
-    // lifetime-averager updates run serially, in time order —
+    // Assembly phase: a row's snapshot is a pure function of the cell
+    // arena and the guard pre-pass, so rows assemble in parallel; only
+    // the lifetime-averager updates run serially, in time order —
     // floating-point accumulation order is part of the bitwise contract.
     const auto assemble_start = std::chrono::steady_clock::now();
-    if (deltas == nullptr) {
-      auto assemble_worker = [&](const ShardRange& shard) {
-        for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          AssembleRow(t0, width, off, base_sample, times[t0 + off],
-                      snapshots[t0 + off]);
-        }
-      };
-      RunShards(pool_, width, assemble_worker);
-    } else {
-      // Each shard assembles its rows into its own two slots and diffs
-      // every row against the row before it: its other slot; for a shard
-      // that starts mid-batch, the row before its first, re-assembled
-      // here; for the batch's first row, the last emitted tick — or
-      // nothing (a baseline) when tracking did not survive.
-      run_qa_.resize(width * m);
-      const std::size_t shards = pool_.ShardCountFor(width);
-      delta_slots_.resize(std::max(delta_slots_.size(), 2 * shards));
-      const bool baseline = !tracking_valid && t0 == 0;
-      auto delta_worker = [&](const ShardRange& shard) {
-        SystemSnapshot* slots = delta_slots_.data() + 2 * shard.index;
-        const SystemSnapshot* prev = nullptr;
-        if (shard.begin > 0) {
-          const std::size_t off = shard.begin - 1;
-          AssembleRow(t0, width, off, base_sample, times[t0 + off],
-                      slots[off % 2]);
-          prev = &slots[off % 2];
-        } else if (!baseline) {
-          prev = &delta_last_;
-        }
-        for (std::size_t off = shard.begin; off < shard.end; ++off) {
-          SystemSnapshot& cur = slots[off % 2];
-          AssembleRow(t0, width, off, base_sample, times[t0 + off], cur);
-          DiffSnapshots(prev, cur, deltas[t0 + off]);
-          std::copy(cur.measurement_scores.begin(),
-                    cur.measurement_scores.end(),
-                    run_qa_.begin() + static_cast<std::ptrdiff_t>(off * m));
-          prev = &cur;
-        }
-      };
-      RunShards(pool_, width, delta_worker);
-      // The batch's last row is in the last shard's slot; it is what the
-      // next batch's, or the next call's, first delta diffs against.
-      std::swap(delta_last_,
-                delta_slots_[2 * (shards - 1) + (width - 1) % 2]);
-    }
+    auto assemble_worker = [&](const ShardRange& shard) {
+      for (std::size_t off = shard.begin; off < shard.end; ++off) {
+        AssembleRow(t0, width, off, base_sample, times[t0 + off],
+                    snapshots[t0 + off]);
+      }
+    };
+    RunShards(pool_, width, assemble_worker);
 
     for (std::size_t off = 0; off < width; ++off) {
-      const std::optional<double>* qa =
-          deltas == nullptr ? snapshots[t0 + off].measurement_scores.data()
-                            : run_qa_.data() + off * m;
+      const SystemSnapshot& snap = snapshots[t0 + off];
       for (std::size_t a = 0; a < m; ++a) {
-        if (qa[a]) measurement_avg_[a].Add(*qa[a]);
+        if (snap.measurement_scores[a]) {
+          measurement_avg_[a].Add(*snap.measurement_scores[a]);
+        }
       }
-      system_avg_.Add(deltas == nullptr ? snapshots[t0 + off].system_score
-                                        : deltas[t0 + off].system_score);
+      system_avg_.Add(snap.system_score);
       ++steps_;
     }
     run_stats_.assemble_seconds += SecondsSince(assemble_start);
   }
 
-  delta_valid_ = deltas != nullptr;
   // Shallow: each PairModel::Step above already audited its own model.
   PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)
 }
@@ -519,7 +458,6 @@ std::size_t SystemMonitor::AddPairImpl(PairId pair, PairModel model,
     PMCORR_ASSERT(slot == index, "retrain slot " << slot << " for pair "
                                                  << index);
   }
-  delta_valid_ = false;
   PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)
   return index;
 }
@@ -560,7 +498,6 @@ void SystemMonitor::RetirePair(std::size_t pair_index) {
         "(config.quarantine.enabled)");
   }
   quarantine_.Retire(pair_index, "administratively retired");
-  delta_valid_ = false;
   PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)
 }
 
@@ -568,8 +505,7 @@ void SystemMonitor::ResetSequences() {
   for (auto& model : models_) model.ResetSequence();
   // A segment boundary also resets the ingest guard's stream clock and
   // frozen-value history: the next sample legitimately starts a new
-  // timeline. Health states and lifetime counters persist. Dirty-pair
-  // tracking stays valid — the last emitted tick's state is unchanged.
+  // timeline. Health states and lifetime counters persist.
   guard_.ResetTiming();
 }
 
@@ -589,7 +525,6 @@ void SystemMonitor::CalibrateThresholds(const MeasurementFrame& holdout,
                                   calibration.delta);
     models_[i].ResetSequence();
   });
-  delta_valid_ = false;
   PMCORR_AUDIT_ONLY(CheckInvariants();)
 }
 

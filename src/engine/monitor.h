@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,10 +65,9 @@ struct MonitorConfig {
   RetrainConfig retrain;
 };
 
-/// Phase timings of the last Step/Run/RunDelta call, for scale
-/// benchmarks: the pair-major model sweep (parallel) and snapshot/delta
-/// assembly (parallel per-sample work plus the serial lifetime-averager
-/// pass).
+/// Phase timings of the last Step/Run call, for scale benchmarks: the
+/// pair-major model sweep (parallel) and snapshot assembly (parallel
+/// per-sample work plus the serial lifetime-averager pass).
 struct RunStats {
   double sweep_seconds = 0.0;
   /// Always 0: the engine keeps no alarm log, so nothing is merged. Its
@@ -151,25 +149,8 @@ class SystemMonitor {
   /// test-only reference stepper by tests/test_differential.cpp).
   std::vector<SystemSnapshot> Run(const MeasurementFrame& test);
 
-  /// Like Run, but emits incremental SystemDeltas instead of full
-  /// snapshots: the first tick (or the first after tracking was
-  /// invalidated by Step/Run/AddPair/RetirePair/calibration) is a
-  /// baseline restating the engaged state; every other tick carries
-  /// only pairs/measurements whose score changed bits since the
-  /// previous tick, so a quiet tick is O(changes), not O(pairs). Each
-  /// row is assembled as Run assembles it and diffed against the
-  /// previous row (DiffSnapshots), so the engine state advances exactly
-  /// as Run would (same models and averages) and ReconstructSnapshots(
-  /// deltas) is Run's snapshots bitwise (tests/test_delta.cpp, and the
-  /// differential harness against the reference stepper). Memory stays
-  /// flat: each worker shard assembles into two reused snapshots, not a
-  /// batch of them. An empty frame emits nothing and leaves tracking
-  /// valid.
-  std::vector<SystemDelta> RunDelta(const MeasurementFrame& test);
-
-  /// Phase timings of the last call that advanced the monitor — Step,
-  /// Run or RunDelta, which all run the same core (a Step is a one-row,
-  /// one-batch call).
+  /// Phase timings of the last call that advanced the monitor — Step or
+  /// Run, which run the same core (a Step is a one-row, one-batch call).
   const RunStats& LastRunStats() const { return run_stats_; }
 
   /// Forgets the per-pair previous cells (call between discontiguous
@@ -298,28 +279,21 @@ class SystemMonitor {
   /// engine sample `base_sample` into `snap`, from the sweep-cell arena
   /// (`width` rows per pair) and the guard pre-pass. Overwrites every
   /// field and reuses the vectors' capacity: Step reuses one snapshot
-  /// across calls, and RunDelta re-assembles into two slots per shard.
-  /// Pure per-row work, run by the worker shards in parallel.
+  /// across calls. Pure per-row work, run by the worker shards in
+  /// parallel.
   void AssembleRow(std::size_t t0, std::size_t width, std::size_t off,
                    std::size_t base_sample, TimePoint time,
                    SystemSnapshot& snap) const;
 
   /// The one engine path. Advances the monitor over rows
   /// [0, times.size()) — cols[a][t] is measurement a's value at row t —
-  /// and writes row t's output into the caller-owned slot snapshots[t],
-  /// or deltas[t] when `deltas` is set: guard pre-pass, pair-major
-  /// batched sweep with the quarantine and retrain hooks, sharded row
-  /// assembly (diffed into deltas on the delta path), serial lifetime
-  /// aggregates. Does not reset the guard clock; Run/RunDelta do that
-  /// before calling it, Step does not.
+  /// and assembles row t's snapshot into the caller-owned slot
+  /// snapshots[t]: guard pre-pass, pair-major batched sweep with the
+  /// quarantine and retrain hooks, sharded row assembly, serial lifetime
+  /// aggregates. Does not reset the guard clock; Run does that before
+  /// calling it, Step does not.
   void Advance(std::span<const std::span<const double>> cols,
-               std::span<const TimePoint> times, SystemSnapshot* snapshots,
-               SystemDelta* deltas);
-
-  /// Run/RunDelta front: validates the frame, binds its columns and
-  /// timestamps, starts a new guard segment, and advances over it.
-  void AdvanceFrame(const MeasurementFrame& test, SystemSnapshot* snapshots,
-                    SystemDelta* deltas);
+               std::span<const TimePoint> times, SystemSnapshot* snapshots);
 
   /// Serial ingest-guard pre-pass (the guard is a serial state machine):
   /// filters every row into guard_pass_ and resolves its inputs.
@@ -358,24 +332,12 @@ class SystemMonitor {
   /// Core scratch, persisted across batches and calls so the steady-state
   /// loop allocates nothing: the bound input columns and frame
   /// timestamps, the sweep-cell arena (pairs x batch) and the guard
-  /// pre-pass. The delta path adds the per-batch Q^a arena the serial
-  /// averager pass reads (batch x m) and two assembly slots per worker
-  /// shard (row off lands in slot off % 2, so a row and the row before
-  /// it are never in the same slot).
+  /// pre-pass.
   RunStats run_stats_;
   std::vector<std::span<const double>> in_cols_;
   std::vector<TimePoint> in_times_;
   std::vector<SweepCell> run_cells_;
   GuardPrepass guard_pass_;
-  std::vector<std::optional<double>> run_qa_;
-  std::vector<SystemSnapshot> delta_slots_;
-
-  /// RunDelta's last emitted tick, the `prev` of the next batch's or the
-  /// next call's first delta. Valid only while no other state-advancing
-  /// call interleaves (Step, full Run, topology or calibration changes
-  /// invalidate it — the next RunDelta re-emits a baseline).
-  bool delta_valid_ = false;
-  SystemSnapshot delta_last_;
 };
 
 }  // namespace pmcorr

@@ -229,7 +229,6 @@ DetectorScore RunPmcorr(const QualityScenario& s, const ScenarioData& d,
       }
       std::swap(alarmed_prev, alarmed_now);
       std::optional<double> h;
-      std::size_t worst_m = 0;
       if (engaged > 0) {
         double worst = 0.0;
         for (std::size_t m = 0; m < l; ++m) {
@@ -240,29 +239,10 @@ DetectorScore RunPmcorr(const QualityScenario& s, const ScenarioData& d,
           if (meas_engaged[m] > 0 && meas_alarming[m] >= 2) {
             const double frac = static_cast<double>(meas_alarming[m]) /
                                 static_cast<double>(meas_engaged[m]);
-            if (frac > worst) {
-              worst = frac;
-              worst_m = m;
-            }
+            worst = std::max(worst, frac);
           }
         }
         h = 1.0 - worst;
-      }
-      // Per-sample trace of the health computation, for tuning the
-      // detection rule against a scenario: which measurement's alarm
-      // concentration is driving the health dip, and how wide it is.
-      if (std::getenv("PMCORR_SCORECARD_DEBUG") != nullptr) {
-        const char* worst_name =
-            h && *h < 1.0
-                ? d.full.Info(MeasurementId(static_cast<std::int32_t>(worst_m)))
-                      .name.c_str()
-                : "-";
-        std::fprintf(stderr,
-                     "dbg %zu t=%lld alarmed=%zu engaged=%zu out=%zu h=%.3f "
-                     "worst=%s\n",
-                     health.size(), static_cast<long long>(snap.time),
-                     snap.alarmed_pairs.size(), engaged, snap.outlier_pairs,
-                     h ? *h : -1.0, worst_name);
       }
       health.push_back(h);
       if (h && *h < threshold) {

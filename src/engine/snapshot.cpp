@@ -102,6 +102,16 @@ void DiffSnapshots(const SystemSnapshot* prev, const SystemSnapshot& cur,
   }
 }
 
+std::vector<SystemDelta> DiffSnapshotStream(
+    std::span<const SystemSnapshot> snapshots, const SystemSnapshot* prev) {
+  std::vector<SystemDelta> deltas(snapshots.size());
+  for (std::size_t t = 0; t < snapshots.size(); ++t) {
+    DiffSnapshots(prev, snapshots[t], deltas[t]);
+    prev = &snapshots[t];
+  }
+  return deltas;
+}
+
 const SystemSnapshot& DeltaReconstructor::Apply(const SystemDelta& delta) {
   if (!has_state_ && !delta.baseline) {
     Fail("stream does not start with a baseline delta");

@@ -1,5 +1,5 @@
 // Engine output forms: the full per-sample SystemSnapshot, and the
-// incremental SystemDelta a shard-scale monitor emits instead.
+// incremental SystemDelta a shard-scale delta stream carries instead.
 //
 // At 193 pairs a full snapshot per tick is cheap; at 100k+ pairs it is
 // the dominant cost — every tick serializes every pair even though the
@@ -9,9 +9,10 @@
 // feed health) plus the per-tick scalars, so a quiet tick is a few
 // hundred bytes regardless of pair count. Both directions of the format
 // live here: DiffSnapshots encodes a snapshot as a delta against the one
-// before it, and DeltaReconstructor folds a delta stream back into full
-// snapshots — the differential suite proves the reconstruction
-// bitwise-identical to SystemMonitor::Run.
+// before it (DiffSnapshotStream over a whole run), and
+// DeltaReconstructor folds a delta stream back into full snapshots —
+// tests/test_delta.cpp proves the round trip bitwise-identical to
+// SystemMonitor::Run.
 #pragma once
 
 #include <cstddef>
@@ -86,9 +87,7 @@ struct HealthChange {
 struct SystemDelta {
   std::size_t sample = 0;
   TimePoint time = 0;
-  /// Restates full state: the first tick of a delta run, and every tick
-  /// after dirty-pair tracking was invalidated (Step/Run interleave,
-  /// AddPair/RetirePair, calibration).
+  /// Restates full state: the first tick of a stream.
   bool baseline = false;
   /// Widths the reconstruction must agree with (pair count may grow
   /// across a baseline after AddPair).
@@ -129,6 +128,15 @@ struct SystemDelta {
 void DiffSnapshots(const SystemSnapshot* prev, const SystemSnapshot& cur,
                    SystemDelta& delta);
 
+/// Encodes a run of snapshots as a delta stream: snapshot t against
+/// snapshot t-1, and the first against `prev`. A null `prev` makes the
+/// first delta a baseline; passing the last snapshot of an earlier run
+/// continues that run's stream without one. Like DiffSnapshots, every
+/// snapshot must have the widths of the one before it.
+std::vector<SystemDelta> DiffSnapshotStream(
+    std::span<const SystemSnapshot> snapshots,
+    const SystemSnapshot* prev = nullptr);
+
 /// Folds a SystemDelta stream back into full SystemSnapshots. Stateful:
 /// feed deltas in emission order, starting at a baseline. Throws
 /// std::runtime_error on a malformed stream (first delta not a
@@ -139,18 +147,13 @@ class DeltaReconstructor {
   /// reference stays valid (and is overwritten) until the next Apply.
   const SystemSnapshot& Apply(const SystemDelta& delta);
 
-  /// Full state as of the last Apply — the "full snapshot on demand"
-  /// view of a live delta stream.
-  const SystemSnapshot& Current() const { return state_; }
-  bool HasState() const { return has_state_; }
-
  private:
   SystemSnapshot state_;
   bool has_state_ = false;
 };
 
 /// Convenience: reconstructs every delta of a stream (e.g. for the
-/// differential proof or for report code that wants full snapshots).
+/// round-trip tests or for report code that wants full snapshots).
 std::vector<SystemSnapshot> ReconstructSnapshots(
     std::span<const SystemDelta> deltas);
 

@@ -40,8 +40,6 @@ ShardRange ThreadPool::RegionRange(std::size_t shard) const {
   // Spread count over shards so sizes differ by at most one: the first
   // `count % shards` shards take one extra index.
   ShardRange r;
-  r.index = shard;
-  r.count = region_.shards;
   r.begin = shard * region_.base + std::min(shard, region_.extra);
   r.end = r.begin + region_.base + (shard < region_.extra ? 1 : 0);
   return r;
@@ -82,8 +80,6 @@ void ThreadPool::ParallelShardsStatic(std::size_t count, ShardTaskFn fn,
   if (shards == 1 || workers_.size() <= 1) {
     for (std::size_t s = 0; s < shards; ++s) {
       ShardRange r;
-      r.index = s;
-      r.count = shards;
       r.begin = s * base + std::min(s, extra);
       r.end = r.begin + base + (s < extra ? 1 : 0);
       fn(ctx, r);

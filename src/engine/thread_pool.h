@@ -20,11 +20,8 @@
 namespace pmcorr {
 
 /// One contiguous shard of an index range, as handed to a
-/// ParallelShardsStatic callback: indices [begin, end) of shard `index`
-/// out of `count` shards.
+/// ParallelShardsStatic callback: indices [begin, end).
 struct ShardRange {
-  std::size_t index = 0;
-  std::size_t count = 1;
   std::size_t begin = 0;
   std::size_t end = 0;
 
@@ -59,21 +56,14 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& fn)
       PMCORR_EXCLUDES(mutex_);
 
-  /// Number of shards ParallelShardsStatic(count, fn, ctx, max_shards)
-  /// will use: min(count, max_shards == 0 ? ThreadCount() : max_shards),
-  /// and 0 for an empty range.
-  std::size_t ShardCountFor(std::size_t count,
-                            std::size_t max_shards = 0) const;
-
   /// Shard-major decomposition: splits [0, count) into
-  /// ShardCountFor(count, max_shards) contiguous shards covering every
-  /// index exactly once, and runs fn(ctx, range) once per shard. Unlike
-  /// ParallelFor, the callback owns a whole range — it can keep
-  /// shard-private state (scratch buffers, output slots) and sweep long
-  /// inner loops without per-index dispatch. Exceptions propagate as in
+  /// min(count, max_shards == 0 ? ThreadCount() : max_shards) contiguous
+  /// shards, whose sizes differ by at most one, covering every index
+  /// exactly once, and runs fn(ctx, range) once per shard. Unlike
+  /// ParallelFor, the callback owns a whole range and sweeps long inner
+  /// loops without per-index dispatch. Exceptions propagate as in
   /// ParallelFor (lowest shard index wins). The decomposition is a pure
-  /// function of (count, max_shards, ThreadCount()), so callers may
-  /// pre-size per-shard state via ShardCountFor. The region is
+  /// function of (count, max_shards, ThreadCount()). The region is
   /// dispatched through a preallocated control block, so a steady-state
   /// caller (the monitor's per-tick path) never touches the heap to
   /// fork/join. Shards are claimed dynamically (a shared cursor, not a
@@ -86,6 +76,9 @@ class ThreadPool {
       PMCORR_EXCLUDES(mutex_);
 
  private:
+  /// Number of shards ParallelShardsStatic(count, fn, ctx, max_shards)
+  /// uses; 0 for an empty range.
+  std::size_t ShardCountFor(std::size_t count, std::size_t max_shards) const;
   void WorkerLoop();
   /// Claims and runs region shards until the region drains. Entered and
   /// exited with mutex_ held; unlocked only around the user callback.

@@ -241,7 +241,9 @@ int RunServeDaemon(const ServeDaemonOptions& options) {
       }
     }
 
-    for (std::size_t c = 0; c < connections.size(); ++c) {
+    // Only the connections this round polled: one accepted above has no
+    // pollfd yet and is polled from the next round.
+    for (std::size_t c = 0; c + 2 < fds.size(); ++c) {
       Connection& conn = *connections[c];
       const pollfd& pfd = fds[2 + c];
       if ((pfd.revents & POLLOUT) != 0) FlushOutbuf(conn);

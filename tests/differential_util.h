@@ -2,11 +2,10 @@
 // SystemMonitor entry point observably identical to the test-only
 // reference stepper (reference_stepper.h).
 //
-// The engine runs Step, Run and RunDelta through one pair-major core,
-// so the contract is deliberately brutal: for the same scenario the
+// The engine runs Step and Run through one pair-major core, so the
+// contract is deliberately brutal: for the same scenario the
 // value-returning Step loop, the out-param Step loop that reuses one
-// snapshot, the multi-row Step at several call widths, and Run and
-// RunDelta (its deltas folded back by one DeltaReconstructor) at every
+// snapshot, the multi-row Step at several call widths, and Run at every
 // thread count and batch width must each produce the reference's
 // snapshot stream bitwise (every pair score, Q^a, Q, alarm list,
 // counter and health flag), its lifetime aggregates and its checkpoint
@@ -227,7 +226,7 @@ struct DifferentialCase {
   MonitorConfig config;
   /// Scripted engine faults (non-owning), installed after calibration.
   const EngineFaultPlan* fault_plan = nullptr;
-  /// Batch sizes exercised for Run and RunDelta, besides the default.
+  /// Batch sizes exercised for Run, besides the default.
   /// Small odd widths force mid-frame batch boundaries.
   std::vector<std::size_t> batch_sizes = {0, 7};
   /// When true, the test frame is fed in two halves with ResetSequences
@@ -283,14 +282,12 @@ inline constexpr std::size_t kStepCallWidths[] = {2, 7, 32, 0};
 /// Runs the scenario through the reference stepper and, at every
 /// requested thread count, through (a) the value-returning Step loop,
 /// (b) the out-param Step loop reusing one snapshot, (c) the multi-row
-/// Step in calls of every kStepCallWidths width, (d) Run at every batch
-/// width and (e) RunDelta at every batch width, its deltas folded back
-/// by one DeltaReconstructor that carries across a mid-stream reset,
-/// asserting each matches the reference's snapshot stream, lifetime
-/// aggregates and checkpoint bytes exactly. Step, at any width, is held
-/// to a reference fed row by row (the guard clock carries across calls),
-/// Run and RunDelta to one fed frame by frame — they differ only in
-/// where the guard clock resets.
+/// Step in calls of every kStepCallWidths width and (d) Run at every
+/// batch width, asserting each matches the reference's snapshot stream,
+/// lifetime aggregates and checkpoint bytes exactly. Step, at any width,
+/// is held to a reference fed row by row (the guard clock carries across
+/// calls), Run to one fed frame by frame — they differ only in where the
+/// guard clock resets.
 inline void ExpectEngineMatchesReference(
     const DifferentialCase& c,
     std::vector<std::size_t> thread_counts = {1, 2, 8}) {
@@ -368,20 +365,6 @@ inline void ExpectEngineMatchesReference(
       const auto monitor = make(threads, batch);
       const auto snaps = FeedCase(
           *monitor, c, [](auto& e, const auto& f) { return e.Run(f); });
-      ExpectMatchesReference(by_frame, run_reference, *monitor, snaps);
-    }
-    for (std::size_t batch : c.batch_sizes) {
-      SCOPED_TRACE("RunDelta, " + at + " batch=" + std::to_string(batch));
-      const auto monitor = make(threads, batch);
-      DeltaReconstructor reconstructor;
-      const auto snaps =
-          FeedCase(*monitor, c, [&reconstructor](auto& e, const auto& f) {
-            std::vector<SystemSnapshot> out;
-            for (const SystemDelta& d : e.RunDelta(f)) {
-              out.push_back(reconstructor.Apply(d));
-            }
-            return out;
-          });
       ExpectMatchesReference(by_frame, run_reference, *monitor, snaps);
     }
   }

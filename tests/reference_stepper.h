@@ -1,7 +1,7 @@
 // Test-only reference stepper: the oracle the monitoring engine is
 // proven against.
 //
-// SystemMonitor runs Step, Run and RunDelta through one pair-major core.
+// SystemMonitor runs Step and Run through one pair-major core.
 // ReferenceStepper is the per-sample loop of the paper's framework
 // (Figure 6, Section 5) written the obvious way instead: filter the row
 // through the ingest guard, step every pair in index order behind the

@@ -1,4 +1,4 @@
-// Tests for src/common: rng, stats, strings, time, table, logging.
+// Tests for src/common: rng, stats, strings, time, table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/backoff.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -367,27 +366,6 @@ TEST(Types, MetricNamesMatchPaper) {
   EXPECT_EQ(MetricKindName(MetricKind::kCurrentUtilizationPort),
             "CurrentUtilization_PORT");
   EXPECT_EQ(MetricKindName(MetricKind::kIfInOctetsRate), "IfInOctetsRate_IF");
-}
-
-TEST(Logging, LevelGatesMessages) {
-  const LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Below-threshold messages are dropped inside LogMessage (no crash,
-  // nothing observable); above-threshold messages emit to stderr.
-  LogMessage(LogLevel::kDebug, "dropped");
-  LogMessage(LogLevel::kError, "emitted");
-  // The macro compiles and short-circuits below the level.
-  PMCORR_LOG(kDebug) << "also dropped " << 42;
-  PMCORR_LOG(kError) << "also emitted " << 42;
-  SetLogLevel(before);
-}
-
-TEST(Logging, OffSilencesEverything) {
-  const LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kOff);
-  LogMessage(LogLevel::kError, "must not crash");
-  SetLogLevel(before);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Incremental (delta) snapshot mode: RunDelta's stream reconstructs to
-// exactly the snapshots Run would have produced — bitwise, at every
-// thread count and batch size — and the delta form actually shrinks
-// quiet ticks. Also covers baseline discipline after invalidation, the
-// JSONL round-trip, and malformed-stream rejection.
+// Delta streams: DiffSnapshotStream over Run's snapshots folds back
+// (DeltaReconstructor) into exactly those snapshots — bitwise, at every
+// thread count and batch size — a stream continues through `prev`
+// without a second baseline, and the delta form actually shrinks quiet
+// ticks. Also covers the JSONL round-trip and malformed-stream
+// rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,6 @@
 namespace pmcorr {
 namespace {
 
-using difftest::CheckpointString;
-using difftest::ExpectAggregatesEqual;
 using difftest::ExpectStreamsEqual;
 
 // Same correlated synthetic system as test_differential: 2 machines x 2
@@ -82,32 +81,31 @@ MeasurementFrame SteadyTail(const MeasurementFrame& test,
   return quiet;
 }
 
-// The core contract: a monitor run in delta mode must be observably
-// identical to one run in full-snapshot mode — reconstructed snapshots,
-// lifetime aggregates and the checkpoint all bitwise equal.
-void ExpectDeltaEquivalent(const MeasurementFrame& history,
-                           const MeasurementFrame& test,
-                           const MeasurementFrame* holdout,
-                           std::size_t threads, std::size_t batch) {
+// Only a stream's first delta restates the full state.
+void ExpectOnlyFirstIsBaseline(const std::vector<SystemDelta>& deltas) {
+  ASSERT_FALSE(deltas.empty());
+  EXPECT_TRUE(deltas.front().baseline);
+  for (std::size_t t = 1; t < deltas.size(); ++t) {
+    EXPECT_FALSE(deltas[t].baseline) << "delta " << t;
+  }
+}
+
+// The core contract: the delta stream of a run reconstructs to that
+// run's snapshots bitwise.
+void ExpectRoundTrip(const MeasurementFrame& history,
+                     const MeasurementFrame& test,
+                     const MeasurementFrame* holdout, std::size_t threads,
+                     std::size_t batch) {
   MonitorConfig config = SmallConfig();
   config.threads = threads;
   config.batch_samples = batch;
-  const MeasurementGraph graph = MeasurementGraph::FullMesh(4);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
+  if (holdout != nullptr) monitor.CalibrateThresholds(*holdout, 0.05);
 
-  SystemMonitor full(history, graph, config);
-  SystemMonitor delta(history, graph, config);
-  if (holdout != nullptr) {
-    full.CalibrateThresholds(*holdout, 0.05);
-    delta.CalibrateThresholds(*holdout, 0.05);
-  }
-
-  const auto snapshots = full.Run(test);
-  const std::vector<SystemDelta> deltas = delta.RunDelta(test);
-  ASSERT_FALSE(deltas.empty());
-  EXPECT_TRUE(deltas.front().baseline);
+  const std::vector<SystemSnapshot> snapshots = monitor.Run(test);
+  const std::vector<SystemDelta> deltas = DiffSnapshotStream(snapshots);
+  ExpectOnlyFirstIsBaseline(deltas);
   ExpectStreamsEqual(snapshots, ReconstructSnapshots(deltas));
-  ExpectAggregatesEqual(full, delta);
-  EXPECT_EQ(CheckpointString(full), CheckpointString(delta));
 }
 
 TEST(Delta, ReconstructionMatchesRunAcrossThreadsAndBatches) {
@@ -117,7 +115,7 @@ TEST(Delta, ReconstructionMatchesRunAcrossThreadsAndBatches) {
     for (std::size_t batch : {0u, 7u, 1u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " batch=" + std::to_string(batch));
-      ExpectDeltaEquivalent(history, test, nullptr, threads, batch);
+      ExpectRoundTrip(history, test, nullptr, threads, batch);
     }
   }
 }
@@ -130,7 +128,7 @@ TEST(Delta, ReconstructionMatchesRunWithCalibratedAlarms) {
   const MeasurementFrame test = CorrelatedFrame(400, 7, true);
   for (std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectDeltaEquivalent(history, test, &holdout, threads, 7);
+    ExpectRoundTrip(history, test, &holdout, threads, 7);
   }
 }
 
@@ -143,75 +141,27 @@ TEST(Delta, SecondRunContinuesWithoutBaseline) {
   const MeasurementFrame second =
       test.SliceByTime(mid, test.TimeAt(test.SampleCount()));
 
-  MonitorConfig config = SmallConfig();
-  const MeasurementGraph graph = MeasurementGraph::FullMesh(4);
-  SystemMonitor full(history, graph, config);
-  SystemMonitor delta(history, graph, config);
+  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4),
+                        SmallConfig());
+  std::vector<SystemSnapshot> snapshots = monitor.Run(first);
+  const std::vector<SystemSnapshot> rest = monitor.Run(second);
 
-  auto snapshots = full.Run(first);
-  const auto rest = full.Run(second);
-  snapshots.insert(snapshots.end(), rest.begin(), rest.end());
-
-  std::vector<SystemDelta> deltas = delta.RunDelta(first);
-  const auto more = delta.RunDelta(second);
-  // Tracking survived across the call boundary: no second baseline.
-  ASSERT_FALSE(more.empty());
-  EXPECT_FALSE(more.front().baseline);
+  // The second run's stream continues from the first run's last
+  // snapshot: no second baseline.
+  std::vector<SystemDelta> deltas = DiffSnapshotStream(snapshots);
+  const auto more = DiffSnapshotStream(rest, &snapshots.back());
   deltas.insert(deltas.end(), more.begin(), more.end());
+  snapshots.insert(snapshots.end(), rest.begin(), rest.end());
+  ExpectOnlyFirstIsBaseline(deltas);
   ExpectStreamsEqual(snapshots, ReconstructSnapshots(deltas));
 
-  // An empty frame between delta runs must not invalidate tracking.
+  // An empty frame adds nothing to the stream.
   MeasurementFrame empty(second.TimeAt(second.SampleCount()),
                          second.Period());
   for (const MeasurementInfo& info : test.Infos()) {
     empty.Add(info, TimeSeries(empty.StartTime(), empty.Period(), {}));
   }
-  EXPECT_TRUE(delta.RunDelta(empty).empty());
-}
-
-TEST(Delta, InvalidationForcesBaseline) {
-  const MeasurementFrame history = CorrelatedFrame(1200, 21);
-  const MeasurementFrame test = CorrelatedFrame(120, 22);
-  MonitorConfig config = SmallConfig();
-  const MeasurementGraph graph = MeasurementGraph::FullMesh(4);
-  SystemMonitor monitor(history, graph, config);
-
-  auto deltas = monitor.RunDelta(test);
-  EXPECT_TRUE(deltas.front().baseline);
-
-  // A Step in between bypasses dirty tracking -> next delta restates.
-  std::vector<double> row(4);
-  for (std::size_t a = 0; a < 4; ++a) {
-    row[a] = test.Value(MeasurementId(static_cast<std::int32_t>(a)), 0);
-  }
-  monitor.Step(row, test.TimeAt(test.SampleCount()));
-  deltas = monitor.RunDelta(SteadyTail(test, 4, /*skip=*/1));
-  ASSERT_FALSE(deltas.empty());
-  EXPECT_TRUE(deltas.front().baseline);
-
-  // Calibration rewrites alarm bounds -> baseline again.
-  monitor.CalibrateThresholds(CorrelatedFrame(300, 23), 0.05);
-  monitor.ResetSequences();
-  deltas = monitor.RunDelta(test);
-  ASSERT_FALSE(deltas.empty());
-  EXPECT_TRUE(deltas.front().baseline);
-
-  // Topology change (AddPair) -> baseline, with the grown pair width
-  // declared on it. Start from a mesh missing one pair so the added
-  // pair is new to the graph.
-  std::vector<PairId> pairs = graph.Pairs();
-  const PairId late = pairs.back();
-  pairs.pop_back();
-  const MeasurementGraph sparse =
-      MeasurementGraph::FromPairs(4, std::move(pairs));
-  SystemMonitor grown(history, sparse, config);
-  const auto first = grown.RunDelta(test);
-  EXPECT_EQ(first.front().pair_count, sparse.PairCount());
-  grown.AddPair(late, history);
-  const auto after = grown.RunDelta(SteadyTail(test, 4));
-  ASSERT_FALSE(after.empty());
-  EXPECT_TRUE(after.front().baseline);
-  EXPECT_EQ(after.front().pair_count, sparse.PairCount() + 1);
+  EXPECT_TRUE(DiffSnapshotStream(monitor.Run(empty), &rest.back()).empty());
 }
 
 // Wider correlated system for the size claim: every measurement is a
@@ -249,19 +199,21 @@ TEST(Delta, QuietTickShrinksAtLeastNinetyPercent) {
   MonitorConfig config = SmallConfig();
   SystemMonitor monitor(history, MeasurementGraph::FullMesh(40), config);
 
-  auto deltas = monitor.RunDelta(test);
-  const auto quiet_deltas = monitor.RunDelta(SteadyTail(test, 16));
+  std::vector<SystemSnapshot> snapshots = monitor.Run(test);
+  const std::vector<SystemSnapshot> quiet =
+      monitor.Run(SteadyTail(test, 16));
+  const auto quiet_deltas = DiffSnapshotStream(quiet, &snapshots.back());
   ASSERT_FALSE(quiet_deltas.empty());
   EXPECT_FALSE(quiet_deltas.front().baseline);
 
   // Byte sizes through the real serializers: the smallest quiet-tick
   // delta line must be >= 90% smaller than the mean full-snapshot line.
-  deltas.insert(deltas.end(), quiet_deltas.begin(), quiet_deltas.end());
+  snapshots.insert(snapshots.end(), quiet.begin(), quiet.end());
   std::ostringstream full_stream;
-  WriteSnapshotStreamJsonl(ReconstructSnapshots(deltas), full_stream);
+  WriteSnapshotStreamJsonl(snapshots, full_stream);
   const double full_per_tick =
       static_cast<double>(full_stream.str().size()) /
-      static_cast<double>(deltas.size());
+      static_cast<double>(snapshots.size());
   std::size_t quiet_bytes = full_stream.str().size();
   for (const SystemDelta& d : quiet_deltas) {
     std::ostringstream line;
@@ -279,7 +231,8 @@ TEST(Delta, JsonlRoundTripIsLossless) {
   MonitorConfig config = SmallConfig();
   SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
   monitor.CalibrateThresholds(holdout, 0.05);
-  const auto deltas = monitor.RunDelta(test);
+  const std::vector<SystemSnapshot> snapshots = monitor.Run(test);
+  const auto deltas = DiffSnapshotStream(snapshots);
 
   std::ostringstream out;
   WriteDeltaStreamJsonl(deltas, out);
@@ -287,10 +240,9 @@ TEST(Delta, JsonlRoundTripIsLossless) {
   const auto parsed = ReadDeltaStreamJsonl(in);
   ASSERT_EQ(parsed.size(), deltas.size());
 
-  // Bitwise: reconstructing the parsed stream gives exactly the
-  // snapshots of the in-memory one, and re-serializing is byte-stable.
-  ExpectStreamsEqual(ReconstructSnapshots(deltas),
-                     ReconstructSnapshots(parsed));
+  // Bitwise: reconstructing the parsed stream gives exactly Run's
+  // snapshots, and re-serializing is byte-stable.
+  ExpectStreamsEqual(snapshots, ReconstructSnapshots(parsed));
   std::ostringstream again;
   WriteDeltaStreamJsonl(parsed, again);
   EXPECT_EQ(again.str(), out.str());

@@ -2,9 +2,9 @@
 //
 // Every case runs the same scenario through the test-only reference
 // stepper and, at 1, 2 and 8 threads, through every Step overload and
-// through Run and RunDelta at several batch widths, asserting
-// bitwise-identical snapshot streams, lifetime aggregates and
-// checkpoints — see differential_util.h.
+// through Run at several batch widths, asserting bitwise-identical
+// snapshot streams, lifetime aggregates and checkpoints — see
+// differential_util.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -260,7 +260,7 @@ std::vector<SystemDelta> MakeDeltas() {
   SystemMonitor monitor(history,
                         MeasurementGraph::FullMesh(history.MeasurementCount()),
                         SmallConfig());
-  return monitor.RunDelta(test);
+  return DiffSnapshotStream(monitor.Run(test));
 }
 
 std::string EncodeAll(const std::vector<SystemDelta>& deltas) {

@@ -149,10 +149,17 @@ TEST(ThreadPool, ShardsCoverEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, ShardDecompositionIsDeterministicAndBalanced) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.ShardCountFor(0), 0u);
-  EXPECT_EQ(pool.ShardCountFor(3), 3u);
-  EXPECT_EQ(pool.ShardCountFor(100), 4u);
-  EXPECT_EQ(pool.ShardCountFor(100, 6), 6u);
+  // min(count, max_shards, or the thread count when it is 0) shards, and
+  // none for an empty range.
+  const auto shard_count = [&](std::size_t count, std::size_t max_shards) {
+    std::atomic<std::size_t> shards{0};
+    RunShards(pool, count, [&](const ShardRange&) { ++shards; }, max_shards);
+    return shards.load();
+  };
+  EXPECT_EQ(shard_count(0, 0), 0u);
+  EXPECT_EQ(shard_count(3, 0), 3u);
+  EXPECT_EQ(shard_count(100, 0), 4u);
+  EXPECT_EQ(shard_count(100, 6), 6u);
 
   Mutex mutex;
   std::vector<ShardRange> shards;
@@ -163,11 +170,10 @@ TEST(ThreadPool, ShardDecompositionIsDeterministicAndBalanced) {
   ASSERT_EQ(shards.size(), 4u);
   std::sort(shards.begin(), shards.end(),
             [](const ShardRange& a, const ShardRange& b) {
-              return a.index < b.index;
+              return a.begin < b.begin;
             });
   std::size_t expected_begin = 0;
   for (const ShardRange& r : shards) {
-    EXPECT_EQ(r.count, 4u);
     EXPECT_EQ(r.begin, expected_begin);
     // Sizes differ by at most one: 103 over 4 shards = {26, 26, 26, 25}.
     EXPECT_GE(r.Size(), 25u);

@@ -288,6 +288,15 @@ int CmdMonitor(const Flags& flags) {
     return 0;
   }
 
+  // --delta-out: the run is also written as a delta stream. A bad
+  // format fails here, before the trace is read or a model learned.
+  const std::string delta_out = flags.GetOr("delta-out", "");
+  const std::string delta_format = flags.GetOr("delta-format", "jsonl");
+  if (!delta_out.empty() && delta_format != "jsonl" &&
+      delta_format != "binary") {
+    throw std::runtime_error("--delta-format must be jsonl or binary");
+  }
+
   const MeasurementFrame frame = ReadFrameCsv(flags.Get("trace"));
   const auto train_days = flags.GetInt("train-days", 0);
   if (train_days <= 0) {
@@ -372,17 +381,9 @@ int CmdMonitor(const Flags& flags) {
     return 0;
   }
 
-  // --delta-out: run in incremental mode, persist the delta stream, and
-  // reconstruct full snapshots for the report below (the differential
-  // suite proves reconstruction bitwise-identical to a plain Run).
-  const std::string delta_out = flags.GetOr("delta-out", "");
-  std::vector<SystemSnapshot> snapshots;
+  const std::vector<SystemSnapshot> snapshots = monitor.Run(test);
   if (!delta_out.empty()) {
-    const std::string delta_format = flags.GetOr("delta-format", "jsonl");
-    if (delta_format != "jsonl" && delta_format != "binary") {
-      throw std::runtime_error("--delta-format must be jsonl or binary");
-    }
-    const std::vector<SystemDelta> deltas = monitor.RunDelta(test);
+    const std::vector<SystemDelta> deltas = DiffSnapshotStream(snapshots);
     std::ofstream out(delta_out, std::ios::binary);
     if (!out) {
       throw std::runtime_error("cannot open --delta-out file " + delta_out);
@@ -409,9 +410,6 @@ int CmdMonitor(const Flags& flags) {
                     : static_cast<double>(changed) /
                           static_cast<double>(deltas.size()),
                 graph.PairCount());
-    snapshots = ReconstructSnapshots(deltas);
-  } else {
-    snapshots = monitor.Run(test);
   }
   const std::vector<std::optional<double>> q = SystemScoreSeries(snapshots);
 
@@ -588,8 +586,8 @@ void Usage() {
       "           [--partners N] [--min-spearman R] [--threshold Q]\n"
       "           [--stream FILE]   (feed a degraded row-stream CSV and\n"
       "                              report per-measurement feed health)\n"
-      "           [--delta-out FILE] (emit the incremental JSONL delta\n"
-      "                              stream instead of full snapshots)\n"
+      "           [--delta-out FILE] (also write the run as an incremental\n"
+      "                              delta stream)\n"
       "           [--delta-format jsonl|binary] (delta stream encoding)\n"
       "  monitor  --from-deltas FILE [--threshold Q]\n"
       "           (reconstruct and report a saved delta stream; the\n"

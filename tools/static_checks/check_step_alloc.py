@@ -50,7 +50,8 @@ HOT_FUNCTIONS = {
         "SystemMonitor::Advance",
         "SystemMonitor::FilterRows",
         # Every Step assembles its rows through it. DiffSnapshots is not
-        # listed: only RunDelta calls it, and its delta vectors grow.
+        # listed: it runs after the engine, only where a delta stream
+        # is written, and its delta vectors grow.
         "SystemMonitor::AssembleRow",
         "SystemMonitor::ComputeAggregates",
     ],
