@@ -15,7 +15,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -84,11 +85,40 @@ RunCost TimeRun(SystemMonitor& monitor, const MeasurementFrame& test,
   return cost;
 }
 
+// Counts the bytes written through it and keeps none, so sizing a
+// stream adds nothing to the peak RSS the bench reports.
+class CountingBuf : public std::streambuf {
+ public:
+  std::size_t Count() const { return count_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++count_;
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    count_ += static_cast<std::size_t>(n);
+    return n;
+  }
+
+ private:
+  std::size_t count_ = 0;
+};
+
+// Bytes `write` puts on an output stream.
+template <typename Write>
+std::size_t StreamBytes(Write write) {
+  CountingBuf buf;
+  std::ostream out(&buf);
+  write(out);
+  return buf.Count();
+}
+
 std::size_t LineBytes(const std::vector<SystemDelta>& deltas,
                       std::size_t index) {
-  std::ostringstream out;
-  WriteDeltaStreamJsonl({deltas[index]}, out);
-  return out.str().size();
+  return StreamBytes([&](std::ostream& out) {
+    WriteDeltaStreamJsonl({deltas[index]}, out);
+  });
 }
 
 }  // namespace
@@ -211,17 +241,17 @@ int main() {
   const std::vector<SystemDelta> deltas = DiffSnapshotStream(snapshots);
   const double delta_run_s = clock.ElapsedSeconds();
 
-  std::ostringstream full_stream;
-  WriteSnapshotStreamJsonl(snapshots, full_stream);
+  const std::size_t full_bytes = StreamBytes([&](std::ostream& out) {
+    WriteSnapshotStreamJsonl(snapshots, out);
+  });
   // Only the last snapshot is read from here on. Freeing the rest before
-  // the delta stream is built lowers the peak RSS below, though the
+  // the delta stream is sized lowers the peak RSS below, though the
   // allocator keeps most of their pages.
   const SystemSnapshot last_snapshot = std::move(snapshots.back());
   snapshots = {};
-  const std::size_t full_bytes = full_stream.str().size();
-  std::ostringstream delta_stream;
-  WriteDeltaStreamJsonl(deltas, delta_stream);
-  const std::size_t delta_bytes = delta_stream.str().size();
+  const std::size_t delta_bytes = StreamBytes([&](std::ostream& out) {
+    WriteDeltaStreamJsonl(deltas, out);
+  });
 
   // Quiet ticks: a steady tail where every feed holds its value (with a
   // sub-cell wobble so the frozen-feed guard stays out of the way). Each

@@ -1,8 +1,5 @@
 #include "common/backoff.h"
 
-#include <chrono>
-#include <cmath>
-
 namespace pmcorr {
 
 std::size_t BackoffPolicy::DelayFor(std::size_t retry) const {
@@ -18,12 +15,6 @@ std::size_t BackoffPolicy::DelayFor(std::size_t retry) const {
   if (!(delay < static_cast<double>(cap))) return cap;
   const auto integral = static_cast<std::size_t>(delay);
   return integral < 1 ? 1 : integral;
-}
-
-std::int64_t MonotonicNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace pmcorr

@@ -1,24 +1,15 @@
-// Deterministic retry/backoff policy and an injectable monotonic clock.
+// Deterministic retry/backoff policy for the pair quarantine
+// (engine/quarantine.h), which must behave identically in production,
+// in the differential tests and under fault injection.
 //
-// Degraded-mode monitoring (engine/quarantine.h, engine/retrain_pool.h)
-// needs two primitives that must behave identically in production, in
-// the differential tests and under fault injection:
-//
-//  * BackoffPolicy — a pure function from "how many times has this
-//    failed" to "how long to wait before the next attempt", with a cap
-//    and a hard retry budget. No randomness, no wall clock: callers
-//    count in whatever unit they schedule in (the pair quarantine
-//    counts samples, so a restored checkpoint resumes the exact same
-//    retry schedule).
-//  * MonotonicClockFn — a swappable nanosecond clock for the code that
-//    does need wall time (the retrain pool's rebuild watchdog). Tests
-//    install a fake so "a rebuild has been wedged for ten minutes" is a
-//    deterministic statement, not a sleep.
+// BackoffPolicy is a pure function from "how many times has this
+// failed" to "how long to wait before the next attempt", with a cap and
+// a hard retry budget. No randomness, no wall clock: the caller counts
+// in the unit it schedules in (the quarantine counts samples, so a
+// restored checkpoint resumes the exact same retry schedule).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 
 namespace pmcorr {
 
@@ -44,12 +35,5 @@ struct BackoffPolicy {
     return retries_done >= budget;
   }
 };
-
-/// Nanoseconds on a monotonic clock. The default reads
-/// std::chrono::steady_clock; tests substitute a controllable counter.
-using MonotonicClockFn = std::function<std::int64_t()>;
-
-/// The real steady_clock, in nanoseconds since an arbitrary epoch.
-std::int64_t MonotonicNowNs();
 
 }  // namespace pmcorr

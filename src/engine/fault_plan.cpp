@@ -12,14 +12,4 @@ void EngineFaultPlan::CheckPairStep(std::size_t pair,
   }
 }
 
-void EngineFaultPlan::ApplyToRow(std::span<double> values,
-                                 std::size_t sample) const {
-  for (const PoisonFault& fault : poison_faults) {
-    if (fault.measurement < values.size() && sample >= fault.from &&
-        sample < fault.to) {
-      values[fault.measurement] = fault.value;
-    }
-  }
-}
-
 }  // namespace pmcorr

@@ -3,17 +3,16 @@
 // Distinct from telemetry/faults.h: FaultInjector perturbs the *data* a
 // collector would produce (spikes, dropouts) to create realistic
 // anomalies for the models to detect. EngineFaultPlan instead attacks
-// the *engine itself* — a pair model that throws mid-step, a poisoned
-// value slipped into a sample — so the quarantine and containment logic
-// can be proven against failures that are exactly reproducible: same
-// plan, same pair, same sample, every run.
+// the *engine itself* — a pair model that throws mid-step — so the
+// quarantine and containment logic can be proven against failures that
+// are exactly reproducible: same plan, same pair, same sample, every
+// run.
 //
 // Production monitors carry no plan (a null pointer); the check sites
 // compile to a single branch.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,8 +27,8 @@ class InjectedFault : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A scripted set of engine faults, keyed by (pair or measurement,
-/// 0-based engine sample index). Half-open ranges [from, to).
+/// A scripted set of engine faults, keyed by (pair, 0-based engine
+/// sample index). Half-open ranges [from, to).
 struct EngineFaultPlan {
   /// Pair `pair` throws InjectedFault on every step in [from, to).
   struct PairFault {
@@ -39,22 +38,8 @@ struct EngineFaultPlan {
   };
   std::vector<PairFault> pair_faults;
 
-  /// Measurement `measurement` reads `value` on every sample in
-  /// [from, to) — e.g. a NaN, an extreme outlier, or a frozen constant.
-  struct PoisonFault {
-    std::size_t measurement = 0;
-    std::size_t from = 0;
-    std::size_t to = 0;
-    double value = 0.0;
-  };
-  std::vector<PoisonFault> poison_faults;
-
   /// Throws InjectedFault if a PairFault covers (pair, sample).
   void CheckPairStep(std::size_t pair, std::size_t sample) const;
-
-  /// Overwrites `values` entries covered by a PoisonFault at `sample`
-  /// (applied by tests before handing the row to the monitor).
-  void ApplyToRow(std::span<double> values, std::size_t sample) const;
 };
 
 }  // namespace pmcorr

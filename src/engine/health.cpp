@@ -95,7 +95,6 @@ void IngestGuard::UpdateHealth(FeedState& feed, bool usable) {
 
 SampleReport IngestGuard::Filter(std::span<double> values, TimePoint tp) {
   SampleReport report;
-  if (!Enabled()) return report;
   if (values.size() != states_.size()) {
     throw std::invalid_argument("IngestGuard::Filter: value count mismatch");
   }

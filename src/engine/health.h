@@ -16,9 +16,8 @@
 // input alarmed" from "this input is gone".
 //
 // On a clean on-cadence stream the guard is bitwise invisible: values
-// pass through untouched, no state changes, and the engine's output is
-// identical to running without it (the golden-trace suite runs with the
-// guard enabled).
+// pass through untouched and every feed stays healthy, so the models
+// score exactly the caller's values.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +55,6 @@ const char* StreamEventName(StreamEvent event);
 /// is treated as frozen (real noisy telemetry never repeats a double
 /// bitwise), so clean streams are untouched.
 struct HealthConfig {
-  /// Master switch; disabled means Filter passes everything through.
-  bool enabled = true;
-
   /// Expected seconds between samples. 0 = learn it from the first two
   /// distinct timestamps (SystemMonitor seeds it from the history
   /// frame's period instead, so the guard knows the cadence from step
@@ -122,7 +118,6 @@ class IngestGuard {
   IngestGuard() = default;
   IngestGuard(std::size_t measurement_count, HealthConfig config);
 
-  bool Enabled() const { return config_.enabled && !states_.empty(); }
   const HealthConfig& Config() const { return config_; }
 
   /// Inspects (and possibly suppresses) one arriving sample. `values`

@@ -9,15 +9,14 @@ namespace pmcorr {
 
 std::vector<MachineScore> ScoreMachines(
     const std::vector<MeasurementInfo>& infos,
-    const std::vector<ScoreAverager>& measurement_averages) {
+    std::span<const std::optional<double>> measurement_scores) {
   std::map<MachineId, MachineScore> by_machine;
   for (std::size_t a = 0; a < infos.size(); ++a) {
-    if (a >= measurement_averages.size()) break;
-    const ScoreAverager& avg = measurement_averages[a];
-    if (avg.Count() == 0) continue;
+    if (a >= measurement_scores.size()) break;
+    if (!measurement_scores[a]) continue;
     MachineScore& ms = by_machine[infos[a].machine];
     ms.machine = infos[a].machine;
-    ms.score += avg.Mean();
+    ms.score += *measurement_scores[a];
     ++ms.measurements;
   }
   std::vector<MachineScore> out;
@@ -32,6 +31,18 @@ std::vector<MachineScore> ScoreMachines(
               return a.machine < b.machine;
             });
   return out;
+}
+
+std::vector<MachineScore> ScoreMachines(
+    const std::vector<MeasurementInfo>& infos,
+    const std::vector<ScoreAverager>& measurement_averages) {
+  std::vector<std::optional<double>> means(measurement_averages.size());
+  for (std::size_t a = 0; a < means.size(); ++a) {
+    if (measurement_averages[a].Count() > 0) {
+      means[a] = measurement_averages[a].Mean();
+    }
+  }
+  return ScoreMachines(infos, means);
 }
 
 LocalizationReport Localize(

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -25,9 +26,17 @@ struct MachineScore {
   std::size_t measurements = 0;
 };
 
-/// Averages per-measurement lifetime scores up to machines. Measurements
-/// with no engaged samples are skipped. Results are sorted ascending by
-/// score — suspects first.
+/// Averages per-measurement scores (higher = healthier; indexed like
+/// `infos`) up to machines. Measurements without a score are skipped, and
+/// machines with no scored measurement are absent. Results are sorted
+/// ascending by score — suspects first — with ties toward lower machine
+/// ids.
+std::vector<MachineScore> ScoreMachines(
+    const std::vector<MeasurementInfo>& infos,
+    std::span<const std::optional<double>> measurement_scores);
+
+/// The same over lifetime averagers: each scores its mean, and one with
+/// no engaged samples is skipped.
 std::vector<MachineScore> ScoreMachines(
     const std::vector<MeasurementInfo>& infos,
     const std::vector<ScoreAverager>& measurement_averages);

@@ -138,11 +138,9 @@ void SystemMonitor::CheckInvariants(bool deep) const {
                                      << quarantine_.RetiredCount()
                                      << " retired pairs exceed "
                                      << graph_.PairCount());
-  if (guard_.Enabled()) {
-    PMCORR_ASSERT(guard_.MeasurementCount() == infos_.size(),
-                  "guard tracks " << guard_.MeasurementCount() << " of "
-                                  << infos_.size() << " measurements");
-  }
+  PMCORR_ASSERT(guard_.MeasurementCount() == infos_.size(),
+                "guard tracks " << guard_.MeasurementCount() << " of "
+                                << infos_.size() << " measurements");
   PMCORR_ASSERT(std::isfinite(system_avg_.Sum()),
                 "system average sum " << system_avg_.Sum());
   PMCORR_ASSERT(system_avg_.Count() <= steps_,
@@ -200,17 +198,12 @@ void SystemMonitor::AssembleRow(std::size_t t0, std::size_t width,
     if (cell.extended) ++snap.extended_pairs;
     if (cell.skipped) ++snap.quarantined_pairs;
   }
-  snap.stream_event = StreamEvent::kNone;
-  snap.suppressed_values = 0;
-  snap.measurement_health.clear();
-  if (guard_.Enabled()) {
-    snap.stream_event = guard.reports[t].event;
-    snap.suppressed_values = guard.reports[t].suppressed;
-    snap.measurement_health.assign(
-        guard.health_timeline.begin() + static_cast<std::ptrdiff_t>(t * m),
-        guard.health_timeline.begin() +
-            static_cast<std::ptrdiff_t>((t + 1) * m));
-  }
+  snap.stream_event = guard.reports[t].event;
+  snap.suppressed_values = guard.reports[t].suppressed;
+  snap.measurement_health.assign(
+      guard.health_timeline.begin() + static_cast<std::ptrdiff_t>(t * m),
+      guard.health_timeline.begin() +
+          static_cast<std::ptrdiff_t>((t + 1) * m));
   ComputeAggregates(snap);
 }
 
@@ -298,8 +291,6 @@ void SystemMonitor::FilterRows(std::span<const std::span<const double>> cols,
   const std::size_t samples = times.size();
   const std::size_t m = infos_.size();
   g.any_break = false;
-  g.inputs.assign(cols.begin(), cols.end());
-  if (!guard_.Enabled()) return;
 
   // The guard suppresses in place, one row at a time; the filtered rows
   // land column by column so the sweep reads them like the caller's
@@ -317,6 +308,7 @@ void SystemMonitor::FilterRows(std::span<const std::span<const double>> cols,
       g.health_timeline[t * m + a] = guard_.Health(a);
     }
   }
+  g.inputs.resize(m);
   for (std::size_t a = 0; a < m; ++a) {
     g.inputs[a] = std::span<const double>(g.filtered.data() + a * samples,
                                           samples);
@@ -397,14 +389,13 @@ void SystemMonitor::Advance(std::span<const std::span<const double>> cols,
             if (fault_plan_ != nullptr) fault_plan_->CheckPairStep(i, s);
             const StepOutcome out =
                 model.Step(x[t], y[t], ScoreMode::kRankOnly);
-            quarantine_.RecordSuccess(i, s, out.outlier);
+            quarantine_.RecordSuccess(i);
             cell.fitness = out.fitness;
             cell.has_score = out.has_score;
             cell.alarm = out.alarm;
             cell.outlier = out.outlier;
             cell.extended = out.extended_grid;
           } catch (const std::exception& e) {
-            if (!quarantine_.Enabled()) throw;
             quarantine_.RecordFailure(i, s, e.what());
             cell.skipped = true;
           }
@@ -491,11 +482,6 @@ void SystemMonitor::RetirePair(std::size_t pair_index) {
     throw std::out_of_range("SystemMonitor::RetirePair: pair index " +
                             std::to_string(pair_index) + " of " +
                             std::to_string(graph_.PairCount()));
-  }
-  if (!quarantine_.Enabled()) {
-    throw std::logic_error(
-        "SystemMonitor::RetirePair: needs the quarantine disengage path "
-        "(config.quarantine.enabled)");
   }
   quarantine_.Retire(pair_index, "administratively retired");
   PMCORR_AUDIT_ONLY(CheckInvariants(/*deep=*/false);)

@@ -54,11 +54,11 @@ struct MonitorConfig {
   /// memory/latency knob.
   std::size_t batch_samples = 0;
   /// Ingest guard: degraded-stream detection in front of the models
-  /// (engine/health.h). Enabled by default; bitwise invisible on clean
-  /// on-cadence streams.
+  /// (engine/health.h). Always on; bitwise invisible on clean on-cadence
+  /// streams.
   HealthConfig health;
-  /// Per-pair circuit breaker (engine/quarantine.h). Enabled by default
-  /// for exceptions; the outlier-burst breaker stays off unless armed.
+  /// Per-pair circuit breaker (engine/quarantine.h): a pair whose step
+  /// throws is skipped for a backoff delay instead of failing the call.
   QuarantineConfig quarantine;
   /// Rolling retrain through the shared bounded pool. Off by default —
   /// a disabled knob is bitwise invisible everywhere.
@@ -177,8 +177,9 @@ class SystemMonitor {
   /// machine left the fleet). The pair is skipped from the next sample
   /// on — its snapshot slot reads disengaged, exactly like a
   /// quarantine-retired pair — while every other pair's scores stay
-  /// bitwise identical. Requires the quarantine breaker (the disengage
-  /// path) to be enabled; throws std::logic_error otherwise. Idempotent.
+  /// bitwise identical. The pair retires through the quarantine's
+  /// disengage path. Throws std::out_of_range for an index past the
+  /// graph. Idempotent.
   void RetirePair(std::size_t pair_index);
 
   /// Per-pair alarm calibration: replays a clean holdout frame through a
@@ -265,8 +266,8 @@ class SystemMonitor {
     std::vector<SampleReport> reports;               // per row
     std::vector<MeasurementHealth> health_timeline;  // rows x m
     bool any_break = false;
-    /// Per measurement: the column the sweep reads — the caller's
-    /// column, or its filtered copy when the guard is enabled.
+    /// Per measurement: the column the sweep reads, a view of
+    /// `filtered`.
     std::vector<std::span<const double>> inputs;
   };
 

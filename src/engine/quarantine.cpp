@@ -7,7 +7,6 @@ PairQuarantine::PairQuarantine(std::size_t pair_count, QuarantineConfig config)
 
 PairQuarantine::Decision PairQuarantine::BeginStep(std::size_t i,
                                                    std::size_t sample) {
-  if (!Enabled()) return Decision::kRun;
   PairState& pair = pairs_[i];
   switch (pair.state) {
     case State::kActive:
@@ -25,9 +24,7 @@ PairQuarantine::Decision PairQuarantine::BeginStep(std::size_t i,
   return Decision::kRun;
 }
 
-void PairQuarantine::RecordSuccess(std::size_t i, std::size_t sample,
-                                   bool outlier) {
-  if (!Enabled()) return;
+void PairQuarantine::RecordSuccess(std::size_t i) {
   PairState& pair = pairs_[i];
   if (pair.probation) {
     // Probation survived: re-admit. The retry counter is deliberately
@@ -36,22 +33,10 @@ void PairQuarantine::RecordSuccess(std::size_t i, std::size_t sample,
     pair.probation = false;
     pair.state = State::kActive;
   }
-  if (config_.outlier_burst > 0) {
-    if (outlier) {
-      if (++pair.outlier_run >= config_.outlier_burst) {
-        Trip(pair, sample,
-             "outlier burst of " + std::to_string(pair.outlier_run));
-        return;
-      }
-    } else {
-      pair.outlier_run = 0;
-    }
-  }
 }
 
 void PairQuarantine::RecordFailure(std::size_t i, std::size_t sample,
                                    const std::string& what) {
-  if (!Enabled()) return;
   PairState& pair = pairs_[i];
   pair.probation = false;
   Trip(pair, sample, what);
@@ -64,14 +49,12 @@ void PairQuarantine::Retire(std::size_t i, const std::string& why) {
   pair.state = State::kRetired;
   pair.last_error = why;
   pair.probation = false;
-  pair.outlier_run = 0;
 }
 
 void PairQuarantine::Trip(PairState& pair, std::size_t sample,
                           const std::string& why) {
   ++pair.trips;
   pair.last_error = why;
-  pair.outlier_run = 0;
   pair.probation = false;
   if (config_.backoff.Exhausted(pair.retries)) {
     pair.state = State::kRetired;

@@ -1,13 +1,9 @@
 // Pair quarantine: a per-pair circuit breaker with exponential backoff.
 //
-// One misbehaving pair model must not take down the fleet. Two failure
-// modes trip the breaker:
-//
-//  * an exception escaping the pair's Step (a CheckFailure from an
-//    audit-build invariant, or an injected engine fault) — always armed;
-//  * a run of consecutive outlier observations longer than
-//    `outlier_burst` (a feed spewing garbage that passes parsing) —
-//    opt-in, 0 disables it.
+// One misbehaving pair model must not take down the fleet. An exception
+// escaping the pair's Step (a CheckFailure from an audit-build
+// invariant, or an injected engine fault) trips the breaker; outliers
+// never do, since they are a scored, expected part of the paper's model.
 //
 // A tripped pair is quarantined: its Step is skipped (its snapshot slot
 // is disengaged, exactly as if the sample were missing) while every
@@ -35,16 +31,6 @@ namespace pmcorr {
 
 /// Circuit-breaker policy for one monitor's pairs.
 struct QuarantineConfig {
-  /// Master switch. Disabled means exceptions propagate out of the
-  /// monitor exactly as they did before quarantine existed.
-  bool enabled = true;
-
-  /// Quarantine a pair after this many *consecutive* outlier
-  /// observations. 0 (default) disables the outlier breaker — outliers
-  /// are a scored, expected part of the paper's model, so only streams
-  /// known to spew garbage should arm this.
-  std::size_t outlier_burst = 0;
-
   /// Retry schedule, counted in samples.
   BackoffPolicy backoff;
 };
@@ -69,15 +55,14 @@ class PairQuarantine {
   PairQuarantine() = default;
   PairQuarantine(std::size_t pair_count, QuarantineConfig config);
 
-  bool Enabled() const { return config_.enabled && !pairs_.empty(); }
   const QuarantineConfig& Config() const { return config_; }
 
   /// Worker-side: decide pair `i`'s fate at (0-based) sample `sample`.
   Decision BeginStep(std::size_t i, std::size_t sample);
 
-  /// Worker-side: pair `i` stepped without throwing. `outlier` feeds the
-  /// burst breaker; a probation success re-admits the pair.
-  void RecordSuccess(std::size_t i, std::size_t sample, bool outlier);
+  /// Worker-side: pair `i` stepped without throwing. A probation success
+  /// re-admits the pair.
+  void RecordSuccess(std::size_t i);
 
   /// Worker-side: pair `i`'s step threw `what`. Quarantines (or, once
   /// the budget is spent, retires) the pair.
@@ -110,9 +95,9 @@ class PairQuarantine {
   /// Serial-side aggregates (scan the state vector).
   std::size_t QuarantinedCount() const;
   std::size_t RetiredCount() const;
-  /// Total trips recorded across all pairs (exceptions + bursts).
+  /// Total trips recorded across all pairs.
   std::size_t TripCount() const;
-  /// True once any pair has ever tripped (exception or outlier burst).
+  /// True once any pair has ever tripped.
   bool AnyTripped() const;
 
  private:
@@ -123,10 +108,8 @@ class PairQuarantine {
     std::size_t retry_at = 0;
     /// Retries consumed against the backoff budget.
     std::size_t retries = 0;
-    /// Lifetime trips (exception or outlier burst).
+    /// Lifetime trips.
     std::size_t trips = 0;
-    /// Current consecutive-outlier run (burst breaker).
-    std::size_t outlier_run = 0;
     /// True while the pair is on the probation step that follows a
     /// backoff delay.
     bool probation = false;

@@ -8,33 +8,27 @@
 // always lives with the caller — SystemMonitor's models_ array, via
 // MonitorConfig::retrain — which feeds each sample to Observe and swaps
 // in a finished rebuild from TakeAdoptable at a sample boundary, so
-// every sample is judged by exactly one model. A failed or abandoned
-// rebuild leaves the caller serving its current model. One FIFO work
-// queue is drained by a fixed number of workers, so the thread count is
-// a deployment constant, independent of pair count.
+// every sample is judged by exactly one model. A failed rebuild is
+// counted and leaves the caller serving its current model; the pair
+// tries again at its next cadence. One FIFO work queue is drained by a
+// fixed number of workers, so the thread count is a deployment
+// constant, independent of pair count.
 //
 // Fairness: the queue is strictly FIFO and a pair occupies at most one
 // slot (queued, running, or awaiting adoption) at a time, so every pair
 // whose cadence fires gets its rebuild before any pair goes twice.
-// A wedged rebuild cannot starve the queue either: the watchdog writes
-// the attempt off and spawns a replacement worker; the doomed worker
-// discards its result and exits when the wedged build finally returns,
-// restoring the bounded count.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/mutex.h"
 #include "common/time.h"
 #include "core/model.h"
@@ -47,8 +41,7 @@ using RebuildFn = std::function<PairModel(
     std::span<const double> x, std::span<const double> y,
     const ModelConfig& config)>;
 
-/// Pool-wide rebuild policy: the cadence, the worker count and a failure
-/// backoff.
+/// Pool-wide rebuild policy: the cadence and the worker count.
 struct RetrainPoolConfig {
   /// Worker threads draining the rebuild queue. The deployment knob:
   /// fixed, independent of how many pairs the pool serves.
@@ -59,26 +52,8 @@ struct RetrainPoolConfig {
   std::size_t interval_samples = static_cast<std::size_t>(kSamplesPerDay);
   /// Never rebuild from fewer buffered samples than this.
   std::size_t min_samples = static_cast<std::size_t>(kSamplesPerDay) / 2;
-  /// Watchdog: a rebuild still running after this many milliseconds is
-  /// abandoned — its result is discarded, the pair's slot reopens, and a
-  /// replacement worker keeps the queue draining. 0 disables it.
-  std::int64_t watchdog_ms = 0;
-  /// Retry schedule after failed rebuilds, counted in the failing pair's
-  /// own samples on top of the normal cadence; once the budget is spent
-  /// the pair gives up for good (it keeps serving its last good model).
-  /// The default — no delay, unlimited budget — retries at every
-  /// cadence, forever.
-  BackoffPolicy failure_backoff{
-      .base = 0,
-      .multiplier = 1.0,
-      .cap = 0,
-      .budget = std::numeric_limits<std::size_t>::max()};
-  /// Clock the watchdog measures with; tests install a fake. Empty =
-  /// steady_clock.
-  MonotonicClockFn clock;
   /// Fault/test seam: replaces PairModel::Learn for rebuilds. A throwing
-  /// override exercises the failure path; a slow one (with a fake clock)
-  /// the watchdog.
+  /// override exercises the failure path.
   RebuildFn rebuild_override;
 };
 
@@ -112,20 +87,16 @@ class RetrainPool {
   /// rebuild learns from exactly the stream that model saw; missing
   /// (non-finite) samples are buffered too and re-break the sequence on
   /// replay. The cadence is due once interval_samples samples have
-  /// passed since the last enqueue and the window holds min_samples.
-  /// While it is due, each sample first counts down any failure-backoff
-  /// cooldown, so a retry lands interval + cooldown samples after the
-  /// failed attempt was queued; an occupied slot (queued, running or
-  /// awaiting adoption) defers it sample by sample. Every due sample also
-  /// runs the watchdog over all in-flight rebuilds, so any pair's cadence
-  /// can write off any wedged build.
+  /// passed since the last enqueue and the window holds min_samples; an
+  /// occupied slot (queued, running or awaiting adoption) defers it
+  /// sample by sample. A failed rebuild frees the slot, so the pair
+  /// retries at its next cadence.
   void Observe(std::size_t i, double x, double y) PMCORR_EXCLUDES(mu_);
 
   /// Returns pair i's finished rebuild, to swap in at a sample boundary,
   /// or nullptr when none is pending. The no-rebuild fast path is a
   /// single atomic load — no lock — so a shard-scale caller can poll
-  /// every pair every tick. Also runs the watchdog when it does take the
-  /// lock.
+  /// every pair every tick.
   std::unique_ptr<PairModel> TakeAdoptable(std::size_t i)
       PMCORR_EXCLUDES(mu_);
 
@@ -140,28 +111,24 @@ class RetrainPool {
   }
 
   std::size_t FailedRebuilds(std::size_t i) const PMCORR_EXCLUDES(mu_);
-  std::size_t AbandonedRebuilds(std::size_t i) const PMCORR_EXCLUDES(mu_);
   /// Message of pair i's most recent failed rebuild ("" if none).
   std::string LastRebuildError(std::size_t i) const PMCORR_EXCLUDES(mu_);
-  /// True while pair i has a rebuild queued or running (an abandoned one
-  /// no longer counts, even if its doomed worker is still grinding).
+  /// True while pair i has a rebuild queued or running.
   bool RebuildInFlight(std::size_t i) const PMCORR_EXCLUDES(mu_);
-  /// True once pair i spent its failure budget and stopped retrying.
-  bool GaveUp(std::size_t i) const PMCORR_EXCLUDES(mu_);
 
   /// Rebuilds currently waiting in the queue.
   std::size_t QueueDepth() const PMCORR_EXCLUDES(mu_);
-  /// Live worker threads: config threads, plus replacements for wedged
-  /// workers that have not finished grinding yet.
-  std::size_t ThreadCount() const PMCORR_EXCLUDES(mu_);
+  /// Worker threads: config threads (at least one), fixed for the
+  /// pool's life.
+  std::size_t ThreadCount() const { return workers_.size(); }
 
   /// Test hook: blocks until pair i's queued or running rebuild has
-  /// produced its pending model, failed, or been abandoned. The model is
-  /// still only handed out by TakeAdoptable.
+  /// produced its pending model or failed. The model is still only
+  /// handed out by TakeAdoptable.
   void WaitForPair(std::size_t i) PMCORR_EXCLUDES(mu_);
 
-  /// Test hook: blocks until the queue is empty and no non-abandoned
-  /// rebuild is running.
+  /// Test hook: blocks until the queue is empty and no rebuild is
+  /// running.
   void WaitForIdle() PMCORR_EXCLUDES(mu_);
 
  private:
@@ -176,23 +143,11 @@ class RetrainPool {
     // Shared state — guarded by the pool mutex (mu_). Clang's analysis
     // cannot attach a foreign object's capability to these members
     // (GUARDED_BY must name a mutex reachable from the declaration), so
-    // the contract is enforced one level up instead: every function
-    // that touches them is either a *Locked helper annotated
-    // PMCORR_REQUIRES(mu_) or takes a MutexLock on mu_ first.
+    // the contract is kept one level up instead: every function that
+    // touches them holds mu_ while it does.
     bool queued = false;
     bool running = false;
-    /// The in-flight rebuild was abandoned by the watchdog: its result
-    /// must be discarded and the slot counts as free.
-    bool abandoned_current = false;
-    bool given_up = false;
-    std::uint64_t current_token = 0;
-    std::int64_t busy_since_ns = 0;
     std::size_t failed = 0;
-    std::size_t abandoned = 0;
-    std::size_t failures_in_row = 0;
-    /// Samples of this pair still to pass before the next retry
-    /// (failure backoff).
-    std::size_t cooldown_remaining = 0;
     std::string last_error;
     std::vector<double> job_x;
     std::vector<double> job_y;
@@ -204,11 +159,7 @@ class RetrainPool {
   };
 
   void WorkerLoop();
-  /// Abandons every in-flight rebuild past the watchdog deadline and
-  /// spawns replacement workers.
-  void CheckWatchdogsLocked() PMCORR_REQUIRES(mu_);
   PairModel Rebuild(std::span<const double> x, std::span<const double> y);
-  std::int64_t NowNs() const;
 
   ModelConfig model_config_;
   RetrainPoolConfig config_;
@@ -225,17 +176,11 @@ class RetrainPool {
   CondVar idle_cv_;  // wakes WaitForPair/WaitForIdle
   /// FIFO of pair indices.
   std::deque<std::size_t> queue_ PMCORR_GUARDED_BY(mu_);
-  /// Pairs with a (running && !abandoned) build — the watchdog's scan
-  /// set, bounded by the live worker count.
-  std::vector<std::size_t> running_pairs_ PMCORR_GUARDED_BY(mu_);
-  /// Appended under mu_ by the watchdog (replacement workers); only the
-  /// destructor iterates, after every worker has been told to stop.
-  std::vector<std::thread> workers_ PMCORR_GUARDED_BY(mu_);
-  std::uint64_t token_counter_ PMCORR_GUARDED_BY(mu_) = 0;
-  /// Running and not abandoned.
   std::size_t active_builds_ PMCORR_GUARDED_BY(mu_) = 0;
-  std::size_t live_workers_ PMCORR_GUARDED_BY(mu_) = 0;
   bool stop_ PMCORR_GUARDED_BY(mu_) = false;
+  /// Filled by the constructor and joined by the destructor; nothing
+  /// else touches the roster.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace pmcorr

@@ -87,37 +87,6 @@ DetectionOutcome ScoreHealth(const std::vector<std::optional<double>>& health,
   return EvaluateDetection(windows, d.truth, config.grace);
 }
 
-/// Machine ranking from per-measurement health-like scores (higher =
-/// healthier); measurements without a score are skipped, machines with
-/// no scored measurement are absent — the LocalizationRankOf convention
-/// then applies. Ascending by score, suspects first; ties break toward
-/// lower machine ids for determinism.
-std::vector<MachineScore> RankByMeasurementScores(
-    const MeasurementFrame& frame,
-    const std::vector<std::optional<double>>& scores) {
-  std::vector<MachineScore> ranking;
-  for (MachineId machine : frame.Machines()) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (MeasurementId mid : frame.MeasurementsOn(machine)) {
-      const auto& s = scores[static_cast<std::size_t>(mid.value)];
-      if (s) {
-        sum += *s;
-        ++n;
-      }
-    }
-    if (n > 0) {
-      ranking.push_back({machine, sum / static_cast<double>(n), n});
-    }
-  }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const MachineScore& a, const MachineScore& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.machine < b.machine;
-            });
-  return ranking;
-}
-
 DetectorScore Finish(std::string detector, const QualityScenario& s,
                      DetectionOutcome outcome,
                      const std::vector<MachineScore>& ranking) {
@@ -335,7 +304,7 @@ DetectorScore RunPmcorr(const QualityScenario& s, const ScenarioData& d,
       }
     }
     return Finish("pmcorr", s, outcome,
-                  RankByMeasurementScores(d.full, per_measurement));
+                  ScoreMachines(d.full.Infos(), per_measurement));
   }
   const LocalizationReport report =
       Localize(monitor.Infos(), monitor.MeasurementAverages());
@@ -397,7 +366,7 @@ DetectorScore RunPerMeasurement(const std::string& name,
     }
   }
   return Finish(name, s, outcome,
-                RankByMeasurementScores(d.full, per_measurement));
+                ScoreMachines(d.full.Infos(), per_measurement));
 }
 
 DetectorScore RunEwma(const QualityScenario& s, const ScenarioData& d,
@@ -483,7 +452,7 @@ DetectorScore RunPairwise(const std::string& name, const QualityScenario& s,
     }
   }
   return Finish(name, s, outcome,
-                RankByMeasurementScores(d.full, per_measurement));
+                ScoreMachines(d.full.Infos(), per_measurement));
 }
 
 DetectorScore RunGmm(const QualityScenario& s, const ScenarioData& d,
@@ -591,7 +560,7 @@ DetectorScore RunSubspace(const QualityScenario& s, const ScenarioData& d,
     per_measurement[m] = 1.0 / (1.0 + sums[m] / denom);
   }
   return Finish("subspace", s, outcome,
-                RankByMeasurementScores(d.full, per_measurement));
+                ScoreMachines(d.full.Infos(), per_measurement));
 }
 
 void AppendNumber(std::ostringstream& out, const std::string& key,

@@ -54,8 +54,8 @@ struct SystemSnapshot {
   /// engine-side observability only — they are not part of the JSONL
   /// snapshot-stream format or the checkpoint format.
   StreamEvent stream_event = StreamEvent::kNone;
-  /// Per-measurement feed health after this sample; empty when the
-  /// ingest guard is disabled.
+  /// Per-measurement feed health after this sample, indexed by
+  /// measurement id.
   std::vector<MeasurementHealth> measurement_health;
   /// Values the guard suppressed to NaN at this sample.
   std::size_t suppressed_values = 0;
@@ -112,8 +112,8 @@ struct SystemDelta {
   std::size_t suppressed_values = 0;
   std::size_t quarantined_pairs = 0;
 
-  /// True when the ingest guard tracks feed health (reconstruction then
-  /// materializes a full health vector; otherwise it stays empty).
+  /// True when the snapshot carries a feed-health vector (reconstruction
+  /// then materializes a full health vector; otherwise it stays empty).
   bool has_health = false;
   /// Feeds whose health changed (baseline: every non-kHealthy feed).
   std::vector<HealthChange> health_changes;

@@ -57,7 +57,8 @@ struct HelloRequest {
 struct HelloReply {
   std::uint32_t tenant_index = 0;
   std::uint32_t measurement_count = 0;
-  /// The ingest guard's expected cadence (0 when the guard is off).
+  /// The ingest guard's expected cadence (0 until the guard has one: a
+  /// restored monitor learns it from its first two live rows).
   std::int64_t expected_period = 0;
 };
 
@@ -113,7 +114,8 @@ struct SummaryReply {
   std::int64_t time = 0;
   std::optional<double> system_score;
   std::vector<std::optional<double>> measurement_scores;
-  /// Empty when the ingest guard is off.
+  /// The ingest guard's feed health, one entry per measurement (empty
+  /// without a snapshot).
   std::vector<MeasurementHealth> measurement_health;
   std::vector<std::uint32_t> alarmed_pairs;
 };

@@ -100,8 +100,7 @@ bool ServeSession::HandleHello(const Frame& frame, std::string& out) {
   reply.tenant_index = static_cast<std::uint32_t>(tenant_index_);
   reply.measurement_count =
       static_cast<std::uint32_t>(tenant->Monitor().MeasurementCount());
-  const IngestGuard& guard = tenant->Monitor().Health();
-  reply.expected_period = guard.Enabled() ? guard.ExpectedPeriod() : 0;
+  reply.expected_period = tenant->Monitor().Health().ExpectedPeriod();
   payload_scratch_.clear();
   EncodeHelloReply(reply, payload_scratch_);
   AppendFrame(kFrameHelloOk, payload_scratch_, out);

@@ -64,8 +64,7 @@ class ReferenceStepper {
   /// the previous call.
   SystemSnapshot Step(std::span<const double> values, TimePoint tp) {
     std::vector<double> row(values.begin(), values.end());
-    SampleReport report;
-    if (guard_.Enabled()) report = guard_.Filter(row, tp);
+    const SampleReport report = guard_.Filter(row, tp);
     // A gap, duplicate or out-of-order arrival breaks every pair's
     // transition chain, skipped pairs included.
     if (report.sequence_break) {
@@ -95,18 +94,17 @@ class ReferenceStepper {
         const StepOutcome out =
             models_[i].Step(row[static_cast<std::size_t>(pair.a.value)],
                             row[static_cast<std::size_t>(pair.b.value)]);
-        quarantine_.RecordSuccess(i, steps_, out.outlier);
+        quarantine_.RecordSuccess(i);
         if (out.has_score) snap.pair_scores[i] = out.fitness;
         if (out.alarm) snap.alarmed_pairs.push_back(i);
         if (out.outlier) ++snap.outlier_pairs;
         if (out.extended_grid) ++snap.extended_pairs;
       } catch (const std::exception& e) {
-        if (!quarantine_.Enabled()) throw;
         quarantine_.RecordFailure(i, steps_, e.what());
         ++snap.quarantined_pairs;
       }
     }
-    if (guard_.Enabled()) snap.measurement_health = guard_.HealthStates();
+    snap.measurement_health = guard_.HealthStates();
 
     // Q^a: mean of the engaged pair scores on a's links; Q: mean of the
     // engaged Q^a.

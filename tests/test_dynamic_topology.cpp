@@ -238,18 +238,11 @@ TEST_F(DynamicTopologyTest, AddPairRejectsInvalidPairs) {
   EXPECT_THROW(dyn.AddPair(kLatePair, narrow), std::invalid_argument);
 }
 
-TEST_F(DynamicTopologyTest, RetirePairRejectsBadIndexAndDisabledQuarantine) {
+TEST_F(DynamicTopologyTest, RetirePairRejectsBadIndex) {
   SystemMonitor dyn(history_,
                     MeasurementGraph::FromPairs(kMeasurements, FullPairSet()),
                     SmallConfig());
   EXPECT_THROW(dyn.RetirePair(FullPairSet().size()), std::out_of_range);
-
-  MonitorConfig no_quarantine = SmallConfig();
-  no_quarantine.quarantine.enabled = false;
-  SystemMonitor bare(history_,
-                     MeasurementGraph::FromPairs(kMeasurements, FullPairSet()),
-                     no_quarantine);
-  EXPECT_THROW(bare.RetirePair(0), std::logic_error);
 }
 
 }  // namespace

@@ -252,19 +252,6 @@ TEST(IngestGuard, ResetTimingForgetsClockAndFrozenRuns) {
   EXPECT_EQ(guard.SuppressedTotal(), 1u);
 }
 
-TEST(IngestGuard, DisabledGuardIsInert) {
-  HealthConfig config = Seeded();
-  config.enabled = false;
-  IngestGuard guard(2, config);
-  std::vector<double> v = {1.0, 2.0};
-  guard.Filter(v, kPeriod);
-  const SampleReport report = guard.Filter(v, kPeriod);  // duplicate ts
-  EXPECT_EQ(report.event, StreamEvent::kNone);
-  EXPECT_FALSE(report.sequence_break);
-  EXPECT_EQ(v[0], 1.0);
-  EXPECT_FALSE(guard.Enabled());
-}
-
 TEST(IngestGuard, RejectsBadConfigAndMismatchedRows) {
   HealthConfig config;
   config.late_factor = 0.5;

@@ -42,7 +42,7 @@ TEST(PairQuarantine, TripBacksOffThenProbationReadmits) {
   }
   EXPECT_EQ(quarantine.BeginStep(0, 15),
             PairQuarantine::Decision::kRunAfterReset);
-  quarantine.RecordSuccess(0, 15, /*outlier=*/false);
+  quarantine.RecordSuccess(0);
   EXPECT_EQ(quarantine.StateOf(0), PairQuarantine::State::kActive);
   EXPECT_EQ(quarantine.TripCount(), 1u);
   EXPECT_EQ(quarantine.QuarantinedCount(), 0u);
@@ -55,7 +55,7 @@ TEST(PairQuarantine, ReadmissionDoesNotRefundTheRetryBudget) {
   quarantine.RecordFailure(0, 0, "first");
   EXPECT_EQ(quarantine.BeginStep(0, 5),
             PairQuarantine::Decision::kRunAfterReset);
-  quarantine.RecordSuccess(0, 5, false);  // re-admitted
+  quarantine.RecordSuccess(0);  // re-admitted
   // The next trip schedules with DelayFor(1) = 8, not base: the budget
   // keeps walking toward retirement across readmissions.
   quarantine.RecordFailure(0, 20, "second");
@@ -117,7 +117,7 @@ TEST(PairQuarantine, LateProbationLongAfterExpiryStillReadmits) {
   quarantine.RecordFailure(0, 0, "boom");  // retry_at = 5
   EXPECT_EQ(quarantine.BeginStep(0, 500),
             PairQuarantine::Decision::kRunAfterReset);
-  quarantine.RecordSuccess(0, 500, /*outlier=*/false);
+  quarantine.RecordSuccess(0);
   EXPECT_EQ(quarantine.StateOf(0), PairQuarantine::State::kActive);
 }
 
@@ -129,34 +129,6 @@ TEST(PairQuarantine, ZeroRetryBudgetRetiresOnFirstTrip) {
   EXPECT_TRUE(quarantine.IsRetired(0));
   EXPECT_EQ(quarantine.TripCount(), 1u);
   EXPECT_EQ(quarantine.BeginStep(0, 1000), PairQuarantine::Decision::kSkip);
-}
-
-TEST(PairQuarantine, OutlierBurstBreakerNeedsConsecutiveOutliers) {
-  QuarantineConfig config = FastBackoff();
-  config.outlier_burst = 3;
-  PairQuarantine quarantine(1, config);
-  // Interrupted runs never trip.
-  quarantine.RecordSuccess(0, 0, true);
-  quarantine.RecordSuccess(0, 1, true);
-  quarantine.RecordSuccess(0, 2, false);
-  quarantine.RecordSuccess(0, 3, true);
-  quarantine.RecordSuccess(0, 4, true);
-  EXPECT_EQ(quarantine.StateOf(0), PairQuarantine::State::kActive);
-  // The third consecutive outlier trips.
-  quarantine.RecordSuccess(0, 5, true);
-  EXPECT_TRUE(quarantine.IsQuarantined(0));
-  EXPECT_NE(quarantine.LastError(0).find("outlier burst"), std::string::npos);
-  EXPECT_TRUE(quarantine.AnyTripped());
-}
-
-TEST(PairQuarantine, DisabledIsPassive) {
-  QuarantineConfig config;
-  config.enabled = false;
-  PairQuarantine quarantine(3, config);
-  EXPECT_FALSE(quarantine.Enabled());
-  quarantine.RecordFailure(0, 0, "ignored");
-  EXPECT_EQ(quarantine.BeginStep(0, 1), PairQuarantine::Decision::kRun);
-  EXPECT_EQ(quarantine.TripCount(), 0u);
 }
 
 // --- Monitor integration -------------------------------------------------
@@ -320,54 +292,6 @@ TEST(MonitorQuarantine, StepAndRunAgreeUnderFaults) {
   c.config.quarantine.backoff.base = 2;
   c.fault_plan = &plan;
   difftest::ExpectEngineMatchesReference(c);
-}
-
-TEST(MonitorQuarantine, OutlierBurstTripsOnPoisonedFeed) {
-  const MeasurementFrame history = SystemFrame(1200, 17);
-  MonitorConfig config = SmallConfig();
-  config.quarantine.outlier_burst = 4;
-  config.quarantine.backoff.base = 1000;  // stay quarantined for the test
-  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
-
-  // Measurement 3 starts spewing garbage far outside any learned grid:
-  // every pair touching it sees a run of consecutive outliers.
-  EngineFaultPlan plan;
-  plan.poison_faults.push_back({3, 10, 30, 1.0e9});
-  const MeasurementFrame test = SystemFrame(30, 19);
-  std::vector<double> values(4);
-  std::vector<SystemSnapshot> snaps;
-  for (std::size_t t = 0; t < test.SampleCount(); ++t) {
-    for (std::size_t a = 0; a < 4; ++a) {
-      values[a] = test.Value(MeasurementId(static_cast<std::int32_t>(a)), t);
-    }
-    plan.ApplyToRow(values, t);
-    snaps.push_back(monitor.Step(values, test.TimeAt(t)));
-  }
-
-  // Pairs (0,3), (1,3), (2,3) are pair indices 2, 4, 5 in FullMesh(4).
-  for (std::size_t i : {2u, 4u, 5u}) {
-    EXPECT_TRUE(monitor.Quarantine().IsQuarantined(i)) << "pair " << i;
-    EXPECT_NE(monitor.Quarantine().LastError(i).find("outlier burst"),
-              std::string::npos);
-  }
-  for (std::size_t i : {0u, 1u, 3u}) {
-    EXPECT_EQ(monitor.Quarantine().StateOf(i),
-              PairQuarantine::State::kActive);
-  }
-  EXPECT_GE(snaps.back().quarantined_pairs, 3u);
-}
-
-TEST(MonitorQuarantine, DisabledQuarantineLetsFaultsPropagate) {
-  const MeasurementFrame history = SystemFrame(900, 23);
-  MonitorConfig config = SmallConfig();
-  config.quarantine.enabled = false;
-  SystemMonitor monitor(history, MeasurementGraph::FullMesh(4), config);
-  EngineFaultPlan plan;
-  plan.pair_faults.push_back({3, 0, 100});
-  monitor.SetFaultPlanForTest(&plan);
-  const std::vector<double> v = {60.0, 57.0, 170.0, 83.0};
-  EXPECT_THROW(monitor.Step(v, 0), InjectedFault);
-  EXPECT_THROW(monitor.Run(SystemFrame(10, 25)), InjectedFault);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 // sample boundary.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -14,7 +12,6 @@
 #include <stdexcept>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -240,86 +237,9 @@ TEST(RetrainPool, TracksDriftBetterThanFrozenModelDespiteMissingSamples) {
   EXPECT_EQ(pool.FailedRebuilds(0), 0u);
 }
 
-TEST(RetrainPool, WatchdogAbandonsWedgedRebuildWithoutStarvingQueue) {
-  std::vector<double> xs, ys;
-  MakeDrifting(300, 0.0, 29, &xs, &ys);
-
-  // Deterministic time: the watchdog reads this fake clock, so "wedged
-  // past the deadline" is an explicit statement, not a sleep race.
-  std::atomic<std::int64_t> now_ns{0};
-  std::atomic<bool> release{false};
-  std::atomic<int> rebuild_calls{0};
-  RetrainPoolConfig config = FastPool(1);
-  config.watchdog_ms = 10;
-  config.clock = [&now_ns] { return now_ns.load(); };
-  config.rebuild_override = [&](std::span<const double> x,
-                                std::span<const double> y,
-                                const ModelConfig& model_config) {
-    if (rebuild_calls.fetch_add(1) == 0) {
-      // First rebuild (pair 0) wedges until the test releases it.
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    return PairModel::Learn(x, y, model_config);
-  };
-  RetrainPool pool(SmallModel(), config);
-  // Destroyed before the pool: a failed assertion below unwedges the
-  // worker, so the pool's destructor can join it.
-  struct Unwedge {
-    std::atomic<bool>& flag;
-    ~Unwedge() { flag.store(true); }
-  } unwedge{release};
-  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
-  ASSERT_EQ(pool.RegisterWindow(xs, ys), 1u);
-
-  // Fire pair 0's cadence and wait for the single worker to wedge on it,
-  // then fire pair 1's cadence: it queues behind the wedged build.
-  // Observe keeps returning throughout.
-  ObserveRange(pool, 0, xs, ys, 0, 100);
-  while (rebuild_calls.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(pool.RebuildInFlight(0));
-  ObserveRange(pool, 1, xs, ys, 0, 100);
-  EXPECT_TRUE(pool.RebuildInFlight(1));
-
-  // Past the deadline, pair 1's next due cadence check writes the wedged
-  // build off (its own slot is still queued, so it defers), and a
-  // replacement worker drains pair 1's rebuild — the queue is not
-  // starved even though the doomed worker is still grinding.
-  now_ns.fetch_add(20 * 1'000'000);  // 20ms > watchdog_ms
-  ObserveRange(pool, 1, xs, ys, 100, 200);
-  ASSERT_EQ(pool.AbandonedRebuilds(0), 1u);
-  EXPECT_FALSE(pool.RebuildInFlight(0));
-  ASSERT_GE(pool.ThreadCount(), 2u);  // doomed worker + replacement
-  pool.WaitForPair(1);                // must return, not hang
-  EXPECT_NE(pool.TakeAdoptable(1), nullptr);
-  EXPECT_EQ(pool.Rebuilds(1), 1u);
-  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
-
-  // Unwedge: the abandoned result is discarded, never adopted, and the
-  // worker count settles back to the configured bound.
-  release.store(true);
-  pool.WaitForIdle();
-  while (pool.ThreadCount() != 1u) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);
-
-  // Pair 0's slot reopened: its next cadence rebuilds and adopts.
-  ObserveRange(pool, 0, xs, ys, 100, 200);
-  pool.WaitForPair(0);
-  EXPECT_NE(pool.TakeAdoptable(0), nullptr);
-  EXPECT_EQ(pool.Rebuilds(0), 1u);
-  EXPECT_EQ(pool.AbandonedRebuilds(0), 1u);
-}
-
-TEST(RetrainPool, DefaultBackoffRetriesAtEveryCadence) {
-  // The default failure backoff has no delay and no budget: a throwing
-  // rebuild is counted, the caller keeps serving its model, and the very
-  // next cadence tries again.
+TEST(RetrainPool, FailedRebuildRetriesAtNextCadence) {
+  // A throwing rebuild is counted, the caller keeps serving its model,
+  // and the very next cadence tries again.
   std::vector<double> xs, ys;
   MakeDrifting(300, 0.0, 19, &xs, &ys);
   RetrainPoolConfig config = FastPool(1);
@@ -349,84 +269,8 @@ TEST(RetrainPool, DefaultBackoffRetriesAtEveryCadence) {
   EXPECT_EQ(pool.FailedRebuilds(0), 2u);
   EXPECT_EQ(pool.Rebuilds(0), 0u);
   EXPECT_FALSE(pool.RebuildInFlight(0));
-  EXPECT_FALSE(pool.GaveUp(0));
   EXPECT_NE(pool.LastRebuildError(0).find("kaboom"), std::string::npos);
   EXPECT_GT(scored, 200u);
-}
-
-TEST(RetrainPool, FailureBackoffDelaysRetry) {
-  // One cadence rule: after a failure the cooldown is counted down only
-  // while the cadence is due, so the retry is queued interval + cooldown
-  // samples after the failed attempt — at sample 100 + 100 + 150.
-  std::vector<double> xs, ys;
-  MakeDrifting(300, 0.0, 31, &xs, &ys);
-  std::atomic<int> rebuild_calls{0};
-  RetrainPoolConfig config = FastPool(1);
-  config.failure_backoff = {.base = 150,
-                            .multiplier = 1.0,
-                            .cap = 150,
-                            .budget = SIZE_MAX};
-  config.rebuild_override = [&](std::span<const double>,
-                                std::span<const double>,
-                                const ModelConfig&) -> PairModel {
-    rebuild_calls.fetch_add(1);
-    throw std::runtime_error("injected rebuild failure");
-  };
-  RetrainPool pool(SmallModel(), config);
-  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
-
-  ObserveRange(pool, 0, xs, ys, 0, 100);
-  pool.WaitForPair(0);
-  EXPECT_EQ(pool.FailedRebuilds(0), 1u);
-  EXPECT_NE(pool.LastRebuildError(0).find("injected"), std::string::npos);
-
-  // Past the normal cadence (sample 200) and up to the last cooldown
-  // sample: no retry fires.
-  ObserveRange(pool, 0, xs, ys, 100, 349);
-  pool.WaitForIdle();
-  EXPECT_EQ(rebuild_calls.load(), 1);
-  EXPECT_FALSE(pool.RebuildInFlight(0));
-  EXPECT_FALSE(pool.GaveUp(0));
-
-  // Sample 350 queues the retry.
-  ObserveRange(pool, 0, xs, ys, 349, 350);
-  pool.WaitForPair(0);
-  EXPECT_EQ(rebuild_calls.load(), 2);
-  EXPECT_EQ(pool.FailedRebuilds(0), 2u);
-  // No rebuild was ever handed out.
-  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);
-}
-
-TEST(RetrainPool, GivesUpAfterFailureBudget) {
-  std::vector<double> xs, ys;
-  MakeDrifting(300, 0.0, 37, &xs, &ys);
-  std::atomic<int> rebuild_calls{0};
-  RetrainPoolConfig config = FastPool(1);
-  config.failure_backoff = {
-      .base = 0, .multiplier = 1.0, .cap = 0, .budget = 2};
-  config.rebuild_override = [&](std::span<const double>,
-                                std::span<const double>,
-                                const ModelConfig&) -> PairModel {
-    rebuild_calls.fetch_add(1);
-    throw std::runtime_error("injected rebuild failure");
-  };
-  RetrainPool pool(SmallModel(), config);
-  ASSERT_EQ(pool.RegisterWindow(xs, ys), 0u);
-
-  // Drive many cadence rounds, letting each queued rebuild resolve so
-  // the retry schedule is deterministic; after the 2-retry budget the
-  // pair stops asking.
-  for (std::size_t round = 0; round < 10; ++round) {
-    ObserveRange(pool, 0, xs, ys, 0, 100);
-    pool.WaitForPair(0);
-  }
-  pool.WaitForIdle();
-  EXPECT_TRUE(pool.GaveUp(0));
-  EXPECT_EQ(pool.FailedRebuilds(0), 2u);
-  EXPECT_EQ(rebuild_calls.load(), 2);
-  EXPECT_EQ(pool.TakeAdoptable(0), nullptr);
-  EXPECT_EQ(pool.Rebuilds(0), 0u);  // the caller keeps its initial model
 }
 
 }  // namespace

@@ -580,6 +580,12 @@ struct SessionHarness {
     const auto replies = Exchange(session, kFrameHello, payload, true);
     ASSERT_EQ(replies.size(), 1u);
     ASSERT_EQ(replies[0].type, kFrameHelloOk);
+    // The binding's ground truth: the tenant's slot, its row width and
+    // the guard's cadence, seeded from the history frame's period.
+    const HelloReply reply = DecodeHelloReply(replies[0].payload);
+    EXPECT_EQ(reply.tenant_index, tenant == "A" ? 0u : 1u);
+    EXPECT_EQ(reply.measurement_count, 4u);
+    EXPECT_EQ(reply.expected_period, kPaperSamplePeriod);
   }
 
   ServeCore core;
